@@ -54,6 +54,16 @@ def _read_json(path):
         raise CliError(f"cannot read {path}: {exc}", EXIT_BAD_INPUT)
 
 
+def _load(decode, path, *args):
+    """Read a JSON file and decode it; a malformed document is bad input."""
+    data = _read_json(path)
+    try:
+        return decode(data, *args)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"malformed {path}: {type(exc).__name__}: {exc}",
+                       EXIT_BAD_INPUT)
+
+
 def cmd_tile(args) -> int:
     spec = _parse_a(args.A)
     if args.enumerate:
@@ -93,8 +103,8 @@ def cmd_tile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    tiling = jsonio.tiling_from_json(_read_json(args.tiling))
-    labeling = jsonio.labeling_from_json(_read_json(args.labeling), tiling)
+    tiling = _load(jsonio.tiling_from_json, args.tiling)
+    labeling = _load(jsonio.labeling_from_json, args.labeling, tiling)
     if args.domain and labeling.domain.name != args.domain:
         raise CliError(
             f"labeling domain {labeling.domain.name!r} != --domain {args.domain!r}",
@@ -105,7 +115,7 @@ def cmd_run(args) -> int:
         raise CliError(f"labeling misses tiling vertices {missing}", EXIT_BAD_INPUT)
     try:
         if args.path:
-            path = jsonio.flip_path_from_json(_read_json(args.path), tiling.spec)
+            path = _load(jsonio.flip_path_from_json, args.path, tiling.spec)
             if path.start != tiling:
                 raise CliError("flip path does not start at the tiling", EXIT_BAD_INPUT)
             result = engine.evaluate_path(labeling, path)
@@ -120,12 +130,14 @@ def cmd_run(args) -> int:
         raise CliError(f"domain error: {exc}", EXIT_DOMAIN)
     except engine.ConsistencyError as exc:
         raise CliError(f"consistency violation: {exc}", EXIT_DOMAIN)
+    except flips.FlipError as exc:
+        raise CliError(f"invalid tiling or flip path: {exc}", EXIT_BAD_INPUT)
     _write_out(args.out, json.dumps(jsonio.labeling_to_json(result), indent=1) + "\n")
     return EXIT_OK
 
 
 def cmd_render(args) -> int:
-    tiling = jsonio.tiling_from_json(_read_json(args.tiling))
+    tiling = _load(jsonio.tiling_from_json, args.tiling)
     svg = render_svg(tiling, scale=args.scale, labels=args.labels, forest=args.forest)
     _write_out(args.out, svg)
     return EXIT_OK

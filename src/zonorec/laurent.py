@@ -237,34 +237,3 @@ class LaurentPoly:
             term = LaurentPoly({rest: c})
             out = out + term * value**e_v
         return out
-
-    def coefficient_of(self, v, exp: int) -> "LaurentPoly":
-        out = {}
-        for exps, c in self.terms.items():
-            if dict(exps).get(v, 0) == exp:
-                out[tuple((w, e) for w, e in exps if w != v)] = c
-        return LaurentPoly(out)
-
-    def degree_in(self, v):
-        degs = [dict(exps).get(v, 0) for exps in self.terms]
-        return (min(degs), max(degs)) if degs else (0, 0)
-
-
-def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
-
-
-def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
-def neg(p: LaurentPoly) -> LaurentPoly:
-    return -p
-
-
-def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p.exact_div(q)
-
-
-def evaluate(p: LaurentPoly, point: dict) -> Fraction:
-    return p.evaluate(point)

@@ -288,20 +288,28 @@ def make_isotropic(vectors) -> IsotropicSubspace:
 
 
 def pure_spinor(sub: IsotropicSubspace) -> Spinor:
-    """Generator of the joint kernel of the Clifford action of the subspace."""
+    """The spinor line annihilated by a maximal isotropic subspace L.
+
+    Chevalley's construction: for a basis v_1..v_n of L and any basis spinor
+    e_S, the Clifford product v_1 ... v_n . e_S is either zero or spans that
+    line (C. Chevalley, The Algebraic Theory of Spinors, 1954).  Basis
+    spinors are tried in mask order and the first nonzero product is
+    returned in canonical form.
+    """
     n = sub.n
     if sub.dim != n:
         raise SpinorError("pure spinors come from maximal isotropic subspaces")
-    dim_s = 1 << n
-    rows = []
-    for v in sub.basis:
-        cols = [clifford_act(v, Spinor.basis(n, m)).coords for m in range(dim_s)]
-        for out_mask in range(dim_s):
-            rows.append([cols[m][out_mask] for m in range(dim_s)])
-    kernel = nullspace(rows, dim_s)
-    if len(kernel) != 1:
-        raise SpinorError(f"solution space dimension {len(kernel)} != 1")
-    s = Spinor(n, kernel[0]).canonical()
+    for mask in range(1 << n):
+        s = Spinor.basis(n, mask)
+        for v in reversed(sub.basis):
+            s = clifford_act(v, s)
+        if not s.is_zero():
+            break
+    else:
+        raise SpinorError("Clifford product of the basis is zero")
+    if any(not clifford_act(v, s).is_zero() for v in sub.basis):
+        raise SpinorError("subspace does not annihilate its Clifford product")
+    s = s.canonical()
     if s.parity() is None:
         raise SpinorError("pure spinor is not parity homogeneous")
     return s
@@ -341,11 +349,11 @@ def _rational_sqrt(x: Fraction):
     return None
 
 
-def complete_isotropic_pair(sub: IsotropicSubspace):
-    """The two maximal isotropic subspaces containing a given (n-1)-dim one.
+def _extensions(sub: IsotropicSubspace):
+    """The two maximal isotropic subspaces containing K = sub, with spinors.
 
-    Computed from the rank-2 split form on perp(K)/K; labelled so the first
-    result has an even-parity pure spinor.
+    Computed from the rank-2 split form on perp(K)/K; returns
+    ((L_even, s_even), (L_odd, s_odd)) ordered by the parity of the spinor.
     """
     n = sub.n
     if sub.dim != n - 1:
@@ -387,15 +395,21 @@ def complete_isotropic_pair(sub: IsotropicSubspace):
             lines.append(
                 Vector2n.from_flat([t * a + b for a, b in zip(u1.flat(), u2.flat())])
             )
-    subs = []
+    pairs = []
     for line in lines:
-        subs.append(make_isotropic(sub.basis + (line,)))
-    s0, s1 = pure_spinor(subs[0]), pure_spinor(subs[1])
+        ext = make_isotropic(sub.basis + (line,))
+        pairs.append((ext, pure_spinor(ext)))
+    (_, s0), (_, s1) = pairs
     if s0.parity() == s1.parity():
         raise SpinorError("extensions do not have opposite parities")
-    if s0.parity() == 0:
-        return subs[0], subs[1]
-    return subs[1], subs[0]
+    return pairs if s0.parity() == 0 else pairs[::-1]
+
+
+def complete_isotropic_pair(sub: IsotropicSubspace):
+    """The two maximal isotropic subspaces containing a given (n-1)-dim one,
+    the first with an even-parity pure spinor."""
+    (plus, _), (minus, _) = _extensions(sub)
+    return plus, minus
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +431,7 @@ class SpinPoint:
 
 
 def spin_coordinates(sub: IsotropicSubspace) -> SpinPoint:
-    plus, minus = complete_isotropic_pair(sub)
-    sp, sm = pure_spinor(plus), pure_spinor(minus)
+    (_, sp), (_, sm) = _extensions(sub)
     coords = {}
     for m in range(1 << sub.n):
         coords[m] = sp.coords[m] if m.bit_count() % 2 == 0 else sm.coords[m]

@@ -13,6 +13,7 @@ from zonorec.zonogon import (
     zonogon_area2,
 )
 from zonorec.flips import apply_flip, flippable_vertices
+from zonorec.spinor import Spinor, SpinorError, clifford_act, nullspace
 
 
 def all_candidate_rhombi(spec: ZonogonSpec):
@@ -113,3 +114,24 @@ def det(matrix) -> Fraction:
         return total
 
     return rec(0, 0)
+
+
+def pure_spinor_by_kernel(sub) -> Spinor:
+    """Pure spinor of a maximal isotropic subspace as the joint kernel of its
+    Clifford action, by one dense rational solve of size (n 2^n) x 2^n."""
+    n = sub.n
+    if sub.dim != n:
+        raise SpinorError("pure spinors come from maximal isotropic subspaces")
+    dim_s = 1 << n
+    rows = []
+    for v in sub.basis:
+        cols = [clifford_act(v, Spinor.basis(n, m)).coords for m in range(dim_s)]
+        for out_mask in range(dim_s):
+            rows.append([cols[m][out_mask] for m in range(dim_s)])
+    kernel = nullspace(rows, dim_s)
+    if len(kernel) != 1:
+        raise SpinorError(f"solution space dimension {len(kernel)} != 1")
+    s = Spinor(n, kernel[0]).canonical()
+    if s.parity() is None:
+        raise SpinorError("pure spinor is not parity homogeneous")
+    return s

@@ -201,12 +201,46 @@ def test_cli_run_domain_error(tmp_path):
     assert code == 4
 
 
+_T_MIN_111 = {"A": [1, 1, 1], "rhombi": [
+    {"base": [0, 0, 0], "dirs": [1, 2]},
+    {"base": [0, 0, 0], "dirs": [2, 3]},
+    {"base": [0, 1, 0], "dirs": [1, 3]},
+]}
+_ONES_111 = {"A": [1, 1, 1], "domain": "rational", "values": [
+    {"vertex": v, "value": "1"}
+    for v in ([0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 1, 0],
+              [1, 1, 1])
+]}
+
+
+@pytest.mark.parametrize("command, tiling, labeling", [
+    ("run", _T_MIN_111, {"A": [1, 1, 1], "values": _ONES_111["values"]}),
+    ("run", _T_MIN_111, {**_ONES_111, "values": [{"vertex": [0, 0, 0]}]}),
+    ("run", {"A": [1, 1, 1], "rhombi": [{"base": [0, 0, 0]}]}, _ONES_111),
+    ("render", {"A": [1, 1, 1], "rhombi": [{"base": [0, 0, 0]}]}, None),
+    ("run", {"A": [1, 1, 1], "rhombi": [{"base": [0, 0, 0], "dirs": [1, 2]}]},
+     _ONES_111),
+], ids=["no-domain", "no-value", "tiling-no-dirs", "render-no-dirs", "one-rhombus"])
+def test_cli_malformed_input_exits_2(tmp_path, capsys, command, tiling, labeling):
+    tiling_file = tmp_path / "t.json"
+    tiling_file.write_text(json.dumps(tiling))
+    argv = [command, "--tiling", str(tiling_file), "--out", str(tmp_path / "o")]
+    if labeling is not None:
+        lab_file = tmp_path / "lab.json"
+        lab_file.write_text(json.dumps(labeling))
+        argv += ["--labeling", str(lab_file)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_verify_suites(capsys):
     assert main(["verify", "confluence", "--A", "1,1,1", "--trials", "3"]) == 0
     assert main(["verify", "laurent", "--A", "1,1,1"]) == 0
     assert main(["verify", "tropical", "--A", "2,1,1", "--s", "1", "--c", "1",
                  "--samples", "30"]) == 0
     assert main(["verify", "grassmann", "--n", "3", "--samples", "3"]) == 0
+    assert main(["verify", "grassmann", "--n", "6", "--samples", "1"]) == 0
     out = capsys.readouterr().out
     assert "confluence" in out and "grassmann" in out
 

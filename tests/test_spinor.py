@@ -5,6 +5,7 @@ import pytest
 
 from zonorec import (
     RATIONAL,
+    IsotropicSubspace,
     SpinPoint,
     Spinor,
     SpinorError,
@@ -108,6 +109,13 @@ def test_pure_spinor_requires_maximal():
         pure_spinor(sub)
 
 
+def test_pure_spinor_rejects_non_isotropic():
+    # eps_0 and eps_0* pair to 1/2, so no spinor is annihilated by all three
+    sub = IsotropicSubspace((eps(0, 3), eps(1, 3), eps_dual(0, 3)))
+    with pytest.raises(SpinorError):
+        pure_spinor(sub)
+
+
 def _random_skew(rng, n):
     a = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -143,6 +151,24 @@ def test_pure_spinor_pfaffian_chart():
             assert all(
                 s.coords[m] == 0 for m in range(1 << n) if m.bit_count() % 2
             )
+
+
+def test_pure_spinor_matches_kernel_oracle():
+    from oracles import pure_spinor_by_kernel
+
+    subs = [
+        make_isotropic([eps(i, n) if m >> i & 1 else eps_dual(i, n)
+                        for i in range(n)])
+        for n in (3, 4)
+        for m in range(1 << n)
+    ]
+    rng = random.Random(11)
+    for n in (3, 4, 5, 6):
+        subs.append(isotropic_from_skew(_random_skew(rng, n)))
+        for _ in range(3 if n < 6 else 1):
+            subs.append(random_isotropic_subspace(rng, n, n))
+    for sub in subs:
+        assert pure_spinor(sub) == pure_spinor_by_kernel(sub)
 
 
 def test_complete_isotropic_pair_coordinate_case():
@@ -195,10 +221,25 @@ def test_spin_coordinates_special_point():
 
 def test_spin_coordinates_satisfy_trbi():
     rng = random.Random(5)
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6, 7, 8):
         for _ in range(5):
             sub = random_isotropic_subspace(rng, n, n - 1)
             assert verify_trbi(spin_coordinates(sub)) == []
+
+
+def test_spin_coordinates_makes_two_pure_spinors(monkeypatch):
+    from zonorec import spinor
+
+    calls = []
+    real = spinor.pure_spinor
+
+    def counting(sub):
+        calls.append(sub)
+        return real(sub)
+
+    monkeypatch.setattr(spinor, "pure_spinor", counting)
+    spin_coordinates(random_isotropic_subspace(random.Random(12), 4, 3))
+    assert len(calls) == 2
 
 
 def test_sign_twist_involution_and_examples():
