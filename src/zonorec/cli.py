@@ -104,16 +104,21 @@ def cmd_tile(args) -> int:
 
 def cmd_run(args) -> int:
     tiling = _load(jsonio.tiling_from_json, args.tiling)
-    labeling = _load(jsonio.labeling_from_json, args.labeling, tiling)
-    if args.domain and labeling.domain.name != args.domain:
+    given = _load(jsonio.labeling_from_json, args.labeling, tiling)
+    if args.domain and given.domain.name != args.domain:
         raise CliError(
-            f"labeling domain {labeling.domain.name!r} != --domain {args.domain!r}",
+            f"labeling domain {given.domain.name!r} != --domain {args.domain!r}",
             EXIT_BAD_INPUT,
         )
-    missing = [v for v in tiling.vertices if v not in labeling.values]
+    extra = [v for v in given.values if v not in tiling.vertices]
+    if extra:
+        raise CliError(f"labeling has values at {extra}, which are not tiling vertices",
+                       EXIT_BAD_INPUT)
+    missing = [v for v in tiling.vertices if v not in given.values]
     if missing:
         raise CliError(f"labeling misses tiling vertices {missing}", EXIT_BAD_INPUT)
     try:
+        labeling = engine.initial_labeling(tiling, given.domain, given.values)
         if args.path:
             path = _load(jsonio.flip_path_from_json, args.path, tiling.spec)
             if path.start != tiling:

@@ -117,10 +117,10 @@ def fundamental_forest(t: Tiling) -> FundamentalForest:
 
 
 def flippable_vertices(t: Tiling):
-    """(down-flippable, up-flippable) vertex sets.
+    """(down-flippable, up-flippable) vertex sets, by the direct census.
 
-    Down-flippable vertices are the leaves of the fundamental forest; this is
-    cross-checked against the direct census (internal, two edges down, one up).
+    A vertex is down-flippable when it is internal with two edges down and
+    one up; these are exactly the leaves of the fundamental forest.
     """
     down = set()
     up = set()
@@ -132,9 +132,6 @@ def flippable_vertices(t: Tiling):
             down.add(v)
         elif len(u) == 2 and len(d) == 1:
             up.add(v)
-    leaves = fundamental_forest(t).leaves
-    if frozenset(down) != leaves:
-        raise FlipError(f"leaf census mismatch: {sorted(down)} vs {sorted(leaves)}")
     return frozenset(down), frozenset(up)
 
 

@@ -104,9 +104,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def is_one(self) -> bool:
-        return self.terms == {(): 1}
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):

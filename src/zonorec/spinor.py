@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd
 
 MAX_N = 8
 
@@ -67,10 +67,6 @@ def nullspace(rows, ncols):
 
 def rank(rows):
     return len(rref(rows)[0])
-
-
-def in_span(rows, vec) -> bool:
-    return rank(rows) == rank(list(rows) + [list(vec)])
 
 
 def intersect_spans(rows1, rows2):
@@ -287,6 +283,30 @@ def make_isotropic(vectors) -> IsotropicSubspace:
     return IsotropicSubspace(vecs)
 
 
+def _clifford_products(basis, n: int):
+    """Nonzero products v_1 ... v_k . e_S of a basis, e_S in mask order.
+
+    The basis is applied right to left, as Clifford products act.
+    """
+    for mask in range(1 << n):
+        s = Spinor.basis(n, mask)
+        for v in reversed(basis):
+            s = clifford_act(v, s)
+        if not s.is_zero():
+            yield s
+
+
+def _annihilated_spinor(basis, s: Spinor) -> Spinor:
+    """Canonical form of s, checked to be annihilated by the basis and
+    parity homogeneous."""
+    if any(not clifford_act(v, s).is_zero() for v in basis):
+        raise SpinorError("subspace does not annihilate its Clifford product")
+    s = s.canonical()
+    if s.parity() is None:
+        raise SpinorError("pure spinor is not parity homogeneous")
+    return s
+
+
 def pure_spinor(sub: IsotropicSubspace) -> Spinor:
     """The spinor line annihilated by a maximal isotropic subspace L.
 
@@ -299,20 +319,10 @@ def pure_spinor(sub: IsotropicSubspace) -> Spinor:
     n = sub.n
     if sub.dim != n:
         raise SpinorError("pure spinors come from maximal isotropic subspaces")
-    for mask in range(1 << n):
-        s = Spinor.basis(n, mask)
-        for v in reversed(sub.basis):
-            s = clifford_act(v, s)
-        if not s.is_zero():
-            break
-    else:
+    s = next(_clifford_products(sub.basis, n), None)
+    if s is None:
         raise SpinorError("Clifford product of the basis is zero")
-    if any(not clifford_act(v, s).is_zero() for v in sub.basis):
-        raise SpinorError("subspace does not annihilate its Clifford product")
-    s = s.canonical()
-    if s.parity() is None:
-        raise SpinorError("pure spinor is not parity homogeneous")
-    return s
+    return _annihilated_spinor(sub.basis, s)
 
 
 def annihilator(s: Spinor) -> list:
@@ -339,77 +349,26 @@ def purity_check(s: Spinor):
     return len(ann) == s.n, sub
 
 
-def _rational_sqrt(x: Fraction):
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def _extensions(sub: IsotropicSubspace):
-    """The two maximal isotropic subspaces containing K = sub, with spinors.
-
-    Computed from the rank-2 split form on perp(K)/K; returns
-    ((L_even, s_even), (L_odd, s_odd)) ordered by the parity of the spinor.
-    """
+def _spinor_pair(sub: IsotropicSubspace):
+    """(even, odd) pure spinors annihilated by an isotropic K of dim n-1:
+    the first Clifford product of each parity, in canonical form."""
     n = sub.n
     if sub.dim != n - 1:
         raise SpinorError("expected an isotropic subspace of dimension n-1")
-    flats = [v.flat() for v in sub.basis]
-    gram_rows = []
-    basis_v = [eps(i, n) for i in range(n)] + [eps_dual(i, n) for i in range(n)]
-    for v in sub.basis:
-        gram_rows.append([inner(v, b) for b in basis_v])
-    perp = nullspace(gram_rows, 2 * n)
-    if len(perp) != n + 1:
-        raise SpinorError("perp space has unexpected dimension")
-    comp = []
-    cur = [list(f) for f in flats]
-    for vec in perp:
-        if not in_span(cur, vec):
-            cur.append(list(vec))
-            comp.append(Vector2n.from_flat(vec))
-        if len(comp) == 2:
-            break
-    u1, u2 = comp
-    q11, q12, q22 = inner(u1, u1), inner(u1, u2), inner(u2, u2)
-    lines = []
-    if q11 == 0:
-        lines.append(u1)
-        if q12 == 0:
-            raise SpinorError("form on perp(K)/K is degenerate")
-        # remaining root of t*(2*q12 + t*q22) with u1 + t*u2 direction swapped:
-        # parametrize v = t*u1 + u2: q = t^2*q11 + 2t*q12 + q22 = 2t*q12 + q22
-        t = -q22 / (2 * q12)
-        lines.append(Vector2n.from_flat([t * a + b for a, b in zip(u1.flat(), u2.flat())]))
-    else:
-        disc = q12 * q12 - q11 * q22
-        root = _rational_sqrt(disc)
-        if root is None or root == 0:
-            raise SpinorError("form on perp(K)/K not split over the rationals")
-        for r in (root, -root):
-            t = (-q12 + r) / q11
-            lines.append(
-                Vector2n.from_flat([t * a + b for a, b in zip(u1.flat(), u2.flat())])
-            )
-    pairs = []
-    for line in lines:
-        ext = make_isotropic(sub.basis + (line,))
-        pairs.append((ext, pure_spinor(ext)))
-    (_, s0), (_, s1) = pairs
-    if s0.parity() == s1.parity():
-        raise SpinorError("extensions do not have opposite parities")
-    return pairs if s0.parity() == 0 else pairs[::-1]
+    make_isotropic(sub.basis)  # K's basis is independent and isotropic
+    found = {}
+    for s in _clifford_products(sub.basis, n):
+        if s.parity() not in found:
+            found[s.parity()] = _annihilated_spinor(sub.basis, s)
+            if len(found) == 2:
+                return found[0], found[1]
+    raise SpinorError("Clifford products of K do not reach both parities")
 
 
 def complete_isotropic_pair(sub: IsotropicSubspace):
     """The two maximal isotropic subspaces containing a given (n-1)-dim one,
     the first with an even-parity pure spinor."""
-    (plus, _), (minus, _) = _extensions(sub)
-    return plus, minus
+    return tuple(make_isotropic(annihilator(s)) for s in _spinor_pair(sub))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +390,17 @@ class SpinPoint:
 
 
 def spin_coordinates(sub: IsotropicSubspace) -> SpinPoint:
-    (_, sp), (_, sm) = _extensions(sub)
+    """Spin coordinates of an isotropic subspace K of dimension n-1.
+
+    The Clifford product v_1 ... v_{n-1} of a basis of K maps the spinor
+    module onto the 2-dimensional space that K annihilates, which is spanned
+    by the even and the odd pure spinor of the two maximal isotropic
+    subspaces containing K (C. Chevalley, The Algebraic Theory of Spinors,
+    1954).  Basis spinors e_S are tried in mask order; the first nonzero
+    product of each parity gives the even and the odd coordinates, with no
+    linear solve.
+    """
+    sp, sm = _spinor_pair(sub)
     coords = {}
     for m in range(1 << sub.n):
         coords[m] = sp.coords[m] if m.bit_count() % 2 == 0 else sm.coords[m]
@@ -551,21 +520,6 @@ def isotropic_from_skew(a) -> IsotropicSubspace:
 
 def _random_fraction(rng, lo=-5, hi=5):
     return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
-
-
-def random_isotropic_vector(rng, n: int) -> Vector2n:
-    """A random nonzero isotropic vector, solving the split quadratic."""
-    while True:
-        w = [_random_fraction(rng) for _ in range(n)]
-        wv = [_random_fraction(rng) for _ in range(n)]
-        i = next((i for i in range(n) if w[i]), None)
-        if i is None:
-            continue
-        rest = sum(a * b for a, b in zip(w, wv)) - w[i] * wv[i]
-        wv[i] = -rest / w[i]
-        v = Vector2n(tuple(w), tuple(wv))
-        if inner(v, v) == 0 and (any(w) or any(wv)):
-            return v
 
 
 def reflect(v: Vector2n, x: Vector2n) -> Vector2n:

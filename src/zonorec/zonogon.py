@@ -241,9 +241,6 @@ class Tiling:
     def is_internal(self, v: Point) -> bool:
         return v not in self.spec.boundary_vertices
 
-    def has_edge(self, e: Edge) -> bool:
-        return e in self.edge_rhombi
-
     def rhombi_at(self, v: Point) -> list[Rhombus]:
         return [rh for rh in self.rhombi if v in rhombus_corners(rh)]
 

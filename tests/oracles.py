@@ -3,6 +3,7 @@ algorithms so they can cross-check them."""
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import isqrt
 
 from zonorec.zonogon import (
     ZonogonSpec,
@@ -13,7 +14,19 @@ from zonorec.zonogon import (
     zonogon_area2,
 )
 from zonorec.flips import apply_flip, flippable_vertices
-from zonorec.spinor import Spinor, SpinorError, clifford_act, nullspace
+from zonorec.spinor import (
+    SpinPoint,
+    Spinor,
+    SpinorError,
+    Vector2n,
+    clifford_act,
+    eps,
+    eps_dual,
+    inner,
+    make_isotropic,
+    nullspace,
+    rank,
+)
 
 
 def all_candidate_rhombi(spec: ZonogonSpec):
@@ -135,3 +148,60 @@ def pure_spinor_by_kernel(sub) -> Spinor:
     if s.parity() is None:
         raise SpinorError("pure spinor is not parity homogeneous")
     return s
+
+
+def _rational_sqrt(x: Fraction):
+    if x < 0:
+        return None
+    num, den = x.numerator, x.denominator
+    rn, rd = isqrt(num), isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
+
+
+def spin_coordinates_by_extensions(sub) -> SpinPoint:
+    """Spin coordinates of an isotropic K of dimension n-1 through its two
+    maximal isotropic extensions: perp(K) by a linear solve, a complement of
+    K in it, the isotropic lines of the rank-2 split form on perp(K)/K, and
+    the kernel-solved pure spinor of each extension K + line."""
+    n = sub.n
+    if sub.dim != n - 1:
+        raise SpinorError("expected an isotropic subspace of dimension n-1")
+    basis_v = [eps(i, n) for i in range(n)] + [eps_dual(i, n) for i in range(n)]
+    gram_rows = [[inner(v, b) for b in basis_v] for v in sub.basis]
+    perp = nullspace(gram_rows, 2 * n)
+    if len(perp) != n + 1:
+        raise SpinorError("perp space has unexpected dimension")
+    comp = []
+    cur = [list(v.flat()) for v in sub.basis]
+    for vec in perp:
+        if rank(cur) != rank(cur + [list(vec)]):
+            cur.append(list(vec))
+            comp.append(Vector2n.from_flat(vec))
+        if len(comp) == 2:
+            break
+    u1, u2 = comp
+    q11, q12, q22 = inner(u1, u1), inner(u1, u2), inner(u2, u2)
+
+    def along(t):  # t*u1 + u2
+        return Vector2n.from_flat([t * a + b for a, b in zip(u1.flat(), u2.flat())])
+
+    if q11 == 0:
+        if q12 == 0:
+            raise SpinorError("form on perp(K)/K is degenerate")
+        # q(t*u1 + u2) = 2t*q12 + q22 vanishes at one t; the other root is u1
+        lines = [u1, along(-q22 / (2 * q12))]
+    else:
+        root = _rational_sqrt(q12 * q12 - q11 * q22)
+        if root is None or root == 0:
+            raise SpinorError("form on perp(K)/K not split over the rationals")
+        lines = [along((-q12 + r) / q11) for r in (root, -root)]
+    spinors = {}
+    for line in lines:
+        s = pure_spinor_by_kernel(make_isotropic(sub.basis + (line,)))
+        spinors[s.parity()] = s
+    if set(spinors) != {0, 1}:
+        raise SpinorError("extensions do not have opposite parities")
+    return SpinPoint(n, {m: spinors[m.bit_count() % 2].coords[m]
+                         for m in range(1 << n)})

@@ -312,7 +312,7 @@ def test_acceptance_09_grassmannian():
             point = spin_coordinates(sub)
             assert verify_trbi(point) == []
     # converse: sign-untwisted recurrence outputs are pure spinor pairs
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6, 7):
         spec = ZonogonSpec((1,) * n)
         tm = t_min(spec)
         vals = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9))
@@ -337,7 +337,7 @@ def test_acceptance_09_grassmannian():
         assert rank(inter) == n - 1
     _report(9, "isotropic grassmannian", "50 samples each n=3,4,5 satisfy the "
             "bilinear equations; recurrence points are pure with common "
-            "annihilator of dimension n-1", started, 120.0)
+            "annihilator of dimension n-1 for n=3..7", started, 120.0)
 
 
 def test_acceptance_10_clifford_layer():

@@ -61,6 +61,17 @@ def test_forest_of_nonminimal_hexagon():
     assert forest.leaves == frozenset({(1, 0, 1)})
 
 
+def test_down_flippable_vertices_are_forest_leaves():
+    # the direct census of flippable_vertices agrees with the forest theorem
+    tilings = [t for a in [(2, 2, 2), (1, 1, 1, 1, 1), (2, 2, 1, 1)]
+               for t in enumerate_tilings(ZonogonSpec(a))]
+    rng = random.Random(14)
+    tilings += [random_tiling(ZonogonSpec((3, 3, 3, 3)), rng) for _ in range(10)]
+    for t in tilings:
+        down, _ = flippable_vertices(t)
+        assert down == fundamental_forest(t).leaves, t.canonical_rhombi()
+
+
 def test_forest_down_edge_census():
     # vertices with r >= 3 down-edges carry exactly r - 2 forest down-edges
     rng = random.Random(5)

@@ -234,6 +234,36 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, tiling, labeling
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _run_111(tmp_path, values):
+    tiling_file = tmp_path / "t.json"
+    tiling_file.write_text(json.dumps(_T_MIN_111))
+    lab_file = tmp_path / "lab.json"
+    lab_file.write_text(json.dumps({**_ONES_111, "values": values}))
+    return main(["run", "--tiling", str(tiling_file), "--labeling", str(lab_file),
+                 "--out", str(tmp_path / "o.json")])
+
+
+@pytest.mark.parametrize("point", [[1, 0, 1], [5, 5, 5]],
+                         ids=["non-vertex", "outside-box"])
+def test_cli_run_rejects_value_off_the_tiling(tmp_path, capsys, point):
+    values = _ONES_111["values"] + [{"vertex": point, "value": "7"}]
+    assert _run_111(tmp_path, values) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tuple(point)) in err
+
+
+def test_cli_run_rejects_negative_initial_value(tmp_path, capsys):
+    values = [dict(item, value="-3/2") if item["vertex"] == [0, 1, 0] else item
+              for item in _ONES_111["values"]]
+    assert _run_111(tmp_path, values) == 4
+    assert "invalid initial value at (0, 1, 0)" in capsys.readouterr().err
+
+
+def test_cli_run_missing_vertex_exits_2(tmp_path, capsys):
+    assert _run_111(tmp_path, _ONES_111["values"][1:]) == 2
+    assert "misses tiling vertices" in capsys.readouterr().err
+
+
 def test_cli_verify_suites(capsys):
     assert main(["verify", "confluence", "--A", "1,1,1", "--trials", "3"]) == 0
     assert main(["verify", "laurent", "--A", "1,1,1"]) == 0

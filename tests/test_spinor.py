@@ -227,19 +227,48 @@ def test_spin_coordinates_satisfy_trbi():
             assert verify_trbi(spin_coordinates(sub)) == []
 
 
-def test_spin_coordinates_makes_two_pure_spinors(monkeypatch):
+def test_spin_coordinates_matches_extensions_oracle():
+    from oracles import spin_coordinates_by_extensions
+
+    subs = [
+        make_isotropic([eps(i, n) if m >> i & 1 else eps_dual(i, n)
+                        for i in range(n) if i != skip])
+        for n in (3, 4)
+        for skip in range(n)
+        for m in range(1 << n)
+        if not m >> skip & 1
+    ]
+    rng = random.Random(13)
+    for n in (3, 4, 5, 6):
+        for _ in range(3 if n < 6 else 1):
+            subs.append(random_isotropic_subspace(rng, n, n - 1))
+    for sub in subs:
+        got = spin_coordinates(sub)
+        want = spin_coordinates_by_extensions(sub)
+        assert got.n == want.n and got.coords == want.coords
+
+
+@pytest.mark.parametrize("basis", [
+    (eps(0, 3),),
+    (eps(0, 3), eps(1, 3), eps(2, 3)),
+    (eps(0, 3), eps_dual(0, 3)),
+    (eps(0, 3), eps(0, 3)),
+], ids=["too-small", "maximal", "non-isotropic", "dependent"])
+def test_spin_coordinates_rejects_bad_subspace(basis):
+    with pytest.raises(SpinorError):
+        spin_coordinates(IsotropicSubspace(basis))
+
+
+def test_spin_coordinates_makes_no_solve(monkeypatch):
     from zonorec import spinor
 
-    calls = []
-    real = spinor.pure_spinor
+    def forbidden(*args):
+        raise AssertionError("spin_coordinates must not call this")
 
-    def counting(sub):
-        calls.append(sub)
-        return real(sub)
-
-    monkeypatch.setattr(spinor, "pure_spinor", counting)
-    spin_coordinates(random_isotropic_subspace(random.Random(12), 4, 3))
-    assert len(calls) == 2
+    monkeypatch.setattr(spinor, "nullspace", forbidden)
+    monkeypatch.setattr(spinor, "pure_spinor", forbidden)
+    pt = spin_coordinates(random_isotropic_subspace(random.Random(12), 4, 3))
+    assert verify_trbi(pt) == []
 
 
 def test_sign_twist_involution_and_examples():
