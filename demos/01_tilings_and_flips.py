@@ -52,7 +52,7 @@ print()
 print("== any lattice point sits on some tiling ==")
 spec = ZonogonSpec((2, 2, 1))
 target = (1, 0, 1)  # not a vertex of the minimal tiling
-t = tiling_through_vertex(spec, target, seed=1)
+t = tiling_through_vertex(spec, target)
 print(f"tiling through {target}: contains it -> {target in t.vertices}")
 path = normalize_to_min(t)
 print("downward flips to the minimal tiling:", len(path),

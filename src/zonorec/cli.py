@@ -1,8 +1,9 @@
 """Command line surface: construct tilings, run the recurrence, verify, render.
 
 Exit codes: 0 success, 2 invalid input, 3 resource cap exceeded, 4 domain
-error (zero divisor / inexact division).  All randomness flows from --seed
-(default: the ZONOREC_SEED environment variable, else 0).
+error (zero divisor / inexact division).  The verify suites draw their
+samples from --seed (default: the ZONOREC_SEED environment variable, else 0);
+tile and run accept --seed but their results do not depend on it.
 """
 
 from __future__ import annotations
@@ -82,18 +83,17 @@ def cmd_tile(args) -> int:
             raise CliError(f"bad vertex {args.through!r}: {exc}", EXIT_BAD_INPUT)
         if not spec.contains(p):
             raise CliError(f"vertex {p} outside the box", EXIT_BAD_INPUT)
-        t = zonogon.tiling_through_vertex(spec, p, seed=args.seed)
+        t = zonogon.tiling_through_vertex(spec, p)
     elif args.cube:
         bits = args.cube.split(",")
         if len(bits) != spec.n + 4:
             raise CliError(
                 f"--cube needs base ({spec.n} coords), j,k,l, side", EXIT_BAD_INPUT
             )
-        base = tuple(int(x) for x in bits[: spec.n])
-        dirs = tuple(int(x) - 1 for x in bits[spec.n:spec.n + 3])
-        side = bits[-1]
         try:
-            t = zonogon.tiling_with_cube_faces(spec, base, dirs, side, seed=args.seed)
+            base = tuple(int(x) for x in bits[: spec.n])
+            dirs = tuple(int(x) - 1 for x in bits[spec.n:spec.n + 3])
+            t = zonogon.tiling_with_cube_faces(spec, base, dirs, bits[-1])
         except ValueError as exc:
             raise CliError(str(exc), EXIT_BAD_INPUT)
     else:
@@ -125,7 +125,7 @@ def cmd_run(args) -> int:
                 raise CliError("flip path does not start at the tiling", EXIT_BAD_INPUT)
             result = engine.evaluate_path(labeling, path)
         else:
-            result = engine.extend_to_lattice(labeling, seed=args.seed, check=args.check)
+            result = engine.extend_to_lattice(labeling, check=args.check)
             if args.check:
                 report = engine.verify_cube_relations(result)
                 if not report.ok:
@@ -175,15 +175,13 @@ def _verify_laurent(args) -> list[str]:
     spec = _parse_a(args.A)
     t0 = zonogon.t_min(spec)
     lab = engine.symbolic_labeling(t0)
-    total = engine.extend_to_lattice(lab, seed=args.seed)
+    total = engine.extend_to_lattice(lab)
     report = engine.verify_cube_relations(total)
     if not report.ok:
         raise CliError(f"cube relation failed: {report.failures[0]}", EXIT_DOMAIN)
     rng = random.Random(args.seed)
     point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in t0.vertices}
-    rat = engine.extend_to_lattice(
-        engine.initial_labeling(t0, engine.RATIONAL, point), seed=args.seed
-    )
+    rat = engine.extend_to_lattice(engine.initial_labeling(t0, engine.RATIONAL, point))
     for p in spec.lattice_points():
         if total.values[p].evaluate(point) != rat.values[p]:
             raise CliError(f"symbolic/rational mismatch at {p}", EXIT_DOMAIN)
@@ -208,8 +206,7 @@ def _verify_tropical(args) -> list[str]:
     for _ in range(args.samples):
         values = {v: Fraction(rng.randint(-5, 5)) for v in t0.vertices}
         lab = engine.extend_to_lattice(
-            engine.initial_labeling(t0, engine.TROPICAL, values), seed=args.seed
-        )
+            engine.initial_labeling(t0, engine.TROPICAL, values))
         report = tropical.check_propagation(lab, w, g)
         if not report.hypothesis_ok:
             continue
@@ -271,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--cube", help="base,j,k,l,side with 1-based directions")
     mode.add_argument("--enumerate", action="store_true", help="all tilings")
     p_tile.add_argument("--cap", type=int, default=10000)
-    p_tile.add_argument("--seed", type=int, default=default_seed)
+    p_tile.add_argument("--seed", type=int, default=default_seed,
+                        help="accepted; tilings do not depend on it")
     p_tile.add_argument("--out", default="-")
     p_tile.set_defaults(func=cmd_tile)
 
@@ -281,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--domain", choices=("rational", "laurent", "tropical"))
     p_run.add_argument("--path", help="flip path JSON; default extends to the lattice")
     p_run.add_argument("--check", action="store_true")
-    p_run.add_argument("--seed", type=int, default=default_seed)
+    p_run.add_argument("--seed", type=int, default=default_seed,
+                       help="accepted; the extension does not depend on it")
     p_run.add_argument("--out", default="-")
     p_run.set_defaults(func=cmd_run)
 

@@ -203,12 +203,13 @@ def evaluate_path(labeling: Labeling, path: FlipPath) -> Labeling:
     return out
 
 
-def extend_to_lattice(labeling: Labeling, seed=0, check=True) -> Labeling:
+def extend_to_lattice(labeling: Labeling, check=True) -> Labeling:
     """The unique extension of the initial values to the whole lattice box.
 
-    Each missing point is reached by routing a flip path from T0 through some
-    tiling containing it; re-derivations of already-known values are compared
-    exactly when `check` is set.
+    Each missing point is reached by routing a flip path from T0 through the
+    wiring-diagram tiling containing it (`tiling_through_vertex`);
+    re-derivations of already-known values are compared exactly when `check`
+    is set.
     """
     t0 = labeling.tiling
     if t0 is None:
@@ -218,7 +219,7 @@ def extend_to_lattice(labeling: Labeling, seed=0, check=True) -> Labeling:
     for p in sorted(labeling.spec.lattice_points()):
         if p in cache:
             continue
-        t_p = tiling_through_vertex(labeling.spec, p, seed=seed)
+        t_p = tiling_through_vertex(labeling.spec, p)
         up = normalize_to_min(t_p)
         path = FlipPath(t0, list(down0.moves) + [m.inverse() for m in reversed(up.moves)])
         walked = evaluate_path(Labeling(labeling.spec, labeling.domain, dict(labeling.values), t0), path)

@@ -213,7 +213,7 @@ def normalize_to_min(t: Tiling, rng: random.Random | None = None) -> FlipPath:
     moves = []
     cur = t
     while True:
-        leaves = fundamental_forest(cur).leaves
+        leaves = flippable_vertices(cur)[0]
         if not leaves:
             break
         if rng is None:
@@ -396,7 +396,7 @@ def _descend_keeping(t: Tiling, keep: Point):
     moves = []
     cur = t
     while True:
-        leaves = fundamental_forest(cur).leaves - {keep}
+        leaves = flippable_vertices(cur)[0] - {keep}
         if not leaves:
             return cur, moves
         at = min(leaves, key=lambda v: _leaf_key(t.spec, v))

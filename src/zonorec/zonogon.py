@@ -13,7 +13,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -25,15 +24,7 @@ Edge = tuple  # (base, d): the segment base -> base + e_d
 Rhombus = tuple  # (base, (j, k)) with j < k
 
 
-class TilingError(ValueError):
-    pass
-
-
 class LiftError(ValueError):
-    pass
-
-
-class RetryBudgetExceeded(RuntimeError):
     pass
 
 
@@ -342,49 +333,52 @@ def project(spec: ZonogonSpec, obj):
 # canonical constructions
 
 
-def t_min(spec: ZonogonSpec) -> Tiling:
-    """The unique tiling with no downward flip, built greedily from the top.
+def _wiring_tiling(spec: ZonogonSpec, front: Point, middle=(), swaps=()) -> Tiling:
+    """The tiling swept out by one wiring diagram (a reduced word of swaps;
+    Elnitsky, JCTA 77, 1997).
 
-    Maintains the boundary cycle of the untiled region; the topmost cycle
-    vertex always has one ascending and one descending cycle edge, and the
-    angle between them is filled with a single rhombus.  Backtracking pairs
-    of cycle steps are cancelled as the region degenerates.
+    The word lists lines bottom to top, direction d having a_d copies, and
+    starts in direction order.  Swapping adjacent lines d < d' at gap i lays
+    the rhombus (counts of the lines below i, (d, d')); only ascending pairs
+    swap, so each pair of lines crosses once and the swaps tile P.  Every
+    prefix of every intermediate word is a vertex of the tiling.
+
+    First the front lines (copy c of d with c < front[d]) bubble, stably,
+    below all others, so `front` becomes a vertex.  Then the next copies of
+    the `middle` directions bubble just above them, and `swaps` are made at
+    these gap offsets past the front.  Last, the lowest ascending pair swaps
+    until none is left.
     """
-    pts = list(spec.boundary_cycle)
+    word = [(d, c) for d in range(spec.n) for c in range(spec.a[d])]
     rhombi = []
 
-    def cancel(pts):
-        changed = True
-        while changed and len(pts) >= 2:
-            changed = False
-            m = len(pts)
-            for i in range(m):
-                if pts[(i - 1) % m] == pts[(i + 1) % m]:
-                    j = (i + 1) % m
-                    for idx in sorted((i, j), reverse=True):
-                        pts.pop(idx)
-                    changed = True
-                    break
-        return pts
+    def swap(i):
+        base = [0] * spec.n
+        for d, _ in word[:i]:
+            base[d] += 1
+        rhombi.append((tuple(base), (word[i][0], word[i + 1][0])))
+        word[i], word[i + 1] = word[i + 1], word[i]
 
-    while len(pts) >= 3:
-        m = len(pts)
-        top = max(range(m), key=lambda i: (spec.height(pts[i]), tuple(-c for c in pts[i])))
-        p = pts[top]
-        prev, nxt = pts[(top - 1) % m], pts[(top + 1) % m]
-        dj = [d for d in range(spec.n) if p[d] == prev[d] + 1]
-        dk = [d for d in range(spec.n) if p[d] == nxt[d] + 1]
-        if len(dj) != 1 or len(dk) != 1 or dj[0] <= dk[0]:
-            raise TilingError(f"degenerate frontier at {p}")
-        j, k = dj[0], dk[0]
-        base = shift2(p, j, k, -1)
-        rhombi.append((base, (k, j)))
-        pts[top] = base
-        pts = cancel(pts)
-
-    if len(rhombi) != spec.rhombus_count:
-        raise TilingError("greedy fill did not cover the zonogon")
+    lines = [(d, c) for d, c in word if c < front[d]] + [(d, front[d]) for d in middle]
+    for to, line in enumerate(lines):
+        for i in range(word.index(line) - 1, to - 1, -1):
+            swap(i)
+    for off in swaps:
+        swap(sum(front) + off)
+    i = 0
+    while i < len(word) - 1:
+        if word[i][0] < word[i + 1][0]:
+            swap(i)
+            i = max(i - 1, 0)
+        else:
+            i += 1
     return Tiling(spec, rhombi)
+
+
+def t_min(spec: ZonogonSpec) -> Tiling:
+    """The unique tiling with no downward flip: the wiring diagram that always
+    swaps the lowest ascending pair."""
+    return _wiring_tiling(spec, (0,) * spec.n)
 
 
 def t_min_vertices(spec: ZonogonSpec) -> frozenset:
@@ -414,84 +408,11 @@ def t_min_vertices(spec: ZonogonSpec) -> frozenset:
     return frozenset(out)
 
 
-# line arrangements: a line is (direction r, index m, offset q) meaning
-# {x : <x, v_r> = q}; regions of the arrangement are tiling vertices and
-# crossings are rhombi.
-
-
-def _solve_crossing(spec, r, qr, s, qs):
-    vr, vs = spec.vectors[r], spec.vectors[s]
-    det = cross(vr, vs)
-    x = Fraction(qr * vs[1] - qs * vr[1], det)
-    y = Fraction(qs * vr[0] - qr * vs[0], det)
-    return (x, y)
-
-
-def _has_triple_point(spec, lines_by_dir):
-    dirs = [d for d in range(spec.n)]
-    for r, s, u in combinations(dirs, 3):
-        for qr in lines_by_dir[r]:
-            for qs in lines_by_dir[s]:
-                p = _solve_crossing(spec, r, qr, s, qs)
-                vu = spec.vectors[u]
-                val = p[0] * vu[0] + p[1] * vu[1]
-                if val in lines_by_dir[u]:
-                    return True
-    return False
-
-
-def _arrangement_tiling(spec: ZonogonSpec, lines_by_dir) -> Tiling:
-    rhombi = []
-    for r, s in combinations(range(spec.n), 2):
-        for qr in lines_by_dir[r]:
-            for qs in lines_by_dir[s]:
-                p = _solve_crossing(spec, r, qr, s, qs)
-                base = []
-                for w in range(spec.n):
-                    vw = spec.vectors[w]
-                    val = p[0] * vw[0] + p[1] * vw[1]
-                    base.append(sum(1 for q in lines_by_dir[w] if q < val))
-                rhombi.append((tuple(base), (r, s)))
-    return Tiling(spec, rhombi)
-
-
-def _sample_offsets(rng, count_neg, count_pos, scale=Fraction(1)):
-    """count_neg negative and count_pos positive offsets, sorted, distinct."""
-    vals = set()
-    while len(vals) < count_neg + count_pos:
-        vals.add(Fraction(rng.randint(1, 10**6), rng.randint(1, 997)))
-    vals = sorted(vals)
-    neg = [-v * scale for v in reversed(vals[:count_neg])]
-    pos = [v * scale for v in vals[count_neg:]]
-    return neg + pos
-
-
-def tiling_through_vertex(spec: ZonogonSpec, p: Point, seed=0, max_tries=64) -> Tiling:
-    """Some valid tiling having p among its vertices (generic line arrangement)."""
+def tiling_through_vertex(spec: ZonogonSpec, p: Point) -> Tiling:
+    """A tiling having p among its vertices: the lines below p swap first."""
     if not spec.contains(p):
         raise ValueError(f"{p} outside the box")
-    rng = random.Random(f"{seed}|{spec.a}|{p}")
-    for _ in range(max_tries):
-        lines = {}
-        for r in range(spec.n):
-            lines[r] = _sample_offsets(rng, p[r], spec.a[r] - p[r])
-        if _has_triple_point(spec, lines):
-            continue
-        t = _arrangement_tiling(spec, lines)
-        if p not in t.vertices:
-            raise TilingError(f"arrangement missed {p}")
-        return t
-    raise RetryBudgetExceeded("could not sample a generic arrangement")
-
-
-def reflect_tiling(t: Tiling) -> Tiling:
-    """Image of the tiling under the central symmetry I -> A - I."""
-    a = t.spec.a
-    out = []
-    for base, (j, k) in t.rhombi:
-        nb = tuple(a[w] - base[w] - (w == j) - (w == k) for w in range(t.spec.n))
-        out.append((nb, (j, k)))
-    return Tiling(t.spec, out)
+    return _wiring_tiling(spec, p)
 
 
 def cube_bottom_faces(base: Point, dirs) -> tuple[Rhombus, ...]:
@@ -512,15 +433,13 @@ def cube_top_faces(base: Point, dirs) -> tuple[Rhombus, ...]:
     )
 
 
-def tiling_with_cube_faces(spec: ZonogonSpec, base: Point, dirs, side: str,
-                           seed=0, max_tries=64) -> Tiling:
+def tiling_with_cube_faces(spec: ZonogonSpec, base: Point, dirs, side: str) -> Tiling:
     """A tiling containing the three bottom (or top) faces of a unit 3-cube.
 
     Bottom faces are the three facets through base + e_k (middle direction);
-    top faces the three through base + e_j + e_l.  Construction: shrink the
-    three arrangement lines tight around the anchor vertex until they cut a
-    triangle no other line meets.  The top case is the bottom case of the
-    centrally reflected cube.
+    top faces the three through base + e_j + e_l.  In the wiring diagram the
+    lines j, k, l sit just above the lines below base, and the three swaps
+    among them lay the requested faces.
     """
     j, k, l = dirs
     if not (0 <= j < k < l < spec.n):
@@ -530,66 +449,8 @@ def tiling_with_cube_faces(spec: ZonogonSpec, base: Point, dirs, side: str,
         raise ValueError("cube not contained in the box")
     if side not in ("bottom", "top"):
         raise ValueError("side must be 'bottom' or 'top'")
-
-    if side == "top":
-        rbase = tuple(spec.a[w] - base[w] - (w in dirs) for w in range(spec.n))
-        return reflect_tiling(
-            tiling_with_cube_faces(spec, rbase, dirs, "bottom", seed=seed,
-                                   max_tries=max_tries)
-        )
-
-    anchor = shift(base, k)  # region of the origin must be this vertex
-    rng = random.Random(f"cube|{seed}|{spec.a}|{base}|{dirs}")
-    scale = Fraction(1, 2)
-    for _ in range(max_tries):
-        lines = {}
-        special = {}
-        for r in range(spec.n):
-            lines[r] = _sample_offsets(rng, anchor[r], spec.a[r] - anchor[r])
-        # indices of the three lines cut close to the origin (1-based m):
-        # direction j at m = base_j + 1 (positive side), k at m = base_k + 1
-        # (negative side), l at m = base_l + 1 (positive side)
-        for r, m in ((j, base[j] + 1), (k, base[k] + 1), (l, base[l] + 1)):
-            special[r] = m - 1  # list index
-        shrink = scale
-        ok = False
-        for _ in range(40):
-            cand = {r: list(qs) for r, qs in lines.items()}
-            for r, idx in special.items():
-                cand[r][idx] = lines[r][idx] * shrink
-            if not _has_triple_point(spec, cand) and _triangle_is_clear(
-                spec, cand, (j, special[j]), (k, special[k]), (l, special[l])
-            ):
-                lines = cand
-                ok = True
-                break
-            shrink /= 2
-        if not ok:
-            continue
-        t = _arrangement_tiling(spec, lines)
-        faces = cube_bottom_faces(base, dirs)
-        if all(f in t.rhombi for f in faces):
-            return t
-    raise RetryBudgetExceeded("could not isolate the cube triangle")
-
-
-def _triangle_is_clear(spec, lines_by_dir, lj, lk, ll) -> bool:
-    """No fourth line meets the closed triangle cut by the three given lines."""
-    picked = [(lj[0], lines_by_dir[lj[0]][lj[1]]),
-              (lk[0], lines_by_dir[lk[0]][lk[1]]),
-              (ll[0], lines_by_dir[ll[0]][ll[1]])]
-    corners = []
-    for (r, qr), (s, qs) in combinations(picked, 2):
-        corners.append(_solve_crossing(spec, r, qr, s, qs))
-    for w in range(spec.n):
-        vw = spec.vectors[w]
-        for i, q in enumerate(lines_by_dir[w]):
-            if (w, i) in ((lj[0], lj[1]), (lk[0], lk[1]), (ll[0], ll[1])):
-                continue
-            vals = [c[0] * vw[0] + c[1] * vw[1] - q for c in corners]
-            if not (all(v > 0 for v in vals) or all(v < 0 for v in vals)):
-                return False
-    return True
+    swaps = (0, 1, 0) if side == "bottom" else (1, 0, 1)
+    return _wiring_tiling(spec, base, dirs, swaps)
 
 
 # ---------------------------------------------------------------------------

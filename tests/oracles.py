@@ -102,6 +102,18 @@ def restricted_bfs_connect(t, t2, marked):
     return list(reversed(path))
 
 
+def walk_keeping(t, marked, rng, steps):
+    """`steps` random flips away from t at vertices other than `marked`.
+
+    Each flip moves phi by one, so walks of odd and even length from the same
+    tiling end at different tilings.  `marked` must lie on a second tiling.
+    """
+    for _ in range(steps):
+        down, up = flippable_vertices(t)
+        t, _ = apply_flip(t, rng.choice(sorted((down | up) - {marked})))
+    return t
+
+
 def det(matrix) -> Fraction:
     """Exact determinant by cofactor recursion with column-mask memoisation."""
     n = len(matrix)

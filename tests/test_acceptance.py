@@ -251,14 +251,19 @@ def test_acceptance_06_forest_uniqueness():
 
 
 def test_acceptance_07_marked_vertex_paths():
+    from oracles import walk_keeping
+
     started = time.time()
     spec = ZonogonSpec((2, 2, 2))
     rng = random.Random(7)
-    pts = sorted(spec.lattice_points())
+    every = enumerate_tilings(spec)
+    pts = [p for p in sorted(spec.lattice_points())
+           if sum(p in t.vertices for t in every) >= 2]
     for trial in range(10):
         marked = rng.choice(pts)
-        t1 = tiling_through_vertex(spec, marked, seed=trial * 2)
-        t2 = tiling_through_vertex(spec, marked, seed=trial * 2 + 1)
+        t0 = tiling_through_vertex(spec, marked)
+        t1, t2 = walk_keeping(t0, marked, rng, 12), walk_keeping(t0, marked, rng, 13)
+        assert t1 != t2
         path = connect_through(t1, t2, marked)
         tilings = path.replay()
         assert tilings[0] == t1 and tilings[-1] == t2

@@ -317,13 +317,18 @@ def test_connect_through_matches_restricted_bfs_reachability():
 
 
 def test_connect_through_interior_marked():
+    from oracles import walk_keeping
+
     spec = ZonogonSpec((2, 2, 2))
     rng = random.Random(14)
-    pts = sorted(spec.lattice_points())
+    every = enumerate_tilings(spec)
+    pts = [p for p in sorted(spec.lattice_points())
+           if sum(p in t.vertices for t in every) >= 2]
     for trial in range(10):
         marked = rng.choice(pts)
-        t1 = tiling_through_vertex(spec, marked, seed=trial * 2)
-        t2 = tiling_through_vertex(spec, marked, seed=trial * 2 + 1)
+        t0 = tiling_through_vertex(spec, marked)
+        t1, t2 = walk_keeping(t0, marked, rng, 12), walk_keeping(t0, marked, rng, 13)
+        assert t1 != t2
         path = connect_through(t1, t2, marked)
         tilings = path.replay()
         assert tilings[-1] == t2

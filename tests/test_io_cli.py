@@ -30,7 +30,7 @@ from zonorec.flips import fundamental_forest
 
 def test_tiling_json_round_trip():
     spec = ZonogonSpec((2, 2, 1))
-    t = tiling_through_vertex(spec, (1, 1, 1), seed=2)
+    t = tiling_through_vertex(spec, (1, 1, 1))
     data = jsonio.tiling_to_json(t)
     assert data["A"] == [2, 2, 1]
     assert all(1 <= d <= 3 for r in data["rhombi"] for d in r["dirs"])
@@ -120,6 +120,24 @@ def test_cli_tile_enumerate(tmp_path):
 def test_cli_bad_input_exit_codes(capsys):
     assert main(["tile", "--A", "1,1", "--min"]) == 2
     assert main(["tile", "--A", "1,1,1,1", "--enumerate", "--cap", "3"]) == 3
+
+
+@pytest.mark.parametrize("cube", ["a,0,0,1,2,3,bottom", "0,0,0,1,x,3,bottom",
+                                  "0,0,0,3,2,1,top", "0,0,0,1,2,3,left"])
+def test_cli_tile_bad_cube_exits_2(capsys, cube):
+    assert main(["tile", "--A", "2,2,2", "--cube", cube]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("mode", [["--through", "1,2,0,1"], ["--cube", "1,0,1,0,1,2,4,top"]])
+def test_cli_tile_does_not_depend_on_seed(tmp_path, mode):
+    outs = []
+    for seed in ("0", "1", "7"):
+        out = tmp_path / f"t{seed}.json"
+        argv = ["tile", "--A", "2,2,1,2", *mode, "--seed", seed, "--out", str(out)]
+        assert main(argv) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_cli_run_lattice(tmp_path):
