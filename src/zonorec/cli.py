@@ -39,6 +39,11 @@ def _parse_a(text: str):
         raise CliError(f"invalid multiplicities {text!r}: {exc}", EXIT_BAD_INPUT)
 
 
+def _require_at_least(value: int, least: int, flag: str):
+    if value < least:
+        raise CliError(f"{flag} must be at least {least}, got {value}", EXIT_BAD_INPUT)
+
+
 def _write_out(path, payload: str):
     if path in (None, "-"):
         sys.stdout.write(payload)
@@ -68,6 +73,7 @@ def _load(decode, path, *args):
 def cmd_tile(args) -> int:
     spec = _parse_a(args.A)
     if args.enumerate:
+        _require_at_least(args.cap, 0, "--cap")
         try:
             tilings = flips.enumerate_tilings(spec, cap=args.cap)
         except flips.CapExceeded as exc:
@@ -150,6 +156,7 @@ def cmd_render(args) -> int:
 
 def _verify_confluence(args) -> list[str]:
     spec = _parse_a(args.A)
+    _require_at_least(args.trials, 1, "--trials")
     rng = random.Random(args.seed)
     lines = []
     for trial in range(args.trials):
@@ -193,6 +200,7 @@ def _verify_laurent(args) -> list[str]:
 
 def _verify_tropical(args) -> list[str]:
     spec = _parse_a(args.A)
+    _require_at_least(args.samples, 1, "--samples")
     w = tropical.Wall(args.s - 1, args.c)
     try:
         w.validate(spec)
@@ -229,6 +237,7 @@ def _verify_grassmann(args) -> list[str]:
     n = args.n
     if not 3 <= n <= spinor.MAX_N:
         raise CliError(f"n must be in 3..{spinor.MAX_N}", EXIT_BAD_INPUT)
+    _require_at_least(args.samples, 1, "--samples")
     rng = random.Random(args.seed)
     worst = Fraction(0)
     for _ in range(args.samples):

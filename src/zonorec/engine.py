@@ -244,7 +244,8 @@ class RelationReport:
 
 
 def verify_cube_relations(labeling: Labeling) -> RelationReport:
-    """Check the cube relation on every unit 3-cube of the box."""
+    """Check the cube relation on every unit 3-cube of the box; the report
+    lists every failing cube as (base, dirs, reason)."""
     d = labeling.domain
     spec = labeling.spec
     failures = []
@@ -262,7 +263,6 @@ def verify_cube_relations(labeling: Labeling) -> RelationReport:
         )
         if not d.eq(lhs, rhs):
             failures.append((base, dirs, "relation violated"))
-            break
     return RelationReport(failures)
 
 

@@ -13,8 +13,6 @@ from .zonogon import (
     Rhombus,
     Tiling,
     ZonogonSpec,
-    cube_bottom_faces,
-    cube_top_faces,
     shift,
     shift2,
     t_min,
@@ -158,12 +156,16 @@ def move_at(t: Tiling, at: Point) -> FlipMove:
 
 
 def apply_move(t: Tiling, move: FlipMove) -> Tiling:
-    bottom = set(cube_bottom_faces(move.base, move.dirs))
-    top = set(cube_top_faces(move.base, move.dirs))
-    old, new = (bottom, top) if move.direction == "up" else (top, bottom)
-    if not old <= t.rhombi:
+    """Swap the move's removed vertex for its created one.  It applies when the
+    hexagon corners o, j, l, jk, kl, jkl are vertices and `created` is not."""
+    base, (j, k, l) = move.base, move.dirs
+    hexagon = (base, shift(base, j), shift(base, l), shift2(base, j, k),
+               shift2(base, k, l), shift(shift2(base, j, k), l))
+    vs = t.vertices
+    removed, created = move.removed, move.created
+    if created in vs or removed not in vs or not all(p in vs for p in hexagon):
         raise FlipError(f"move {move} not applicable")
-    return Tiling(t.spec, (t.rhombi - old) | new)
+    return Tiling.from_vertices(t.spec, vs - {removed} | {created})
 
 
 def apply_flip(t: Tiling, at: Point):
@@ -458,42 +460,33 @@ class Cell:
     dirs: tuple | None = None
 
 
-def _move_support(move: FlipMove):
-    faces = cube_bottom_faces(move.base, move.dirs) if move.direction == "up" \
-        else cube_top_faces(move.base, move.dirs)
-    return set(faces)
+def _lift(base: Point, dirs, off) -> Point:
+    """The point at offsets `off` along `dirs` from base."""
+    p = list(base)
+    for w, o in zip(dirs, off):
+        p[w] += o
+    return tuple(p)
 
 
 @lru_cache(maxsize=None)
-def _octagon_atlas():
-    """The tilings of the unit 4-cube zonogon and their flip-cycle moves."""
-    spec = ZonogonSpec((1, 1, 1, 1))
-    tilings = sorted(enumerate_tilings(spec), key=lambda t: t.canonical_rhombi())
-    adjacency = {}
-    for t in tilings:
-        down, up = flippable_vertices(t)
-        nexts = []
-        for v in sorted(down | up):
-            t2, mv = apply_flip(t, v)
-            nexts.append((t2.rhombi, mv))
-        adjacency[t.rhombi] = nexts
-    return tuple(tilings), adjacency
-
-
-def _octagon_cycle_moves(sub_rhombi: frozenset):
-    """Eight canonical moves walking the flip cycle from the given sub-tiling."""
-    tilings, adjacency = _octagon_atlas()
-    cur = sub_rhombi
-    prev = None
-    moves = []
-    for _ in range(8):
-        options = [(r, mv) for r, mv in adjacency[cur] if r != prev]
-        nxt, mv = min(options, key=lambda x: sorted(x[0]))
-        moves.append(mv)
-        prev, cur = cur, nxt
-    if cur != sub_rhombi:
-        raise FlipError("octagon walk did not close up")
-    return moves
+def _octagon_atlas() -> dict:
+    """Vertex set of each tiling of the unit 4-cube zonogon -> the eight moves
+    walking its flip cycle, the first towards the neighbour with the least
+    sorted rhombi."""
+    atlas = {}
+    for t in enumerate_tilings(ZonogonSpec((1, 1, 1, 1))):
+        prev, cur, moves = None, t, []
+        for _ in range(8):
+            down, up = flippable_vertices(cur)
+            options = [apply_flip(cur, v) for v in down | up]
+            nxt, mv = min((o for o in options if o[0] != prev),
+                          key=lambda o: o[0].canonical_rhombi())
+            moves.append(mv)
+            prev, cur = cur, nxt
+        if cur != t:
+            raise FlipError("octagon walk did not close up")
+        atlas[t.vertices] = tuple(moves)
+    return atlas
 
 
 def cells_2(t: Tiling) -> list:
@@ -502,55 +495,28 @@ def cells_2(t: Tiling) -> list:
     cells = []
 
     down, up = flippable_vertices(t)
-    pivots = sorted(down | up)
-    movemap = {v: move_at(t, v) for v in pivots}
-    for i, v1 in enumerate(pivots):
-        for v2 in pivots[i + 1:]:
-            m1, m2 = movemap[v1], movemap[v2]
-            if _move_support(m1) & _move_support(m2):
+    moves = [move_at(t, v) for v in sorted(down | up)]
+    for i, m1 in enumerate(moves):
+        t1 = apply_move(t, m1)
+        for m2 in moves[i + 1:]:
+            try:  # m2 survives m1 exactly when the two flips share no face
+                apply_move(t1, m2)
+            except FlipError:
                 continue
-            t12 = apply_move(apply_move(t, m1), m2)
-            t21 = apply_move(apply_move(t, m2), m1)
-            if t12 != t21:
-                raise FlipError("disjoint flips failed to commute")
             cells.append(Cell("square", (m1, m2)))
 
+    atlas = _octagon_atlas()
     for dirs in combinations(range(spec.n), 4):
         ranges = [range(m) if i in dirs else range(m + 1) for i, m in enumerate(spec.a)]
         for base in product(*ranges):
-            base = tuple(base)
-            sub = []
-            for rh in t.rhombi:
-                c, (p, q) = rh
-                if p not in dirs or q not in dirs:
-                    continue
-                if c[p] != base[p] or c[q] != base[q]:
-                    continue
-                if any(c[w] != base[w] for w in range(spec.n) if w not in dirs):
-                    continue
-                if any(c[w] not in (base[w], base[w] + 1) for w in dirs):
-                    continue
-                sub.append(rh)
-            if len(sub) != 6:
+            pattern = frozenset(off for off in product((0, 1), repeat=4)
+                                if _lift(base, dirs, off) in t.vertices)
+            if pattern not in atlas:
                 continue
-            pattern = frozenset(
-                (
-                    tuple(c[w] - base[w] for w in dirs),
-                    (dirs.index(p), dirs.index(q)),
-                )
-                for c, (p, q) in sub
+            full_moves = tuple(
+                FlipMove(_lift(base, dirs, mv.base), tuple(dirs[d] for d in mv.dirs),
+                         mv.direction)
+                for mv in atlas[pattern]
             )
-            tilings, adjacency = _octagon_atlas()
-            if pattern not in adjacency:
-                continue
-            sub_moves = _octagon_cycle_moves(pattern)
-            full_moves = []
-            for mv in sub_moves:
-                fb = list(base)
-                for w, off in zip(dirs, mv.base):
-                    fb[w] += off
-                full_moves.append(
-                    FlipMove(tuple(fb), tuple(dirs[d] for d in mv.dirs), mv.direction)
-                )
-            cells.append(Cell("octagon", tuple(full_moves), base=base, dirs=dirs))
+            cells.append(Cell("octagon", full_moves, base=base, dirs=dirs))
     return cells

@@ -12,7 +12,15 @@ from .flips import FlipMove, FlipPath
 from .laurent import LaurentPoly
 from .spinor import SpinPoint
 from .tropical import Cutcurve, Wall
-from .zonogon import Tiling, ZonogonSpec
+from .zonogon import Tiling, ZonogonSpec, validate_tiling
+
+
+class InvalidTiling(ValueError):
+    """A tiling document that does not describe a tiling of its zonogon."""
+
+
+def _ints(x, n: int) -> bool:
+    return isinstance(x, list) and len(x) == n and all(type(c) is int for c in x)
 
 
 def tiling_to_json(t: Tiling) -> dict:
@@ -26,15 +34,27 @@ def tiling_to_json(t: Tiling) -> dict:
 
 
 def tiling_from_json(data: dict, spec: ZonogonSpec | None = None) -> Tiling:
-    if spec is None:
-        spec = ZonogonSpec(data["A"])
-    elif tuple(spec.a) != tuple(data["A"]):
-        raise ValueError("tiling multiplicities disagree with the spec")
-    rhombi = [
-        (tuple(r["base"]), (r["dirs"][0] - 1, r["dirs"][1] - 1))
-        for r in data["rhombi"]
-    ]
-    return Tiling(spec, rhombi)
+    """Decode a tiling and validate it; `InvalidTiling` names the first violation."""
+    a = data["A"]
+    if not _ints(a, len(a)) or (spec is not None and tuple(spec.a) != tuple(a)):
+        raise InvalidTiling(f"A {a!r} is not a list of integers matching the spec")
+    spec = spec or ZonogonSpec(a)
+    n = spec.n
+    rhombi = []
+    for i, r in enumerate(data["rhombi"]):
+        base, dirs = r["base"], r["dirs"]
+        if not (_ints(base, n) and _ints(dirs, 2) and dirs[0] != dirs[1]
+                and all(1 <= d <= n for d in dirs)):
+            raise InvalidTiling(f"rhombus {i}: base {base!r} must be {n} integers and "
+                                f"dirs {dirs!r} two distinct integers in 1..{n}")
+        rhombi.append((tuple(base), (dirs[0] - 1, dirs[1] - 1)))
+    t = Tiling(spec, rhombi)
+    if len(t.rhombi) < len(rhombi):
+        raise InvalidTiling("a rhombus repeats")
+    report = validate_tiling(t)
+    if not report.ok:
+        raise InvalidTiling(f"not a tiling: {report.violations[0]}")
+    return t
 
 
 def flip_path_to_json(path: FlipPath) -> dict:

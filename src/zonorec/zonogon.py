@@ -4,7 +4,8 @@ A spec fixes positive side multiplicities ``a = (a_1, ..., a_n)`` and n exact
 planar direction vectors with strictly increasing angles in (0, pi).  The
 lattice box ``Pi = prod {0..a_i}`` projects onto the zonogon ``P`` via
 ``I -> sum_i I_i * v_i``; a tiling is a set of unit rhombi (base point plus an
-unordered direction pair) whose projection decomposes P.
+unordered direction pair) whose projection decomposes P, and is determined by
+the set of their corners, its vertices.
 
 Everything here is exact: direction vectors are integer (or Fraction) pairs,
 so all geometric predicates (left/right, higher/lower, incidence) are integer
@@ -170,35 +171,50 @@ def rhombus_edges(rh: Rhombus) -> tuple[Edge, Edge, Edge, Edge]:
 
 
 class Tiling:
-    """A rhombus tiling, stored as a frozenset of (base, (j,k)) rhombi."""
+    """A rhombus tiling, identified by its vertex set: its rhombi are the unit
+    parallelograms with four vertex corners.  `Tiling(spec, rhombi)` keeps the
+    given rhombi, for `validate_tiling`; `from_vertices` derives them on use."""
 
     def __init__(self, spec: ZonogonSpec, rhombi):
         self.spec = spec
         self.rhombi = frozenset(
             (tuple(base), (min(d), max(d))) for base, d in rhombi
         )
+        out = set()
+        for rh in self.rhombi:
+            out.update(rhombus_corners(rh))
+        self.vertices = frozenset(out)
+
+    @classmethod
+    def from_vertices(cls, spec: ZonogonSpec, vertices: frozenset) -> "Tiling":
+        t = cls.__new__(cls)
+        t.spec = spec
+        t.vertices = vertices
+        return t
 
     def __eq__(self, other):
         return (
             isinstance(other, Tiling)
             and self.spec == other.spec
-            and self.rhombi == other.rhombi
+            and self.vertices == other.vertices
         )
 
     def __hash__(self):
-        return hash((self.spec, self.rhombi))
+        return hash((self.spec, self.vertices))
 
     def __repr__(self):
-        return f"Tiling({self.spec!r}, {len(self.rhombi)} rhombi)"
+        return f"Tiling({self.spec!r}, {len(self.vertices)} vertices)"
 
     def canonical_rhombi(self) -> list[Rhombus]:
         return sorted(self.rhombi)
 
     @cached_property
-    def vertices(self) -> frozenset:
-        out = set()
-        for rh in self.rhombi:
-            out.update(rhombus_corners(rh))
+    def rhombi(self) -> frozenset:
+        out = []
+        for v in self.vertices:
+            up = self._up_dirs(v)
+            out.extend((v, (j, k)) for j, k in combinations(up, 2)
+                       if shift2(v, j, k) in self.vertices)
         return frozenset(out)
 
     @cached_property
@@ -209,24 +225,18 @@ class Tiling:
                 out.setdefault(e, []).append(rh)
         return out
 
-    @cached_property
-    def vertex_dirs(self) -> dict:
-        """vertex -> (sorted up direction indices, sorted down direction indices)."""
-        ups: dict = {}
-        downs: dict = {}
-        for base, d in self.edge_rhombi:
-            ups.setdefault(base, set()).add(d)
-            downs.setdefault(shift(base, d), set()).add(d)
-        out = {}
-        for v in self.vertices:
-            out[v] = (tuple(sorted(ups.get(v, ()))), tuple(sorted(downs.get(v, ()))))
-        return out
+    def _up_dirs(self, v: Point) -> list[int]:
+        """The d with v + e_d a vertex (probed by slicing: this is a hot loop)."""
+        return [d for d, c in enumerate(v) if v[:d] + (c + 1,) + v[d + 1:] in self.vertices]
 
     def edges_at(self, v: Point):
-        return self.vertex_dirs[v]
+        """(up, down) edge directions at vertex v: the 1-skeleton is a partial
+        cube, so v, v + e_d are joined exactly when both are vertices."""
+        down = [d for d, c in enumerate(v) if v[:d] + (c - 1,) + v[d + 1:] in self.vertices]
+        return tuple(self._up_dirs(v)), tuple(down)
 
     def neighbors(self, v: Point) -> list[Point]:
-        up, down = self.vertex_dirs[v]
+        up, down = self.edges_at(v)
         return [shift(v, d) for d in up] + [shift(v, d, -1) for d in down]
 
     def is_internal(self, v: Point) -> bool:
@@ -413,24 +423,6 @@ def tiling_through_vertex(spec: ZonogonSpec, p: Point) -> Tiling:
     if not spec.contains(p):
         raise ValueError(f"{p} outside the box")
     return _wiring_tiling(spec, p)
-
-
-def cube_bottom_faces(base: Point, dirs) -> tuple[Rhombus, ...]:
-    j, k, l = dirs
-    return (
-        (base, (j, k)),
-        (base, (k, l)),
-        (shift(base, k), (j, l)),
-    )
-
-
-def cube_top_faces(base: Point, dirs) -> tuple[Rhombus, ...]:
-    j, k, l = dirs
-    return (
-        (base, (j, l)),
-        (shift(base, j), (k, l)),
-        (shift(base, l), (j, k)),
-    )
 
 
 def tiling_with_cube_faces(spec: ZonogonSpec, base: Point, dirs, side: str) -> Tiling:

@@ -2,6 +2,7 @@
 algorithms so they can cross-check them."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import isqrt
 
@@ -11,9 +12,12 @@ from zonorec.zonogon import (
     _interiors_overlap,
     cross,
     rhombus_corners,
+    rhombus_edges,
+    shift,
+    t_min,
     zonogon_area2,
 )
-from zonorec.flips import apply_flip, flippable_vertices
+from zonorec.flips import Cell, FlipError, FlipMove, apply_flip, flippable_vertices
 from zonorec.spinor import (
     SpinPoint,
     Spinor,
@@ -73,6 +77,129 @@ def brute_force_tilings(spec: ZonogonSpec):
 
     rec(0, [], set(), 0)
     return results
+
+
+def cube_bottom_faces(base, dirs):
+    """The three faces of a unit 3-cube through base + e_k (k the middle
+    direction): the rhombi an up flip removes."""
+    j, k, l = dirs
+    return (
+        (base, (j, k)),
+        (base, (k, l)),
+        (shift(base, k), (j, l)),
+    )
+
+
+def cube_top_faces(base, dirs):
+    """The three faces through base + e_j + e_l: the rhombi an up flip lays."""
+    j, k, l = dirs
+    return (
+        (base, (j, l)),
+        (shift(base, j), (k, l)),
+        (shift(base, l), (j, k)),
+    )
+
+
+def edges_by_census(t: Tiling) -> dict:
+    """vertex -> (up, down) edge directions, read off the edges of t's rhombi."""
+    ups: dict = {}
+    downs: dict = {}
+    for rh in t.rhombi:
+        for base, d in rhombus_edges(rh):
+            ups.setdefault(base, set()).add(d)
+            downs.setdefault(shift(base, d), set()).add(d)
+    return {v: (tuple(sorted(ups.get(v, ()))), tuple(sorted(downs.get(v, ()))))
+            for v in t.vertices}
+
+
+def apply_move_by_faces(t: Tiling, move: FlipMove) -> Tiling:
+    """The face-set flip rule: trade the cube's three bottom rhombi for its
+    three top ones (up) or back (down); the result keeps explicit rhombi."""
+    bottom = set(cube_bottom_faces(move.base, move.dirs))
+    top = set(cube_top_faces(move.base, move.dirs))
+    old, new = (bottom, top) if move.direction == "up" else (top, bottom)
+    if not old <= t.rhombi:
+        raise FlipError(f"move {move} not applicable")
+    return Tiling(t.spec, (t.rhombi - old) | new)
+
+
+def moves_by_faces(t: Tiling):
+    """Every (move, tiling after it) the face-set rule allows at t."""
+    for base, dirs in t.spec.cubes():
+        for direction in ("up", "down"):
+            move = FlipMove(base, dirs, direction)
+            try:
+                yield move, apply_move_by_faces(t, move)
+            except FlipError:
+                pass
+
+
+def tilings_by_face_flips(spec: ZonogonSpec) -> list:
+    """Every tiling, as rhombi: breadth-first face-set flips from the rhombi
+    the wiring diagram lays for t_min, told apart by their rhombus sets."""
+    start = Tiling(spec, t_min(spec).rhombi)
+    seen = {start.rhombi: start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for _, t2 in moves_by_faces(t):
+                if t2.rhombi not in seen:
+                    seen[t2.rhombi] = t2
+                    nxt.append(t2)
+        frontier = nxt
+    return list(seen.values())
+
+
+@lru_cache(maxsize=None)
+def _octagon_rhombus_adjacency() -> dict:
+    """Rhombus set of each tiling of the unit 4-cube zonogon -> its
+    (neighbour rhombus set, move) pairs under the face-set rule."""
+    spec = ZonogonSpec((1, 1, 1, 1))
+    return {t.rhombi: [(t2.rhombi, mv) for mv, t2 in moves_by_faces(t)]
+            for t in brute_force_tilings(spec)}
+
+
+def cells_2_by_rhombus_scan(t: Tiling) -> list:
+    """The 2-cells at t by face sets: squares are pairs of flips with no
+    common face, octagons the unit 4-cubes holding six rhombi of t that tile
+    them, each walked from t towards the neighbour with the least sorted
+    rhombi."""
+    spec = t.spec
+    cells = []
+    pivots = sorted(moves_by_faces(t), key=lambda x: x[0].removed)
+    for i, (m1, _) in enumerate(pivots):
+        for m2, _ in pivots[i + 1:]:
+            faces = [set(cube_bottom_faces(m.base, m.dirs) if m.direction == "up"
+                         else cube_top_faces(m.base, m.dirs)) for m in (m1, m2)]
+            if not faces[0] & faces[1]:
+                cells.append(Cell("square", (m1, m2)))
+    adjacency = _octagon_rhombus_adjacency()
+    for dirs in combinations(range(spec.n), 4):
+        ranges = [range(m) if i in dirs else range(m + 1) for i, m in enumerate(spec.a)]
+        for base in product(*ranges):
+            pattern = frozenset(
+                (tuple(c[w] - base[w] for w in dirs), (dirs.index(p), dirs.index(q)))
+                for c, (p, q) in t.rhombi
+                if p in dirs and q in dirs and c[p] == base[p] and c[q] == base[q]
+                and all(c[w] == base[w] for w in range(spec.n) if w not in dirs)
+                and all(c[w] in (base[w], base[w] + 1) for w in dirs)
+            )
+            if len(pattern) != 6 or pattern not in adjacency:
+                continue
+            prev, cur, moves = None, pattern, []
+            for _ in range(8):
+                nxt, mv = min(((r, mv) for r, mv in adjacency[cur] if r != prev),
+                              key=lambda x: sorted(x[0]))
+                fb = list(base)
+                for w, off in zip(dirs, mv.base):
+                    fb[w] += off
+                moves.append(FlipMove(tuple(fb), tuple(dirs[d] for d in mv.dirs),
+                                      mv.direction))
+                prev, cur = cur, nxt
+            assert cur == pattern
+            cells.append(Cell("octagon", tuple(moves), base=base, dirs=dirs))
+    return cells
 
 
 def restricted_bfs_connect(t, t2, marked):

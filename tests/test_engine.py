@@ -108,6 +108,23 @@ def test_verify_relations_detects_perturbation():
     assert any(sum(abs(a - b) for a, b in zip(c, (1, 1, 1))) <= 3 for c in corners)
 
 
+@pytest.mark.parametrize("point", [(1, 1, 1), (2, 0, 1), (0, 0, 0)])
+def test_verify_relations_reports_every_failing_cube(point):
+    rng = random.Random(3)
+    spec = ZonogonSpec((2, 2, 2))
+    t = t_min(spec)
+    vals = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in t.vertices}
+    broken = extend_to_lattice(initial_labeling(t, RATIONAL, vals)).copy()
+    broken.values[point] += 1
+    report = verify_cube_relations(broken)
+    touching = {  # point - base is 0 or 1 along the cube's directions, 0 elsewhere
+        (base, dirs) for base, dirs in spec.cubes()
+        if all(point[w] - base[w] in ((0, 1) if w in dirs else (0,)) for w in range(3))
+    }
+    assert {(base, dirs) for base, dirs, _ in report.failures} == touching
+    assert len(report.failures) == len(touching)
+
+
 def test_extend_random_rational_relations():
     rng = random.Random(2)
     spec = ZonogonSpec((2, 2, 1))

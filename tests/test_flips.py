@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -6,6 +7,8 @@ import pytest
 from zonorec import (
     CapExceeded,
     FlipError,
+    FlipMove,
+    Tiling,
     ZonogonSpec,
     apply_flip,
     apply_move,
@@ -375,3 +378,79 @@ def test_every_generated_tiling_counts():
             assert len(t.vertices) == spec.vertex_count
             assert len(t.rhombi) == spec.rhombus_count
             assert validate_tiling(t).ok
+
+
+# ---------------------------------------------------------------------------
+# the vertex-set tiling against the rhombus-based oracles
+
+ORACLE_COUNTS = {(2, 2, 2): 20, (1, 1, 1, 1, 1): 62, (2, 2, 1, 1): 75, (3, 2, 2): 50,
+                 (1, 1, 1, 1, 1, 1): 908}
+
+
+def _spec_id(a):
+    return ",".join(map(str, a))
+
+
+@functools.lru_cache(maxsize=None)
+def _face_flip_tilings(a):
+    """Every tiling of spec a by the face-set rule, each beside the library's
+    tiling of the same vertex set."""
+    from oracles import tilings_by_face_flips
+
+    spec = ZonogonSpec(a)
+    return [(t, Tiling.from_vertices(spec, t.vertices))
+            for t in tilings_by_face_flips(spec)]
+
+
+@pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
+def test_distinct_tilings_have_distinct_vertex_sets(a):
+    pairs = _face_flip_tilings(a)
+    assert len(pairs) == ORACLE_COUNTS[a]
+    assert len({t.vertices for t, _ in pairs}) == len(pairs)
+    assert enumerate_tilings(ZonogonSpec(a)) == {lib for _, lib in pairs}
+
+
+@pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
+def test_derived_rhombi_equal_laid_rhombi(a):
+    spec = ZonogonSpec(a)
+    laid = [t for t, _ in _face_flip_tilings(a)]
+    laid += [tiling_through_vertex(spec, p) for p in spec.lattice_points()]
+    for t in laid:
+        assert Tiling.from_vertices(spec, t.vertices).rhombi == t.rhombi
+
+
+@pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
+def test_edges_at_matches_rhombus_census(a):
+    from oracles import edges_by_census
+
+    for t, lib in _face_flip_tilings(a):
+        census = edges_by_census(t)
+        assert {v: lib.edges_at(v) for v in lib.vertices} == census
+
+
+@pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
+def test_apply_move_matches_face_rule(a):
+    from oracles import apply_move_by_faces
+
+    spec = ZonogonSpec(a)
+    for t, lib in _face_flip_tilings(a):
+        for base, dirs in spec.cubes():
+            for direction in ("up", "down"):
+                move = FlipMove(base, dirs, direction)
+                try:
+                    want = apply_move_by_faces(t, move).vertices
+                except FlipError:
+                    want = None
+                try:
+                    got = apply_move(lib, move).vertices
+                except FlipError:
+                    got = None
+                assert got == want, (a, move)
+
+
+@pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
+def test_cells_2_matches_rhombus_scan(a):
+    from oracles import cells_2_by_rhombus_scan
+
+    for t, lib in _face_flip_tilings(a):
+        assert cells_2(lib) == cells_2_by_rhombus_scan(t)

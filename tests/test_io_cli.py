@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zonorec import (
     RATIONAL,
@@ -305,9 +311,100 @@ def test_cli_render(tmp_path):
 
 
 def test_cli_entry_point_subprocess():
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "zonorec.cli", "tile", "--A", "1,1,1", "--min"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["A"] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "grassmann", "--n", "3", "--samples", "0"],
+    ["verify", "tropical", "--A", "2,1,1", "--samples", "-1"],
+    ["verify", "confluence", "--A", "1,1,1", "--trials", "-3"],
+    ["tile", "--A", "1,1,1", "--enumerate", "--cap", "-1"],
+], ids=["grassmann-samples", "tropical-samples", "confluence-trials", "enumerate-cap"])
+def test_cli_rejects_bad_counts(capsys, argv):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and argv[-2] in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["rhombi"][0].update(dirs=[1, 9]), "rhombus 0: "),
+    (lambda d: d["rhombi"][0].update(dirs=[2, 2]), "rhombus 0: "),
+    (lambda d: d["rhombi"][0].update(base=[0, 0]), "rhombus 0: "),
+    (lambda d: d["rhombi"][1].update(base=[0, 0.5, 0]), "rhombus 1: "),
+    (lambda d: d["rhombi"][0].update(base=[1, 1, 1]), "not a tiling: rhombus outside box"),
+    (lambda d: d["rhombi"].append(d["rhombi"][0]), "a rhombus repeats"),
+    (lambda d: d.update(A=[1, 1, True]), "A [1, 1, True]"),
+], ids=["dir-out-of-range", "dirs-equal", "short-base", "float-base", "base-outside",
+        "repeated-rhombus", "bool-multiplicity"])
+def test_tiling_from_json_rejects_invalid(mutate, message):
+    data = json.loads(json.dumps(_T_MIN_111))
+    mutate(data)
+    with pytest.raises(jsonio.InvalidTiling, match=re.escape(message)):
+        jsonio.tiling_from_json(data)
+
+
+def test_cli_render_rejects_invalid_tiling(tmp_path, capsys):
+    tiling = json.loads(json.dumps(_T_MIN_111))
+    tiling["rhombi"][0]["dirs"] = [1, 9]
+    tiling_file = tmp_path / "t.json"
+    tiling_file.write_text(json.dumps(tiling))
+    assert main(["render", "--tiling", str(tiling_file), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rhombus 0:" in err and "[1, 9]" in err
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, val in items:
+        yield from _json_paths(val, prefix + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=False)
+    | st.sampled_from(["", "1", "A", "rhombi"]),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["A", "rhombi", "base", "dirs"]), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_cli_mutated_tiling_exits_cleanly(tmp_path_factory, data):
+    doc = json.loads(json.dumps(_T_MIN_111))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        value = data.draw(_JSON_VALUES)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            parent[path[-1]] = value
+        elif isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent.insert(path[-1], json.loads(json.dumps(parent[path[-1]])))
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "t.json").write_text(json.dumps(doc))
+    (work / "lab.json").write_text(json.dumps(_ONES_111))
+    for argv in (["render", "--tiling", str(work / "t.json"), "--out", str(work / "o.svg")],
+                 ["run", "--tiling", str(work / "t.json"), "--labeling", str(work / "lab.json"),
+                  "--check", "--out", str(work / "o.json")]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv[0], doc)
+        assert "Traceback" not in err.getvalue()
+        assert code == 0 or err.getvalue().startswith("error: ")

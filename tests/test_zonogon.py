@@ -15,7 +15,9 @@ from zonorec import (
     validate_tiling,
 )
 from zonorec.flips import flippable_vertices
-from zonorec.zonogon import cross, cube_bottom_faces, cube_top_faces, rhombus_corners
+from zonorec.zonogon import cross, rhombus_corners
+
+from oracles import cube_bottom_faces, cube_top_faces
 
 HEX = ZonogonSpec((1, 1, 1))
 
