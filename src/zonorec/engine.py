@@ -184,7 +184,9 @@ def evaluate_path(labeling: Labeling, path: FlipPath) -> Labeling:
     """Push values along a flip path; returns the labeling on the end tiling.
 
     The returned labeling keeps every value computed along the way (values at
-    vertices shared with earlier tilings never change).
+    vertices shared with earlier tilings never change).  Each move is applied
+    before its value is computed, so a move that does not apply to the tiling
+    it reaches raises `FlipError`.
     """
     if labeling.tiling is not None and path.start != labeling.tiling:
         raise DomainError("path does not start at the labeling's tiling")
@@ -193,12 +195,12 @@ def evaluate_path(labeling: Labeling, path: FlipPath) -> Labeling:
     from .flips import apply_move
 
     for move in path.moves:
+        cur = apply_move(cur, move)
         val = flip_value(out, move)
         created = move.created
         if created in out.values and not out.domain.eq(out.values[created], val):
             raise ConsistencyError(f"re-derived value at {created} disagrees")
         out.values[created] = val
-        cur = apply_move(cur, move)
     out.tiling = cur
     return out
 

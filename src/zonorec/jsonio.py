@@ -5,6 +5,7 @@ Direction indices are 1-based on the wire and 0-based in memory.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .engine import DOMAINS, Labeling
@@ -72,11 +73,19 @@ def flip_path_to_json(path: FlipPath) -> dict:
 
 
 def flip_path_from_json(data: dict, spec: ZonogonSpec | None = None) -> FlipPath:
+    """Decode a flip path and check each move's fields (`ValueError`); whether
+    a move applies is checked when the path is replayed."""
     start = tiling_from_json(data["start"], spec)
-    moves = [
-        FlipMove(tuple(m["base"]), tuple(d - 1 for d in m["dirs"]), m["dir"])
-        for m in data["moves"]
-    ]
+    spec, moves = start.spec, []
+    for i, m in enumerate(data["moves"]):
+        base, dirs, direction = m["base"], m["dirs"], m["dir"]
+        if not (_ints(dirs, 3) and 1 <= dirs[0] < dirs[1] < dirs[2] <= spec.n
+                and _ints(base, spec.n) and direction in ("up", "down")
+                and spec.contains(tuple(base)) and spec.contains(
+                    tuple(c + (d + 1 in dirs) for d, c in enumerate(base)))):
+            raise ValueError(f"move {i}: {m!r} needs dirs three increasing integers in "
+                             f"1..{spec.n}, its cube in the box and dir up or down")
+        moves.append(FlipMove(tuple(base), tuple(d - 1 for d in dirs), direction))
     return FlipPath(start, moves)
 
 
@@ -101,13 +110,17 @@ def laurent_to_json(p: LaurentPoly) -> dict:
 
 
 def laurent_from_json(data: dict) -> LaurentPoly:
+    """Decode a Laurent polynomial; coefficients must be integer strings and
+    exponents JSON integers (`ValueError`)."""
     out = LaurentPoly()
     for term in data["terms"]:
-        exps = {
-            tuple(int(c) for c in key.split(",")): e
-            for key, e in term["exps"].items()
-        }
-        out = out + LaurentPoly.monomial(exps, int(term["coeff"]))
+        coeff, exps = term["coeff"], term["exps"]
+        if not (isinstance(coeff, str) and re.fullmatch(r"-?[0-9]+", coeff)
+                and isinstance(exps, dict) and all(type(e) is int for e in exps.values())):
+            raise ValueError(f"term {term!r} needs an integer-string coeff and "
+                             f"integer exponents")
+        exps = {tuple(int(c) for c in key.split(",")): e for key, e in exps.items()}
+        out = out + LaurentPoly.monomial(exps, int(coeff))
     return out
 
 

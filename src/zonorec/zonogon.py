@@ -263,71 +263,31 @@ class TilingReport:
         return "ok" if self.ok else f"violations: {self.violations}"
 
 
-def _interiors_overlap(spec: ZonogonSpec, r1: Rhombus, r2: Rhombus) -> bool:
-    # exact separating-axis test for two parallelograms
-    p1 = [spec.project(c) for c in rhombus_corners(r1)]
-    p2 = [spec.project(c) for c in rhombus_corners(r2)]
-    axes = []
-    for rh in (r1, r2):
-        for d in rh[1]:
-            vx, vy = spec.vectors[d]
-            axes.append((-vy, vx))
-    for ax in axes:
-        d1 = [x * ax[0] + y * ax[1] for x, y in p1]
-        d2 = [x * ax[0] + y * ax[1] for x, y in p2]
-        if max(d1) <= min(d2) or max(d2) <= min(d1):
-            return False
-    return True
-
-
-def zonogon_area2(spec: ZonogonSpec):
-    """Twice the area of P (exact)."""
-    return sum(
-        spec.a[i] * spec.a[j] * abs(cross(spec.vectors[i], spec.vectors[j]))
-        for i, j in combinations(range(spec.n), 2)
-    )
-
-
 def validate_tiling(t: Tiling) -> TilingReport:
-    """Check the local tiling conditions; report the first witnesses found."""
+    """Check that t's rhombi tile P by sweeping them with a wiring diagram
+    (Elnitsky, JCTA 77, 1997): from the lower boundary, swap an ascending
+    adjacent pair d < d' at gap i whenever the rhombus (counts of the lines
+    below i, (d, d')) is given.  Each swept rhombus sits just above the
+    current monotone path, so none overlap, and sum a_i a_j swaps reach the
+    upper boundary.  So the rhombi tile P exactly when they lie in the box,
+    there are sum a_i a_j of them, and the sweep uses them all up.
+    """
     spec = t.spec
+    outside = [rh for rh in t.rhombi if not all(map(spec.contains, rhombus_corners(rh)))]
+    if outside:
+        return TilingReport([f"rhombus outside box: {min(outside)}"])
+
     violations = []
+    if len(t.rhombi) != spec.rhombus_count:
+        violations.append(f"rhombus count {len(t.rhombi)} != {spec.rhombus_count}")
 
-    for rh in t.canonical_rhombi():
-        if not all(spec.contains(c) for c in rhombus_corners(rh)):
-            violations.append(f"rhombus outside box: {rh}")
-            return TilingReport(violations)
-
-    expected_f = spec.rhombus_count
-    if len(t.rhombi) != expected_f:
-        violations.append(f"rhombus count {len(t.rhombi)} != {expected_f}")
-
-    expected_v = spec.vertex_count
-    if len(t.vertices) != expected_v:
-        violations.append(f"vertex count {len(t.vertices)} != {expected_v}")
-
-    for e in sorted(t.edge_rhombi):
-        k = len(t.edge_rhombi[e])
-        boundary = spec.is_boundary_edge(e)
-        if boundary and k != 1:
-            violations.append(f"boundary edge {e} bounds {k} rhombi, expected 1")
-            break
-        if not boundary and k != 2:
-            violations.append(f"internal edge {e} bounds {k} rhombi, expected 2")
-            break
-
-    area = sum(
-        abs(cross(spec.vectors[j], spec.vectors[k])) for _, (j, k) in t.rhombi
-    )
-    if area != zonogon_area2(spec):
-        violations.append(f"covered area {area} != zonogon area {zonogon_area2(spec)}")
-
-    if not violations:
-        rhombi = t.canonical_rhombi()
-        for r1, r2 in combinations(rhombi, 2):
-            if _interiors_overlap(spec, r1, r2):
-                violations.append(f"overlapping rhombi: {r1}, {r2}")
-                break
+    line = _SweepLine(spec)
+    laid = line.sweep(t.rhombi)
+    if len(laid) < spec.rhombus_count:
+        edges = [(p, d) for p, (d, _) in zip(line.path, line.word)]
+        left = t.rhombi.difference(laid)
+        leftover = f", leaving rhombus {min(left)}" if left else ""
+        violations.append(f"sweep stops at edges {edges}{leftover}")
 
     return TilingReport(violations)
 
@@ -343,15 +303,48 @@ def project(spec: ZonogonSpec, obj):
 # canonical constructions
 
 
-def _wiring_tiling(spec: ZonogonSpec, front: Point, middle=(), swaps=()) -> Tiling:
-    """The tiling swept out by one wiring diagram (a reduced word of swaps;
-    Elnitsky, JCTA 77, 1997).
+class _SweepLine:
+    """One line of a wiring diagram (Elnitsky, JCTA 77, 1997): a word of lines
+    bottom to top, copy c of direction d written (d, c), with a_d copies of
+    each direction and starting in direction order, together with the
+    monotone lattice path of its prefixes.
 
-    The word lists lines bottom to top, direction d having a_d copies, and
-    starts in direction order.  Swapping adjacent lines d < d' at gap i lays
-    the rhombus (counts of the lines below i, (d, d')); only ascending pairs
-    swap, so each pair of lines crosses once and the swaps tile P.  Every
-    prefix of every intermediate word is a vertex of the tiling.
+    Swapping adjacent lines d < d' at gap i lays the rhombus
+    (path[i], (d, d')) and moves path[i + 1] across it.  Only ascending pairs
+    swap, so each pair of lines crosses once and the swaps tile P.
+    """
+
+    def __init__(self, spec: ZonogonSpec):
+        self.word = [(d, c) for d in range(spec.n) for c in range(spec.a[d])]
+        self.path = [(0,) * spec.n]
+        for d, _ in self.word:
+            self.path.append(shift(self.path[-1], d))
+
+    def swap(self, i: int) -> Rhombus:
+        word, path = self.word, self.path
+        rh = (path[i], (word[i][0], word[i + 1][0]))
+        word[i], word[i + 1] = word[i + 1], word[i]
+        path[i + 1] = shift(path[i], word[i][0])
+        return rh
+
+    def sweep(self, allowed=None) -> list[Rhombus]:
+        """Swap the lowest ascending pair (whose rhombus is in `allowed`, if
+        given) until none is left; return the rhombi laid."""
+        word, path, laid = self.word, self.path, []
+        i = 0
+        while i < len(word) - 1:
+            d, d2 = word[i][0], word[i + 1][0]
+            if d < d2 and (allowed is None or (path[i], (d, d2)) in allowed):
+                laid.append(self.swap(i))
+                i = max(i - 1, 0)
+            else:
+                i += 1
+        return laid
+
+
+def _wiring_tiling(spec: ZonogonSpec, front: Point, middle=(), swaps=()) -> Tiling:
+    """The tiling swept out by one wiring diagram; every prefix of every
+    intermediate word is a vertex of the tiling.
 
     First the front lines (copy c of d with c < front[d]) bubble, stably,
     below all others, so `front` becomes a vertex.  Then the next copies of
@@ -359,30 +352,14 @@ def _wiring_tiling(spec: ZonogonSpec, front: Point, middle=(), swaps=()) -> Tili
     these gap offsets past the front.  Last, the lowest ascending pair swaps
     until none is left.
     """
-    word = [(d, c) for d in range(spec.n) for c in range(spec.a[d])]
-    rhombi = []
-
-    def swap(i):
-        base = [0] * spec.n
-        for d, _ in word[:i]:
-            base[d] += 1
-        rhombi.append((tuple(base), (word[i][0], word[i + 1][0])))
-        word[i], word[i + 1] = word[i + 1], word[i]
-
-    lines = [(d, c) for d, c in word if c < front[d]] + [(d, front[d]) for d in middle]
+    wiring, rhombi = _SweepLine(spec), []
+    lines = [(d, c) for d, c in wiring.word if c < front[d]] + [(d, front[d]) for d in middle]
     for to, line in enumerate(lines):
-        for i in range(word.index(line) - 1, to - 1, -1):
-            swap(i)
+        for i in range(wiring.word.index(line) - 1, to - 1, -1):
+            rhombi.append(wiring.swap(i))
     for off in swaps:
-        swap(sum(front) + off)
-    i = 0
-    while i < len(word) - 1:
-        if word[i][0] < word[i + 1][0]:
-            swap(i)
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return Tiling(spec, rhombi)
+        rhombi.append(wiring.swap(sum(front) + off))
+    return Tiling(spec, rhombi + wiring.sweep())
 
 
 def t_min(spec: ZonogonSpec) -> Tiling:

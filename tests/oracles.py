@@ -9,13 +9,11 @@ from math import isqrt
 from zonorec.zonogon import (
     ZonogonSpec,
     Tiling,
-    _interiors_overlap,
     cross,
     rhombus_corners,
     rhombus_edges,
     shift,
     t_min,
-    zonogon_area2,
 )
 from zonorec.flips import Cell, FlipError, FlipMove, apply_flip, flippable_vertices
 from zonorec.spinor import (
@@ -31,6 +29,54 @@ from zonorec.spinor import (
     nullspace,
     rank,
 )
+
+
+def _interiors_overlap(spec: ZonogonSpec, r1, r2) -> bool:
+    # exact separating-axis test for two parallelograms
+    p1 = [spec.project(c) for c in rhombus_corners(r1)]
+    p2 = [spec.project(c) for c in rhombus_corners(r2)]
+    axes = []
+    for rh in (r1, r2):
+        for d in rh[1]:
+            vx, vy = spec.vectors[d]
+            axes.append((-vy, vx))
+    for ax in axes:
+        d1 = [x * ax[0] + y * ax[1] for x, y in p1]
+        d2 = [x * ax[0] + y * ax[1] for x, y in p2]
+        if max(d1) <= min(d2) or max(d2) <= min(d1):
+            return False
+    return True
+
+
+def zonogon_area2(spec: ZonogonSpec):
+    """Twice the area of P (exact)."""
+    return sum(
+        spec.a[i] * spec.a[j] * abs(cross(spec.vectors[i], spec.vectors[j]))
+        for i, j in combinations(range(spec.n), 2)
+    )
+
+
+def is_tiling_by_overlap(t: Tiling) -> bool:
+    """Whether t's rhombi tile P, by the geometric checks: every rhombus in the
+    box, the rhombus count, each boundary edge on one rhombus and each
+    internal edge on two, the covered area, and no two interiors overlapping
+    (exact separating axes, O(R^2) in the rhombus count R)."""
+    spec = t.spec
+    if not all(spec.contains(c) for rh in t.rhombi for c in rhombus_corners(rh)):
+        return False
+    if len(t.rhombi) != spec.rhombus_count:
+        return False
+    on_edge: dict = {}
+    for rh in t.rhombi:
+        for e in rhombus_edges(rh):
+            on_edge[e] = on_edge.get(e, 0) + 1
+    if any(k != (1 if spec.is_boundary_edge(e) else 2) for e, k in on_edge.items()):
+        return False
+    area = sum(abs(cross(spec.vectors[j], spec.vectors[k])) for _, (j, k) in t.rhombi)
+    if area != zonogon_area2(spec):
+        return False
+    return not any(_interiors_overlap(spec, r1, r2)
+                   for r1, r2 in combinations(sorted(t.rhombi), 2))
 
 
 def all_candidate_rhombi(spec: ZonogonSpec):

@@ -27,6 +27,7 @@ from zonorec import (
     tiling_through_vertex,
     validate_tiling,
 )
+from zonorec.zonogon import shift
 
 HEX = ZonogonSpec((1, 1, 1))
 OCT = ZonogonSpec((1, 1, 1, 1))
@@ -454,3 +455,41 @@ def test_cells_2_matches_rhombus_scan(a):
 
     for t, lib in _face_flip_tilings(a):
         assert cells_2(lib) == cells_2_by_rhombus_scan(t)
+
+
+@pytest.mark.parametrize("a", list(ORACLE_COUNTS)[:4], ids=_spec_id)
+def test_validate_tiling_matches_overlap_oracle(a):
+    """Every tiling is valid, and seeded random mutations of tilings (drop,
+    add, replace or translate 1-3 rhombi, or move a base out of the box) get
+    the same verdict from the sweep as from the geometric oracle."""
+    from oracles import all_candidate_rhombi, is_tiling_by_overlap
+
+    spec = ZonogonSpec(a)
+    tilings = [t for t, _ in _face_flip_tilings(a)]
+    for t in tilings:
+        assert validate_tiling(t).ok and is_tiling_by_overlap(t)
+    candidates = all_candidate_rhombi(spec)
+    rng = random.Random(7)
+    kinds = ("drop", "add", "replace", "translate", "outside")
+    for trial in range(200):
+        rhombi = sorted(rng.choice(tilings).rhombi)
+        kind, k = kinds[trial % len(kinds)], rng.randint(1, 3)
+        picked = rng.sample(range(len(rhombi)), k)
+        if kind == "drop":
+            rhombi = [rh for i, rh in enumerate(rhombi) if i not in picked]
+        elif kind == "add":
+            rhombi += rng.sample(candidates, k)
+        elif kind == "replace":
+            for i in picked:
+                rhombi[i] = rng.choice(candidates)
+        elif kind == "translate":
+            for i in picked:
+                base, dirs = rhombi[i]
+                rhombi[i] = (shift(base, rng.randrange(spec.n), rng.choice((1, -1))), dirs)
+        else:
+            base, dirs = rhombi[picked[0]]
+            d = rng.randrange(spec.n)
+            step = rng.choice((-1 - base[d], a[d] + 1 - base[d]))
+            rhombi[picked[0]] = (shift(base, d, step), dirs)
+        mutated = Tiling(spec, rhombi)
+        assert validate_tiling(mutated).ok == is_tiling_by_overlap(mutated), (kind, rhombi)

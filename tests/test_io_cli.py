@@ -258,13 +258,13 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, tiling, labeling
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def _run_111(tmp_path, values):
+def _run_111(tmp_path, values, *args):
     tiling_file = tmp_path / "t.json"
     tiling_file.write_text(json.dumps(_T_MIN_111))
     lab_file = tmp_path / "lab.json"
     lab_file.write_text(json.dumps({**_ONES_111, "values": values}))
     return main(["run", "--tiling", str(tiling_file), "--labeling", str(lab_file),
-                 "--out", str(tmp_path / "o.json")])
+                 "--out", str(tmp_path / "o.json"), *args])
 
 
 @pytest.mark.parametrize("point", [[1, 0, 1], [5, 5, 5]],
@@ -274,6 +274,51 @@ def test_cli_run_rejects_value_off_the_tiling(tmp_path, capsys, point):
     assert _run_111(tmp_path, values) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tuple(point)) in err
+
+
+def _path_111(*moves):
+    return {"start": _T_MIN_111, "moves": list(moves)}
+
+
+def _run_path_111(tmp_path, path):
+    (tmp_path / "p.json").write_text(json.dumps(path))
+    return _run_111(tmp_path, _ONES_111["values"], "--path", str(tmp_path / "p.json"))
+
+
+def test_cli_run_path(tmp_path):
+    up = {"base": [0, 0, 0], "dirs": [1, 2, 3], "dir": "up"}
+    assert _run_path_111(tmp_path, _path_111(up)) == 0
+    data = json.loads((tmp_path / "o.json").read_text())
+    assert {"vertex": [1, 0, 1], "value": "3"} in data["values"]
+
+
+@pytest.mark.parametrize("move", [
+    {"base": [0, 0, 0], "dirs": [1, 2], "dir": "up"},
+    {"base": [0, 0, 0], "dirs": [1, 2, 9], "dir": "up"},
+    {"base": [0, 0, 0], "dirs": [1, 2, 3], "dir": "sideways"},
+    {"base": [0, 0, 0], "dirs": [1, 2, 3], "dir": "down"},
+], ids=["two-dirs", "dir-out-of-range", "sideways", "inapplicable-down"])
+def test_cli_run_path_rejects_bad_move(tmp_path, capsys, move):
+    assert _run_path_111(tmp_path, _path_111(move)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _laurent_111():
+    return jsonio.labeling_to_json(symbolic_labeling(t_min(ZonogonSpec((1, 1, 1)))))
+
+
+@pytest.mark.parametrize("exponent", [1.5, True, "1"], ids=["float", "bool", "string"])
+def test_cli_run_rejects_non_integer_laurent_exponent(tmp_path, capsys, exponent):
+    labeling = _laurent_111()
+    exps = labeling["values"][0]["value"]["terms"][0]["exps"]
+    exps[next(iter(exps))] = exponent
+    (tmp_path / "t.json").write_text(json.dumps(_T_MIN_111))
+    (tmp_path / "lab.json").write_text(json.dumps(labeling))
+    assert main(["run", "--tiling", str(tmp_path / "t.json"), "--labeling",
+                 str(tmp_path / "lab.json"), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "integer exponents" in err
 
 
 def test_cli_run_rejects_negative_initial_value(tmp_path, capsys):
@@ -377,13 +422,12 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_cli_mutated_tiling_exits_cleanly(tmp_path_factory, data):
-    doc = json.loads(json.dumps(_T_MIN_111))
+def _mutate(data, doc, values):
+    """Replace, delete or duplicate one to three nodes of a JSON document."""
+    doc = json.loads(json.dumps(doc))
     for _ in range(data.draw(st.integers(1, 3))):
         path = data.draw(st.sampled_from(list(_json_paths(doc))))
-        value = data.draw(_JSON_VALUES)
+        value = data.draw(values)
         if not path:
             doc = value
             continue
@@ -396,15 +440,64 @@ def test_cli_mutated_tiling_exits_cleanly(tmp_path_factory, data):
             del parent[path[-1]]
         else:
             parent.insert(path[-1], json.loads(json.dumps(parent[path[-1]])))
+    return doc
+
+
+def _exits_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv[0]
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_cli_mutated_tiling_exits_cleanly(tmp_path_factory, data):
+    doc = _mutate(data, _T_MIN_111, _JSON_VALUES)
     work = tmp_path_factory.mktemp("fuzz")
     (work / "t.json").write_text(json.dumps(doc))
     (work / "lab.json").write_text(json.dumps(_ONES_111))
     for argv in (["render", "--tiling", str(work / "t.json"), "--out", str(work / "o.svg")],
                  ["run", "--tiling", str(work / "t.json"), "--labeling", str(work / "lab.json"),
                   "--check", "--out", str(work / "o.json")]):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 2, 3, 4), (argv[0], doc)
-        assert "Traceback" not in err.getvalue()
-        assert code == 0 or err.getvalue().startswith("error: ")
+        _exits_cleanly(argv)
+
+
+_RUN_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=False)
+    | st.sampled_from(["", "0", "1", "-1/2", "1,0", "up", "down", "laurent", "rational"])
+)
+_RUN_JSON_VALUES = _RUN_JSON_LEAVES | st.recursive(
+    _RUN_JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["A", "values", "vertex", "value", "terms", "coeff",
+                                       "exps", "moves", "base", "dirs", "dir"]),
+                      kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("kind", ["rational", "laurent", "path"])
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_cli_mutated_labeling_or_path_exits_cleanly(tmp_path_factory, kind, data):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "t.json").write_text(json.dumps(_T_MIN_111))
+    argv = ["run", "--tiling", str(work / "t.json"), "--labeling", str(work / "lab.json"),
+            "--check", "--out", str(work / "o.json")]
+    labeling = _laurent_111() if kind == "laurent" else _ONES_111
+    if kind == "path":
+        up = {"base": [0, 0, 0], "dirs": [1, 2, 3], "dir": "up"}
+        path = _mutate(data, _path_111(up, dict(up, dir="down")), _RUN_JSON_VALUES)
+        (work / "p.json").write_text(json.dumps(path))
+        argv += ["--path", str(work / "p.json")]
+    elif data.draw(st.booleans()):
+        labeling = _mutate(data, labeling, _RUN_JSON_VALUES)
+    else:  # one value's subtree, where the per-value decoding happens
+        i = data.draw(st.integers(0, len(labeling["values"]) - 1))
+        labeling = json.loads(json.dumps(labeling))
+        labeling["values"][i] = _mutate(data, labeling["values"][i], _RUN_JSON_VALUES)
+    (work / "lab.json").write_text(json.dumps(labeling))
+    _exits_cleanly(argv)
