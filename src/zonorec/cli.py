@@ -78,9 +78,8 @@ def cmd_tile(args) -> int:
             tilings = flips.enumerate_tilings(spec, cap=args.cap)
         except flips.CapExceeded as exc:
             raise CliError(str(exc), EXIT_CAP)
-        payload = [jsonio.tiling_to_json(t) for t in
-                   sorted(tilings, key=lambda t: t.canonical_rhombi())]
-        _write_out(args.out, json.dumps(payload, indent=1) + "\n")
+        tilings = sorted(tilings, key=zonogon.Tiling.canonical_rhombi)
+        _write_out(args.out, jsonio.tilings_to_json(tilings) + "\n")
         return EXIT_OK
     if args.through:
         try:

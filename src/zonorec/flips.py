@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from .zonogon import (
@@ -41,16 +41,23 @@ class FlipMove:
     def inverse(self) -> "FlipMove":
         return FlipMove(self.base, self.dirs, "down" if self.direction == "up" else "up")
 
-    @property
-    def removed(self) -> Point:
-        j, k, l = self.dirs
-        if self.direction == "up":
-            return shift(self.base, k)
-        return shift2(self.base, j, l)
+    # the points are cached: the flip search applies each move many times
 
-    @property
+    @cached_property
+    def removed(self) -> Point:
+        return self.corners[6] if self.direction == "up" else self.corners[7]
+
+    @cached_property
     def created(self) -> Point:
-        return self.inverse().removed
+        return self.corners[7] if self.direction == "up" else self.corners[6]
+
+    @cached_property
+    def corners(self) -> tuple:
+        """The cube's corners: the hexagon o, j, l, jk, kl, jkl, then k and jl."""
+        base, (j, k, l) = self.base, self.dirs
+        jk = shift2(base, j, k)
+        return (base, shift(base, j), shift(base, l), jk, shift2(base, k, l),
+                shift(jk, l), shift(base, k), shift2(base, j, l))
 
 
 @dataclass
@@ -133,37 +140,41 @@ def flippable_vertices(t: Tiling):
     return frozenset(down), frozenset(up)
 
 
-def move_at(t: Tiling, at: Point) -> FlipMove:
-    """The flip move pivoting at the given trivalent internal vertex."""
+def _flip_at(t: Tiling, at: Point) -> FlipMove | None:
+    """The flip move pivoting at `at`, or None unless `at` is a trivalent
+    internal vertex."""
     if at not in t.vertices or not t.is_internal(at):
-        raise FlipError(f"{at} is not an internal vertex")
+        return None
     u, d = t.edges_at(at)
     if len(u) + len(d) != 3:
-        raise FlipError(f"not flippable at {at}: {len(u)} up / {len(d)} down edges")
+        return None
     if len(d) == 2:
-        j, l = d
-        k = u[0]
-        if not j < k < l:
-            raise FlipError(f"edge directions {d}+{u} out of order at {at}")
-        base = shift2(at, j, l, -1)
-        return FlipMove(base, (j, k, l), "down")
-    j, l = u
-    k = d[0]
+        (j, l), k, direction = d, u[0], "down"
+    else:
+        (j, l), k, direction = u, d[0], "up"
     if not j < k < l:
         raise FlipError(f"edge directions {u}+{d} out of order at {at}")
-    base = shift(at, k, -1)
-    return FlipMove(base, (j, k, l), "up")
+    base = shift2(at, j, l, -1) if direction == "down" else shift(at, k, -1)
+    return FlipMove(base, (j, k, l), direction)
+
+
+def move_at(t: Tiling, at: Point) -> FlipMove:
+    """The flip move pivoting at the given trivalent internal vertex."""
+    move = _flip_at(t, at)
+    if move is None:
+        if at not in t.vertices or not t.is_internal(at):
+            raise FlipError(f"{at} is not an internal vertex")
+        u, d = t.edges_at(at)
+        raise FlipError(f"not flippable at {at}: {len(u)} up / {len(d)} down edges")
+    return move
 
 
 def apply_move(t: Tiling, move: FlipMove) -> Tiling:
     """Swap the move's removed vertex for its created one.  It applies when the
     hexagon corners o, j, l, jk, kl, jkl are vertices and `created` is not."""
-    base, (j, k, l) = move.base, move.dirs
-    hexagon = (base, shift(base, j), shift(base, l), shift2(base, j, k),
-               shift2(base, k, l), shift(shift2(base, j, k), l))
     vs = t.vertices
     removed, created = move.removed, move.created
-    if created in vs or removed not in vs or not all(p in vs for p in hexagon):
+    if created in vs or removed not in vs or not vs.issuperset(move.corners[:6]):
         raise FlipError(f"move {move} not applicable")
     return Tiling.from_vertices(t.spec, vs - {removed} | {created})
 
@@ -174,22 +185,38 @@ def apply_flip(t: Tiling, at: Point):
     return apply_move(t, move), move
 
 
+def _moves_after(t2: Tiling, moves: dict, move: FlipMove) -> dict:
+    """The flip moves of t2 = apply_move(t, move) keyed by pivot vertex, from
+    those of t: the flip changes edges only at the swapped points and the
+    hexagon corners, so only those are re-examined."""
+    out = dict(moves)
+    del out[move.removed]
+    for p in move.corners[:6] + (move.created,):
+        m = _flip_at(t2, p)
+        if m is None:
+            out.pop(p, None)
+        else:
+            out[p] = m
+    return out
+
+
 def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> set:
-    """All tilings, by breadth-first flip search from t_min."""
+    """All tilings, by breadth-first flip search from t_min; each frontier
+    tiling carries its flip moves."""
     start = t_min(spec)
+    down, up = flippable_vertices(start)
     seen = {start}
-    frontier = [start]
+    frontier = [(start, {v: move_at(start, v) for v in down | up})]
     while frontier:
         nxt = []
-        for t in frontier:
-            down, up = flippable_vertices(t)
-            for v in down | up:
-                t2, _ = apply_flip(t, v)
+        for t, moves in frontier:
+            for move in moves.values():
+                t2 = apply_move(t, move)
                 if t2 not in seen:
                     seen.add(t2)
                     if len(seen) > cap:
                         raise CapExceeded(f"more than {cap} tilings")
-                    nxt.append(t2)
+                    nxt.append((t2, _moves_after(t2, moves, move)))
         frontier = nxt
     return seen
 

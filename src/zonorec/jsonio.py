@@ -5,6 +5,7 @@ Direction indices are 1-based on the wire and 0-based in memory.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
@@ -32,6 +33,33 @@ def tiling_to_json(t: Tiling) -> dict:
             for base, (j, k) in t.canonical_rhombi()
         ],
     }
+
+
+def _nested(obj, level: int) -> str:
+    """`json.dumps(obj, indent=1)` as it reads nested `level` deep."""
+    return json.dumps(obj, indent=1).replace("\n", "\n" + " " * level)
+
+
+def tilings_to_json(tilings) -> str:
+    """The text of `json.dumps([tiling_to_json(t) for t in tilings], indent=1)`.
+
+    With `indent` set, json runs its pure-Python encoder; here each distinct
+    rhombus and multiplicity vector is encoded once per call and the
+    documents are joined from those text blocks.
+    """
+    heads, blocks, docs = {}, {}, []
+    for t in tilings:
+        a = t.spec.a
+        if a not in heads:
+            heads[a] = ' {\n  "A": ' + _nested(list(a), 2) + ',\n  "rhombi": '
+        rows = []
+        for rh in t.canonical_rhombi():
+            if rh not in blocks:
+                base, (j, k) = rh
+                blocks[rh] = "   " + _nested({"base": list(base), "dirs": [j + 1, k + 1]}, 3)
+            rows.append(blocks[rh])
+        docs.append(heads[a] + "[\n" + ",\n".join(rows) + "\n  ]\n }")
+    return "[\n" + ",\n".join(docs) + "\n]" if docs else "[]"
 
 
 def tiling_from_json(data: dict, spec: ZonogonSpec | None = None) -> Tiling:
@@ -93,8 +121,14 @@ def _fraction_to_json(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _fraction_from_json(s) -> Fraction:
-    return Fraction(str(s))
+def _fraction_from_json(x) -> Fraction:
+    """A JSON integer or a string p or p/q in decimal digits (`ValueError`)."""
+    if not (type(x) is int or isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x)):
+        raise ValueError(f"value {x!r} must be a JSON integer or a string p or p/q")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"value {x!r} has denominator 0") from None
 
 
 def laurent_to_json(p: LaurentPoly) -> dict:
@@ -138,12 +172,16 @@ def labeling_to_json(labeling: Labeling) -> dict:
 
 
 def labeling_from_json(data: dict, tiling: Tiling | None = None) -> Labeling:
+    """Decode a labeling; each vertex must be n JSON integers and each value
+    a Laurent polynomial or a rational (`ValueError`)."""
     spec = tiling.spec if tiling is not None else ZonogonSpec(data["A"])
     if tuple(spec.a) != tuple(data["A"]):
         raise ValueError("labeling multiplicities disagree with the spec")
     domain = DOMAINS[data["domain"]]
     values = {}
     for item in data["values"]:
+        if not _ints(item["vertex"], spec.n):
+            raise ValueError(f"vertex {item['vertex']!r} must be {spec.n} integers")
         vertex = tuple(item["vertex"])
         if data["domain"] == "laurent":
             values[vertex] = laurent_from_json(item["value"])

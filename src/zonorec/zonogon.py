@@ -205,16 +205,21 @@ class Tiling:
     def __repr__(self):
         return f"Tiling({self.spec!r}, {len(self.vertices)} vertices)"
 
-    def canonical_rhombi(self) -> list[Rhombus]:
-        return sorted(self.rhombi)
+    def canonical_rhombi(self) -> tuple[Rhombus, ...]:
+        """The rhombi in sorted order, computed once."""
+        return self._sorted_rhombi
+
+    @cached_property
+    def _sorted_rhombi(self) -> tuple[Rhombus, ...]:
+        return tuple(sorted(self.rhombi))
 
     @cached_property
     def rhombi(self) -> frozenset:
-        out = []
-        for v in self.vertices:
-            up = self._up_dirs(v)
-            out.extend((v, (j, k)) for j, k in combinations(up, 2)
-                       if shift2(v, j, k) in self.vertices)
+        vs, out = self.vertices, []
+        for v in vs:
+            for j, k in combinations(self._up_dirs(v), 2):
+                if v[:j] + (v[j] + 1,) + v[j + 1:k] + (v[k] + 1,) + v[k + 1:] in vs:
+                    out.append((v, (j, k)))
         return frozenset(out)
 
     @cached_property

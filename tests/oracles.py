@@ -1,6 +1,7 @@
 """Independent oracles: kept deliberately separate from the library's own
 algorithms so they can cross-check them."""
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -16,6 +17,8 @@ from zonorec.zonogon import (
     t_min,
 )
 from zonorec.flips import Cell, FlipError, FlipMove, apply_flip, flippable_vertices
+from zonorec.jsonio import tiling_to_json
+from zonorec.laurent import LaurentPoly
 from zonorec.spinor import (
     SpinPoint,
     Spinor,
@@ -195,6 +198,18 @@ def tilings_by_face_flips(spec: ZonogonSpec) -> list:
                     nxt.append(t2)
         frontier = nxt
     return list(seen.values())
+
+
+def tilings_json_by_dumps(tilings) -> str:
+    """The `tile --enumerate` document by json's own encoder: one dict per
+    tiling, dumped with indent=1."""
+    return json.dumps([tiling_to_json(t) for t in tilings], indent=1)
+
+
+def tropicalize(p: LaurentPoly, x: dict):
+    """The max over p's monomials of <exponent, x>: the value at x of the
+    max-plus image of p, when p has positive coefficients."""
+    return max(sum(e * x[v] for v, e in exps) for exps in p.terms)
 
 
 @lru_cache(maxsize=None)

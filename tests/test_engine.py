@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -272,3 +273,43 @@ def test_exchange_polynomials_transform_across_flips(a):
                     assert sub == Q0 * P * xj_inv, ("case3", a, i_v, pivot)
                 else:
                     assert R == P and j_pos not in R.variables()
+
+
+# ---------------------------------------------------------------------------
+# the Laurent phenomenon as a cross-domain oracle
+
+POSITIVITY_SPECS = [(2, 2, 2), (1, 1, 1, 1, 1), (2, 2, 1, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _symbolic_extension(a):
+    tm = t_min(ZonogonSpec(a))
+    return tm, extend_to_lattice(symbolic_labeling(tm))
+
+
+@pytest.mark.parametrize("a", POSITIVITY_SPECS, ids=lambda a: ",".join(map(str, a)))
+def test_symbolic_extension_coefficients_are_one(a):
+    """Every coefficient of every derived Laurent polynomial is 1.  For n = 3
+    this follows from the grove model (Carroll & Speyer, "The cube
+    recurrence", EJC 11, 2004); for n >= 4 it is observed here, not proved."""
+    tm, total = _symbolic_extension(a)
+    derived = [p for v, p in total.values.items() if v not in tm.vertices]
+    assert derived
+    for p in derived:
+        assert set(p.terms.values()) == {1}, p
+
+
+@pytest.mark.parametrize("a", POSITIVITY_SPECS, ids=lambda a: ",".join(map(str, a)))
+def test_tropical_extension_tropicalizes_the_symbolic_one(a):
+    """The derived polynomials are subtraction-free, so at each point the
+    tropical extension equals the max over the point's monomials of
+    <exponent, x>, on 20 random integer initial values x."""
+    from oracles import tropicalize
+
+    tm, total = _symbolic_extension(a)
+    rng = random.Random(0)
+    for _ in range(20):
+        x = {v: Fraction(rng.randint(-9, 9)) for v in tm.vertices}
+        tropical = extend_to_lattice(initial_labeling(tm, TROPICAL, x))
+        for p, poly in total.values.items():
+            assert tropical.values[p] == tropicalize(poly, x), (p, x)

@@ -27,6 +27,7 @@ from zonorec import (
     tiling_through_vertex,
     validate_tiling,
 )
+from zonorec.flips import _moves_after
 from zonorec.zonogon import shift
 
 HEX = ZonogonSpec((1, 1, 1))
@@ -409,6 +410,31 @@ def test_distinct_tilings_have_distinct_vertex_sets(a):
     assert len(pairs) == ORACLE_COUNTS[a]
     assert len({t.vertices for t, _ in pairs}) == len(pairs)
     assert enumerate_tilings(ZonogonSpec(a)) == {lib for _, lib in pairs}
+
+
+def _census_moves(t):
+    down, up = flippable_vertices(t)
+    return {v: move_at(t, v) for v in down | up}
+
+
+@pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
+def test_carried_moves_match_census(a):
+    """After every flip out of every tiling, the moves the search carries to
+    the new tiling equal a full census of it.  Comparing only the tilings
+    found would miss a carried census that drops flips yet reaches them all."""
+    for _, t in _face_flip_tilings(a):
+        moves = _census_moves(t)
+        for move in moves.values():
+            t2 = apply_move(t, move)
+            assert _moves_after(t2, moves, move) == _census_moves(t2), (a, move)
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2), (1, 1, 1, 1, 1)], ids=_spec_id)
+def test_enumerate_cap_boundary(a):
+    spec, count = ZonogonSpec(a), ORACLE_COUNTS[a]
+    assert len(enumerate_tilings(spec, cap=count)) == count
+    with pytest.raises(CapExceeded):
+        enumerate_tilings(spec, cap=count - 1)
 
 
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,10 +16,12 @@ from hypothesis import given, settings, strategies as st
 from zonorec import (
     RATIONAL,
     TROPICAL,
+    Tiling,
     Wall,
     ZonogonSpec,
     canonical_cutcurve,
     connect,
+    enumerate_tilings,
     extend_to_lattice,
     initial_labeling,
     random_tiling,
@@ -121,6 +124,25 @@ def test_cli_tile_enumerate(tmp_path):
     out = tmp_path / "all.json"
     assert main(["tile", "--A", "1,1,1,1", "--enumerate", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())) == 8
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2), (1, 1, 1, 1, 1), (2, 2, 1, 1), (3, 2, 2),
+                               (1, 1, 1, 1, 1, 1), (3, 3, 3)],
+                         ids=lambda a: ",".join(map(str, a)))
+def test_tilings_to_json_matches_dumps(a):
+    from oracles import tilings_json_by_dumps
+
+    tilings = sorted(enumerate_tilings(ZonogonSpec(a)), key=Tiling.canonical_rhombi)
+    for some in (tilings, tilings[::-1], tilings[:1], []):
+        assert jsonio.tilings_to_json(some) == tilings_json_by_dumps(some)
+
+
+def test_cli_tile_enumerate_output_is_unchanged(tmp_path):
+    """The 5383 tilings of (2,2,2,2), byte for byte as json.dumps wrote them."""
+    out = tmp_path / "all.json"
+    assert main(["tile", "--A", "2,2,2,2", "--enumerate", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "18909b0fd697393b72bd7a6c15f0145f76502162f1b5100f8fcc83daa023ad0c")
 
 
 def test_cli_bad_input_exit_codes(capsys):
@@ -319,6 +341,25 @@ def test_cli_run_rejects_non_integer_laurent_exponent(tmp_path, capsys, exponent
                  str(tmp_path / "lab.json"), "--out", str(tmp_path / "o.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "integer exponents" in err
+
+
+@pytest.mark.parametrize("domain, value, vertex", [
+    ("rational", 1.5, [0, 1, 0]),
+    ("rational", "1e2", [0, 1, 0]),
+    ("rational", "1", [0.0, 1, 0]),
+    ("tropical", 1.5, [0, 1, 0]),
+    ("rational", "1/0", [0, 1, 0]),
+], ids=["float", "exponent-string", "float-vertex", "tropical-float", "zero-denominator"])
+def test_cli_run_rejects_non_rational_value_or_vertex(tmp_path, capsys, domain, value, vertex):
+    values = [{"vertex": vertex, "value": value} if item["vertex"] == [0, 1, 0] else item
+              for item in _ONES_111["values"]]
+    (tmp_path / "t.json").write_text(json.dumps(_T_MIN_111))
+    (tmp_path / "lab.json").write_text(json.dumps({**_ONES_111, "domain": domain,
+                                                   "values": values}))
+    assert main(["run", "--tiling", str(tmp_path / "t.json"), "--labeling",
+                 str(tmp_path / "lab.json"), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_run_rejects_negative_initial_value(tmp_path, capsys):
