@@ -48,8 +48,11 @@ def _write_out(path, payload: str):
     if path in (None, "-"):
         sys.stdout.write(payload)
     else:
-        with open(path, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(path, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc}", EXIT_BAD_INPUT)
 
 
 def _read_json(path):
@@ -130,7 +133,7 @@ def cmd_run(args) -> int:
                 raise CliError("flip path does not start at the tiling", EXIT_BAD_INPUT)
             result = engine.evaluate_path(labeling, path)
         else:
-            result = engine.extend_to_lattice(labeling, check=args.check)
+            result = engine.extend_to_lattice(labeling)
             if args.check:
                 report = engine.verify_cube_relations(result)
                 if not report.ok:
@@ -147,6 +150,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_render(args) -> int:
+    _require_at_least(args.scale, 1, "--scale")
     tiling = _load(jsonio.tiling_from_json, args.tiling)
     svg = render_svg(tiling, scale=args.scale, labels=args.labels, forest=args.forest)
     _write_out(args.out, svg)
@@ -200,6 +204,9 @@ def _verify_laurent(args) -> list[str]:
 def _verify_tropical(args) -> list[str]:
     spec = _parse_a(args.A)
     _require_at_least(args.samples, 1, "--samples")
+    if not 1 <= args.s <= spec.n:
+        raise CliError(f"--s must be a direction in 1..{spec.n}, got {args.s}",
+                       EXIT_BAD_INPUT)
     w = tropical.Wall(args.s - 1, args.c)
     try:
         w.validate(spec)
@@ -265,7 +272,11 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zonorec", description=__doc__)
-    default_seed = int(os.environ.get("ZONOREC_SEED", "0"))
+    env_seed = os.environ.get("ZONOREC_SEED", "0")
+    try:
+        default_seed = int(env_seed)
+    except ValueError:
+        raise CliError(f"ZONOREC_SEED must be an integer, got {env_seed!r}", EXIT_BAD_INPUT)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tile = sub.add_parser("tile", help="construct tilings")
@@ -286,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--labeling", required=True)
     p_run.add_argument("--domain", choices=("rational", "laurent", "tropical"))
     p_run.add_argument("--path", help="flip path JSON; default extends to the lattice")
-    p_run.add_argument("--check", action="store_true")
+    p_run.add_argument("--check", action="store_true",
+                       help="also check the cube relation on every unit 3-cube "
+                            "of the extension")
     p_run.add_argument("--seed", type=int, default=default_seed,
                        help="accepted; the extension does not depend on it")
     p_run.add_argument("--out", default="-")
@@ -317,18 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
-    needs_a = args.command == "tile" or (
-        args.command == "verify" and args.suite in ("confluence", "laurent", "tropical")
-    )
-    if needs_a and not getattr(args, "A", None):
-        print("error: --A is required", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
+        needs_a = args.command == "tile" or (
+            args.command == "verify" and args.suite in ("confluence", "laurent", "tropical")
+        )
+        if needs_a and not getattr(args, "A", None):
+            raise CliError("--A is required", EXIT_BAD_INPUT)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

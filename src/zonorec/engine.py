@@ -11,13 +11,12 @@ runs over exact rationals, Laurent polynomials, and the max-plus semiring.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import LaurentPoly
-from .zonogon import Point, Tiling, ZonogonSpec, shift, shift2, tiling_through_vertex
-from .flips import FlipMove, FlipPath, normalize_to_min
+from .zonogon import Point, Tiling, ZonogonSpec, shift, tiling_through_vertex
+from .flips import FlipMove, FlipPath, apply_move, normalize_to_min
 
 
 class DomainError(ArithmeticError):
@@ -42,9 +41,6 @@ class RationalDomain:
             raise DomainError("division by zero")
         return a / b
 
-    def eq(self, a, b):
-        return a == b
-
     def valid_initial(self, a):
         return a > 0
 
@@ -52,20 +48,11 @@ class RationalDomain:
         return Fraction(a)
 
 
-class LaurentDomain:
+class LaurentDomain(RationalDomain):
     name = "laurent"
-
-    def mul(self, a, b):
-        return a * b
-
-    def add3(self, a, b, c):
-        return a + b + c
 
     def div(self, a, b):
         return a.exact_div(b)
-
-    def eq(self, a, b):
-        return a == b
 
     def valid_initial(self, a):
         return bool(a)
@@ -89,9 +76,6 @@ class TropicalDomain:
 
     def div(self, a, b):
         return a - b
-
-    def eq(self, a, b):
-        return a == b
 
     def valid_initial(self, a):
         return True
@@ -141,39 +125,22 @@ def initial_labeling(t: Tiling, domain, values: dict) -> Labeling:
     return Labeling(t.spec, domain, vals, t)
 
 
-def cube_corner_values(base: Point, dirs):
-    j, k, l = dirs
-    names = {
-        "o": base,
-        "j": shift(base, j),
-        "k": shift(base, k),
-        "l": shift(base, l),
-        "jk": shift2(base, j, k),
-        "jl": shift2(base, j, l),
-        "kl": shift2(base, k, l),
-        "jkl": shift(shift2(base, j, k), l),
-    }
-    return names
+def _cube_sum(d, o, j, l, jk, kl, jkl):
+    """The right side of the cube relation, from the hexagon corners in
+    `FlipMove.corners` order."""
+    return d.add3(d.mul(o, jkl), d.mul(jk, l), d.mul(kl, j))
 
 
 def flip_value(labeling: Labeling, move: FlipMove):
     """Value at the vertex created by the move, per the cube relation."""
-    d = labeling.domain
-    pos = cube_corner_values(move.base, move.dirs)
-    removed = move.removed
-    needed = [p for p in pos.values() if p != move.created]
-    vals = {}
-    for p in needed:
-        if p not in labeling.values:
-            raise DomainError(f"unlabeled cube corner {p}")
-        vals[p] = labeling.values[p]
-    numer = d.add3(
-        d.mul(vals[pos["o"]], vals[pos["jkl"]]),
-        d.mul(vals[pos["jk"]], vals[pos["l"]]),
-        d.mul(vals[pos["kl"]], vals[pos["j"]]),
-    )
+    x = labeling.values
     try:
-        return d.div(numer, vals[removed])
+        hexagon = [x[p] for p in move.corners[:6]]
+        removed = x[move.removed]
+    except KeyError as exc:
+        raise DomainError(f"unlabeled cube corner {exc.args[0]}") from None
+    try:
+        return labeling.domain.div(_cube_sum(labeling.domain, *hexagon), removed)
     except (ZeroDivisionError, ArithmeticError) as exc:
         raise DomainError(
             f"{exc} at cube base={move.base} dirs={move.dirs}"
@@ -192,26 +159,23 @@ def evaluate_path(labeling: Labeling, path: FlipPath) -> Labeling:
         raise DomainError("path does not start at the labeling's tiling")
     out = labeling.copy()
     cur = path.start
-    from .flips import apply_move
-
     for move in path.moves:
         cur = apply_move(cur, move)
         val = flip_value(out, move)
         created = move.created
-        if created in out.values and not out.domain.eq(out.values[created], val):
+        if created in out.values and out.values[created] != val:
             raise ConsistencyError(f"re-derived value at {created} disagrees")
         out.values[created] = val
     out.tiling = cur
     return out
 
 
-def extend_to_lattice(labeling: Labeling, check=True) -> Labeling:
+def extend_to_lattice(labeling: Labeling) -> Labeling:
     """The unique extension of the initial values to the whole lattice box.
 
     Each missing point is reached by routing a flip path from T0 through the
     wiring-diagram tiling containing it (`tiling_through_vertex`);
-    re-derivations of already-known values are compared exactly when `check`
-    is set.
+    re-derivations of already-known values are compared exactly.
     """
     t0 = labeling.tiling
     if t0 is None:
@@ -224,10 +188,9 @@ def extend_to_lattice(labeling: Labeling, check=True) -> Labeling:
         t_p = tiling_through_vertex(labeling.spec, p)
         up = normalize_to_min(t_p)
         path = FlipPath(t0, list(down0.moves) + [m.inverse() for m in reversed(up.moves)])
-        walked = evaluate_path(Labeling(labeling.spec, labeling.domain, dict(labeling.values), t0), path)
-        for q, val in walked.values.items():
+        for q, val in evaluate_path(labeling, path).values.items():
             if q in cache:
-                if check and not labeling.domain.eq(cache[q], val):
+                if cache[q] != val:
                     raise ConsistencyError(f"inconsistent re-derivation at {q}")
             else:
                 cache[q] = val
@@ -248,57 +211,21 @@ class RelationReport:
 def verify_cube_relations(labeling: Labeling) -> RelationReport:
     """Check the cube relation on every unit 3-cube of the box; the report
     lists every failing cube as (base, dirs, reason)."""
-    d = labeling.domain
-    spec = labeling.spec
+    d, x = labeling.domain, labeling.values
     failures = []
-    tropical = isinstance(d, TropicalDomain)
-    for base, dirs in spec.cubes():
-        pos = cube_corner_values(base, dirs)
+    for base, dirs in labeling.spec.cubes():
         try:
-            v = {key: labeling.values[p] for key, p in pos.items()}
+            *hexagon, k, jl = [x[p] for p in FlipMove(base, dirs, "up").corners]
         except KeyError as exc:
             failures.append((base, dirs, f"unlabeled corner {exc}"))
             continue
-        lhs = d.mul(v["jl"], v["k"])
-        rhs = d.add3(
-            d.mul(v["o"], v["jkl"]), d.mul(v["jk"], v["l"]), d.mul(v["kl"], v["j"])
-        )
-        if not d.eq(lhs, rhs):
+        if d.mul(jl, k) != _cube_sum(d, *hexagon):
             failures.append((base, dirs, "relation violated"))
     return RelationReport(failures)
 
 
 # ---------------------------------------------------------------------------
 # exchange polynomials
-
-
-def _angle_sort_key(vec):
-    x, y = vec
-    upper = 0 if (y > 0 or (y == 0 and x > 0)) else 1
-    return upper
-
-
-def _cyclic_neighbors(t: Tiling, v: Point):
-    """Neighbors of v in counterclockwise order of planar angle."""
-    spec = t.spec
-    nbrs = t.neighbors(v)
-    pv = spec.project(v)
-
-    def key(q):
-        x, y = (a - b for a, b in zip(spec.project(q), pv))
-        return (x, y)
-
-    vecs = {q: key(q) for q in nbrs}
-
-    def cmp(q1, q2):
-        u, w = vecs[q1], vecs[q2]
-        h1, h2 = _angle_sort_key(u), _angle_sort_key(w)
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        c = u[0] * w[1] - u[1] * w[0]
-        return 0 if c == 0 else (-1 if c > 0 else 1)
-
-    return sorted(nbrs, key=functools.cmp_to_key(cmp))
 
 
 def exchange_polynomial(t: Tiling, v: Point, var_of=None) -> LaurentPoly:
@@ -308,35 +235,28 @@ def exchange_polynomial(t: Tiling, v: Point, var_of=None) -> LaurentPoly:
     rhombus on a_i, a_{i+1}, this is sum_i x[b_i] * prod_{m not in {i,i+1}}
     x[a_m]; a missing far corner (boundary wedge) contributes the full
     product of the neighbor variables.
+
+    The direction vectors have increasing angles in (0, pi), so the neighbors
+    in counterclockwise order are v + e_d for the up directions d ascending,
+    then v - e_d for the down directions ascending.  The wedge from step
+    (d1, s1) to step (d2, s2) spans less than a half turn when s1 = s2 and
+    d1 < d2, or s1 != s2 and d2 < d1; its rhombus is there when the far
+    corner a_i + a_{i+1} - v is a vertex.
     """
     if var_of is None:
         var_of = lambda p: p
-    spec = t.spec
-    nbrs = _cyclic_neighbors(t, v)
+    up, down = t.edges_at(v)
+    steps = [(d, 1) for d in up] + [(d, -1) for d in down]
+    nbrs = [shift(v, d, s) for d, s in steps]
     r = len(nbrs)
-    rhombi = t.rhombi_at(v)
-    from .zonogon import cross, rhombus_corners
-
-    corner_map = {rh: rhombus_corners(rh) for rh in rhombi}
-    pv = spec.project(v)
-    vecs = {
-        q: tuple(a - b for a, b in zip(spec.project(q), pv)) for q in nbrs
-    }
     total = LaurentPoly()
     for i in range(r):
-        a1, a2 = nbrs[i], nbrs[(i + 1) % r]
-        far = None
-        # the rhombus on a1, a2 sits in the ccw wedge from a1 to a2, which
-        # must span less than a half turn
-        if cross(vecs[a1], vecs[a2]) > 0:
-            for rh in rhombi:
-                cs = corner_map[rh]
-                if a1 in cs and a2 in cs:
-                    far = next(p for p in cs if p not in (v, a1, a2))
-                    break
-        if far is not None:
+        i2 = (i + 1) % r
+        (d1, s1), (d2, s2) = steps[i], steps[i2]
+        far = tuple(p + q - c for p, q, c in zip(nbrs[i], nbrs[i2], v))
+        if (d1 < d2 if s1 == s2 else d2 < d1) and far in t.vertices:
             term = LaurentPoly.var(var_of(far))
-            skip = {i, (i + 1) % r}
+            skip = {i, i2}
         else:
             term = LaurentPoly.const(1)
             skip = set()

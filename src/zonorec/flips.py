@@ -233,25 +233,26 @@ def random_tiling(spec: ZonogonSpec, rng: random.Random, steps=None) -> Tiling:
     return t
 
 
-def _leaf_key(spec: ZonogonSpec, v: Point):
-    return (spec.height(v), v)
-
-
-def normalize_to_min(t: Tiling, rng: random.Random | None = None) -> FlipPath:
-    """Downward flips to t_min, at the lowest leaf each step (or rng's choice)."""
+def _descend(t: Tiling, keep: Point | None = None, rng: random.Random | None = None):
+    """Downward flips at leaves other than `keep` until none is left, at the
+    lowest leaf each step (or rng's choice); returns (last tiling, moves)."""
     moves = []
     cur = t
     while True:
-        leaves = flippable_vertices(cur)[0]
+        leaves = flippable_vertices(cur)[0] - {keep}
         if not leaves:
-            break
+            return cur, moves
         if rng is None:
-            at = min(leaves, key=lambda v: _leaf_key(t.spec, v))
+            at = min(leaves, key=lambda v: (t.spec.height(v), v))
         else:
             at = rng.choice(sorted(leaves))
         cur, move = apply_flip(cur, at)
         moves.append(move)
-    return FlipPath(t, moves)
+
+
+def normalize_to_min(t: Tiling, rng: random.Random | None = None) -> FlipPath:
+    """Downward flips to t_min, at the lowest leaf each step (or rng's choice)."""
+    return FlipPath(t, _descend(t, rng=rng)[1])
 
 
 def connect(t: Tiling, t2: Tiling, rng: random.Random | None = None) -> FlipPath:
@@ -420,19 +421,6 @@ def _forest_path(t: Tiling, leaf: Point):
     return path, word
 
 
-def _descend_keeping(t: Tiling, keep: Point):
-    """Downward flips at leaves other than `keep` until only it can flip down."""
-    moves = []
-    cur = t
-    while True:
-        leaves = flippable_vertices(cur)[0] - {keep}
-        if not leaves:
-            return cur, moves
-        at = min(leaves, key=lambda v: _leaf_key(t.spec, v))
-        cur, mv = apply_flip(cur, at)
-        moves.append(mv)
-
-
 def connect_through(t: Tiling, t2: Tiling, marked: Point) -> FlipPath:
     """A flip path from t to t2 whose intermediate tilings all contain `marked`.
 
@@ -448,8 +436,8 @@ def connect_through(t: Tiling, t2: Tiling, marked: Point) -> FlipPath:
     if t == t2:
         return FlipPath(t, [])
 
-    cur, moves = _descend_keeping(t, marked)
-    cur2, moves2 = _descend_keeping(t2, marked)
+    cur, moves = _descend(t, keep=marked)
+    cur2, moves2 = _descend(t2, keep=marked)
     path, word = _forest_path(cur, marked)
     path2, word2 = _forest_path(cur2, marked)
     if sorted(word) != sorted(word2):

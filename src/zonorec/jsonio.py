@@ -1,4 +1,4 @@
-"""JSON encodings for tilings, flip paths, labelings, walls, and spin points.
+"""JSON encodings for tilings, flip paths, labelings and tropical propagation reports.
 
 Direction indices are 1-based on the wire and 0-based in memory.
 """
@@ -12,8 +12,6 @@ from fractions import Fraction
 from .engine import DOMAINS, Labeling
 from .flips import FlipMove, FlipPath
 from .laurent import LaurentPoly
-from .spinor import SpinPoint
-from .tropical import Cutcurve, Wall
 from .zonogon import Tiling, ZonogonSpec, validate_tiling
 
 
@@ -107,13 +105,15 @@ def flip_path_from_json(data: dict, spec: ZonogonSpec | None = None) -> FlipPath
     spec, moves = start.spec, []
     for i, m in enumerate(data["moves"]):
         base, dirs, direction = m["base"], m["dirs"], m["dir"]
-        if not (_ints(dirs, 3) and 1 <= dirs[0] < dirs[1] < dirs[2] <= spec.n
-                and _ints(base, spec.n) and direction in ("up", "down")
-                and spec.contains(tuple(base)) and spec.contains(
-                    tuple(c + (d + 1 in dirs) for d, c in enumerate(base)))):
+        move = None
+        if (_ints(dirs, 3) and 1 <= dirs[0] < dirs[1] < dirs[2] <= spec.n
+                and _ints(base, spec.n) and direction in ("up", "down")):
+            move = FlipMove(tuple(base), tuple(d - 1 for d in dirs), direction)
+        # the cube is in the box when its base and top corner jkl are
+        if move is None or not (spec.contains(move.base) and spec.contains(move.corners[5])):
             raise ValueError(f"move {i}: {m!r} needs dirs three increasing integers in "
                              f"1..{spec.n}, its cube in the box and dir up or down")
-        moves.append(FlipMove(tuple(base), tuple(d - 1 for d in dirs), direction))
+        moves.append(move)
     return FlipPath(start, moves)
 
 
@@ -183,26 +183,13 @@ def labeling_from_json(data: dict, tiling: Tiling | None = None) -> Labeling:
         if not _ints(item["vertex"], spec.n):
             raise ValueError(f"vertex {item['vertex']!r} must be {spec.n} integers")
         vertex = tuple(item["vertex"])
+        if vertex in values:
+            raise ValueError(f"vertex {item['vertex']!r} repeats")
         if data["domain"] == "laurent":
             values[vertex] = laurent_from_json(item["value"])
         else:
             values[vertex] = _fraction_from_json(item["value"])
     return Labeling(spec, domain, values, tiling)
-
-
-def wall_to_json(w: Wall, g: Cutcurve | None = None) -> dict:
-    out = {"s": w.s + 1, "c": w.c}
-    if g is not None:
-        out["cutcurve"] = [list(p) for p in g.points]
-    return out
-
-
-def wall_from_json(data: dict):
-    w = Wall(data["s"] - 1, data["c"])
-    g = None
-    if "cutcurve" in data:
-        g = Cutcurve(tuple(tuple(p) for p in data["cutcurve"]))
-    return w, g
 
 
 def propagation_report_to_json(report) -> dict:
@@ -221,26 +208,3 @@ def propagation_report_to_json(report) -> dict:
             enc_edge(w) if isinstance(w, tuple) and len(w) == 2 else repr(w)
         )
     return out
-
-
-def spin_point_to_json(p: SpinPoint) -> dict:
-    def key(mask):
-        return ",".join(str((mask >> i) & 1) for i in range(p.n))
-
-    even = {}
-    odd = {}
-    for mask in sorted(p.coords):
-        enc = _fraction_to_json(p.coords[mask])
-        (even if mask.bit_count() % 2 == 0 else odd)[key(mask)] = enc
-    return {"n": p.n, "even": even, "odd": odd}
-
-
-def spin_point_from_json(data: dict) -> SpinPoint:
-    n = data["n"]
-    coords = {}
-    for group in ("even", "odd"):
-        for key, enc in data[group].items():
-            bits = [int(b) for b in key.split(",")]
-            mask = sum(b << i for i, b in enumerate(bits))
-            coords[mask] = _fraction_from_json(enc)
-    return SpinPoint(n, coords)

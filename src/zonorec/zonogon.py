@@ -247,9 +247,6 @@ class Tiling:
     def is_internal(self, v: Point) -> bool:
         return v not in self.spec.boundary_vertices
 
-    def rhombi_at(self, v: Point) -> list[Rhombus]:
-        return [rh for rh in self.rhombi if v in rhombus_corners(rh)]
-
 
 def phi(t: Tiling) -> int:
     """Sum of coordinate sums over the vertex set; drops by 1 per downward flip."""

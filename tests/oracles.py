@@ -3,7 +3,7 @@ algorithms so they can cross-check them."""
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import combinations, product
 from math import isqrt
 
@@ -210,6 +210,39 @@ def tropicalize(p: LaurentPoly, x: dict):
     """The max over p's monomials of <exponent, x>: the value at x of the
     max-plus image of p, when p has positive coefficients."""
     return max(sum(e * x[v] for v, e in exps) for exps in p.terms)
+
+
+def exchange_polynomial_by_angles(t: Tiling, v) -> LaurentPoly:
+    """`engine.exchange_polynomial` by planar geometry: the neighbours of v
+    sorted counterclockwise by the angle of their projected steps, and the
+    far corner of each wedge under half a turn looked up among the rhombi
+    with a corner at v."""
+    spec = t.spec
+    pv = spec.project(v)
+    step = {q: tuple(a - b for a, b in zip(spec.project(q), pv)) for q in t.neighbors(v)}
+
+    def half(u):  # 0 for angles in [0, pi), 1 for [pi, 2 pi)
+        return 0 if u[1] > 0 or (u[1] == 0 and u[0] > 0) else 1
+
+    def ccw(q1, q2):
+        u, w = step[q1], step[q2]
+        return half(u) - half(w) or -cross(u, w)
+
+    nbrs = sorted(step, key=cmp_to_key(ccw))
+    faces = [rhombus_corners(rh) for rh in t.rhombi if v in rhombus_corners(rh)]
+    total = LaurentPoly()
+    for i, a1 in enumerate(nbrs):
+        a2 = nbrs[(i + 1) % len(nbrs)]
+        far = None
+        if cross(step[a1], step[a2]) > 0:
+            far = next((p for cs in faces if a1 in cs and a2 in cs
+                        for p in cs if p not in (v, a1, a2)), None)
+        term = LaurentPoly.const(1) if far is None else LaurentPoly.var(far)
+        for q in nbrs:
+            if far is None or q not in (a1, a2):
+                term = term * LaurentPoly.var(q)
+        total = total + term
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -223,12 +223,25 @@ def test_exchange_polynomial_conditions():
                 assert p._content_monomial() == ()  # divisible by no variable
 
 
+@pytest.mark.parametrize("a", [(2, 2, 2), (1, 1, 1, 1, 1), (2, 2, 1, 1)],
+                         ids=lambda a: ",".join(map(str, a)))
+def test_exchange_polynomial_matches_planar_angles(a):
+    """Reading the wedges from the vertex set agrees with sorting the
+    neighbours by planar angle and scanning the rhombi, at every vertex of
+    every tiling."""
+    from oracles import exchange_polynomial_by_angles
+
+    for t in enumerate_tilings(ZonogonSpec(a)):
+        for v in t.vertices:
+            assert exchange_polynomial(t, v) == exchange_polynomial_by_angles(t, v), (t, v)
+
+
 def _classify(t, pivot):
     move = move_at(t, pivot)
     removed = move.removed
     nbrs = set(t.neighbors(removed))
     diag = set()
-    for rh in t.rhombi_at(removed):
+    for rh in t.rhombi:  # only rhombi with a corner at `removed` add to diag
         base, (p, q) = rh
         far = shift2(base, p, q)
         for x, y in ((base, far), (shift(base, p), shift(base, q))):

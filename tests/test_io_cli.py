@@ -17,20 +17,16 @@ from zonorec import (
     RATIONAL,
     TROPICAL,
     Tiling,
-    Wall,
     ZonogonSpec,
-    canonical_cutcurve,
     connect,
     enumerate_tilings,
     extend_to_lattice,
     initial_labeling,
     random_tiling,
     render_svg,
-    spin_coordinates,
     symbolic_labeling,
     t_min,
     tiling_through_vertex,
-    random_isotropic_subspace,
 )
 from zonorec import jsonio
 from zonorec.cli import main
@@ -77,25 +73,6 @@ def test_labeling_json_round_trip(domain):
     back = jsonio.labeling_from_json(data, t)
     assert back.domain.name == domain
     assert back.values == lab.values
-
-
-def test_wall_json_round_trip():
-    spec = ZonogonSpec((2, 1, 1))
-    w = Wall(0, 1)
-    g = canonical_cutcurve(spec, w)
-    data = json.loads(json.dumps(jsonio.wall_to_json(w, g)))
-    assert data["s"] == 1
-    w2, g2 = jsonio.wall_from_json(data)
-    assert w2 == w and g2 == g
-
-
-def test_spin_point_json_round_trip():
-    rng = random.Random(2)
-    sub = random_isotropic_subspace(rng, 3, 2)
-    pt = spin_coordinates(sub)
-    data = json.loads(json.dumps(jsonio.spin_point_to_json(pt)))
-    back = jsonio.spin_point_from_json(data)
-    assert back.n == pt.n and back.coords == pt.coords
 
 
 def test_svg_deterministic_and_forest():
@@ -417,6 +394,52 @@ def test_cli_rejects_bad_counts(capsys, argv):
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and argv[-2] in out.err
     assert out.out == ""
+
+
+def test_cli_rejects_non_integer_seed_variable(monkeypatch, capsys):
+    monkeypatch.setenv("ZONOREC_SEED", "abc")
+    assert main(["tile", "--A", "1,1,1"]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ZONOREC_SEED must be an integer")
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("scale", ["0", "-5"])
+def test_cli_render_rejects_scale_below_1(tmp_path, capsys, scale):
+    (tmp_path / "t.json").write_text(json.dumps(_T_MIN_111))
+    out = tmp_path / "t.svg"
+    argv = ["render", "--tiling", str(tmp_path / "t.json"), "--out", str(out), "--scale", scale]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --scale must be at least 1, got {scale}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("s", ["0", "4"])
+def test_cli_verify_tropical_names_wall_direction_1_based(capsys, s):
+    assert main(["verify", "tropical", "--A", "2,1,1", "--s", s]) == 2
+    assert capsys.readouterr().err == f"error: --s must be a direction in 1..3, got {s}\n"
+
+
+@pytest.mark.parametrize("command", ["tile", "run", "render"])
+def test_cli_out_into_missing_directory_exits_2(tmp_path, capsys, command):
+    (tmp_path / "t.json").write_text(json.dumps(_T_MIN_111))
+    (tmp_path / "lab.json").write_text(json.dumps(_ONES_111))
+    argv = {
+        "tile": ["tile", "--A", "1,1,1"],
+        "run": ["run", "--tiling", str(tmp_path / "t.json"),
+                "--labeling", str(tmp_path / "lab.json")],
+        "render": ["render", "--tiling", str(tmp_path / "t.json")],
+    }[command]
+    out = str(tmp_path / "missing" / "o.json")
+    assert main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
+
+def test_cli_run_rejects_repeated_vertex(tmp_path, capsys):
+    values = _ONES_111["values"] + [{"vertex": [0, 1, 0], "value": "5"}]
+    assert _run_111(tmp_path, values) == 2
+    assert "vertex [0, 1, 0] repeats" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mutate, message", [
