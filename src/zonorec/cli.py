@@ -111,6 +111,9 @@ def cmd_tile(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.path and args.check:
+        raise CliError("--check applies only to extensions, not to --path",
+                       EXIT_BAD_INPUT)
     tiling = _load(jsonio.tiling_from_json, args.tiling)
     given = _load(jsonio.labeling_from_json, args.labeling, tiling)
     if args.domain and given.domain.name != args.domain:
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--path", help="flip path JSON; default extends to the lattice")
     p_run.add_argument("--check", action="store_true",
                        help="also check the cube relation on every unit 3-cube "
-                            "of the extension")
+                            "of the extension (not with --path)")
     p_run.add_argument("--seed", type=int, default=default_seed,
                        help="accepted; the extension does not depend on it")
     p_run.add_argument("--out", default="-")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -58,6 +59,17 @@ class FlipMove:
         jk = shift2(base, j, k)
         return (base, shift(base, j), shift(base, l), jk, shift2(base, k, l),
                 shift(jk, l), shift(base, k), shift2(base, j, l))
+
+    @cached_property
+    def faces(self) -> tuple:
+        """(removed, created): the cube's three faces through the removed
+        corner, which the move takes out of the tiling, and the three through
+        the created corner, which it lays."""
+        o, pj, pl, *_, pk, _ = self.corners
+        j, k, l = self.dirs
+        bottom = ((o, (j, k)), (o, (k, l)), (pk, (j, l)))
+        top = ((o, (j, l)), (pj, (k, l)), (pl, (j, k)))
+        return (bottom, top) if self.direction == "up" else (top, bottom)
 
 
 @dataclass
@@ -185,10 +197,12 @@ def apply_flip(t: Tiling, at: Point):
     return apply_move(t, move), move
 
 
-def _moves_after(t2: Tiling, moves: dict, move: FlipMove) -> dict:
+def _moves_after(t2: Tiling, moves: dict, move: FlipMove, interned=None) -> dict:
     """The flip moves of t2 = apply_move(t, move) keyed by pivot vertex, from
     those of t: the flip changes edges only at the swapped points and the
-    hexagon corners, so only those are re-examined."""
+    hexagon corners, so only those are re-examined.  Moves equal to one in
+    `interned` are replaced by it, so that its cached points are reused."""
+    interned = {} if interned is None else interned
     out = dict(moves)
     del out[move.removed]
     for p in move.corners[:6] + (move.created,):
@@ -196,16 +210,28 @@ def _moves_after(t2: Tiling, moves: dict, move: FlipMove) -> dict:
         if m is None:
             out.pop(p, None)
         else:
-            out[p] = m
+            out[p] = interned.setdefault(m, m)
     return out
+
+
+def _rhombi_after(rhombi: tuple, move: FlipMove) -> tuple:
+    """The sorted rhombi after the move, from the sorted rhombi before it."""
+    out = list(rhombi)
+    removed, created = move.faces
+    for rh in removed:
+        del out[bisect_left(out, rh)]
+    for rh in created:
+        insort(out, rh)
+    return tuple(out)
 
 
 def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> set:
     """All tilings, by breadth-first flip search from t_min; each frontier
-    tiling carries its flip moves."""
+    tiling carries its flip moves, and each tiling found its sorted rhombi
+    (`canonical_rhombi`), so neither is derived from the vertex set."""
     start = t_min(spec)
     down, up = flippable_vertices(start)
-    seen = {start}
+    seen, interned = {start}, {}
     frontier = [(start, {v: move_at(start, v) for v in down | up})]
     while frontier:
         nxt = []
@@ -213,10 +239,12 @@ def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> set:
             for move in moves.values():
                 t2 = apply_move(t, move)
                 if t2 not in seen:
+                    t2 = Tiling.from_vertices(spec, t2.vertices,
+                                              _rhombi_after(t.canonical_rhombi(), move))
                     seen.add(t2)
                     if len(seen) > cap:
                         raise CapExceeded(f"more than {cap} tilings")
-                    nxt.append((t2, _moves_after(t2, moves, move)))
+                    nxt.append((t2, _moves_after(t2, moves, move, interned)))
         frontier = nxt
     return seen
 

@@ -29,10 +29,6 @@ class LiftError(ValueError):
     pass
 
 
-def unit(n: int, d: int) -> Point:
-    return tuple(1 if i == d else 0 for i in range(n))
-
-
 def shift(p: Point, d: int, step: int = 1) -> Point:
     return tuple(c + step if i == d else c for i, c in enumerate(p))
 
@@ -186,10 +182,15 @@ class Tiling:
         self.vertices = frozenset(out)
 
     @classmethod
-    def from_vertices(cls, spec: ZonogonSpec, vertices: frozenset) -> "Tiling":
+    def from_vertices(cls, spec: ZonogonSpec, vertices: frozenset,
+                      sorted_rhombi: tuple | None = None) -> "Tiling":
+        """The tiling with these vertices; a caller that knows its rhombi in
+        sorted order passes them, and `canonical_rhombi` returns them."""
         t = cls.__new__(cls)
         t.spec = spec
         t.vertices = vertices
+        if sorted_rhombi is not None:
+            t._sorted_rhombi = sorted_rhombi
         return t
 
     def __eq__(self, other):
@@ -206,7 +207,8 @@ class Tiling:
         return f"Tiling({self.spec!r}, {len(self.vertices)} vertices)"
 
     def canonical_rhombi(self) -> tuple[Rhombus, ...]:
-        """The rhombi in sorted order, computed once."""
+        """The rhombi in sorted order, computed once unless given to
+        `from_vertices`."""
         return self._sorted_rhombi
 
     @cached_property
@@ -292,13 +294,6 @@ def validate_tiling(t: Tiling) -> TilingReport:
         violations.append(f"sweep stops at edges {edges}{leftover}")
 
     return TilingReport(violations)
-
-
-def project(spec: ZonogonSpec, obj):
-    """Project a lattice point, or all vertices of a tiling, to the plane."""
-    if isinstance(obj, Tiling):
-        return {v: spec.project(v) for v in obj.vertices}
-    return spec.project(obj)
 
 
 # ---------------------------------------------------------------------------

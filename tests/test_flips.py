@@ -404,12 +404,44 @@ def _face_flip_tilings(a):
             for t in tilings_by_face_flips(spec)]
 
 
+@functools.lru_cache(maxsize=None)
+def _enumerated(a):
+    return enumerate_tilings(ZonogonSpec(a))
+
+
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
 def test_distinct_tilings_have_distinct_vertex_sets(a):
     pairs = _face_flip_tilings(a)
     assert len(pairs) == ORACLE_COUNTS[a]
     assert len({t.vertices for t, _ in pairs}) == len(pairs)
-    assert enumerate_tilings(ZonogonSpec(a)) == {lib for _, lib in pairs}
+    assert _enumerated(a) == {lib for _, lib in pairs}
+
+
+@pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
+def test_carried_rhombi_equal_derived_rhombi(a):
+    """The search carries each tiling's sorted rhombi through its flips; they
+    are the rhombi the vertex set gives."""
+    spec = ZonogonSpec(a)
+    for t in _enumerated(a):
+        derived = Tiling.from_vertices(spec, t.vertices).rhombi
+        assert t.canonical_rhombi() == tuple(sorted(derived)), t
+
+
+@pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
+def test_move_faces_are_the_cube_faces(a):
+    """A move takes out the faces through its removed corner and lays those
+    through its created one; the search swaps exactly these rhombi."""
+    from oracles import cube_bottom_faces, cube_top_faces
+
+    for t in _enumerated(a):
+        for move in _census_moves(t).values():
+            bottom = cube_bottom_faces(move.base, move.dirs)
+            top = cube_top_faces(move.base, move.dirs)
+            removed, created = move.faces
+            assert (removed, created) == ((bottom, top) if move.direction == "up"
+                                          else (top, bottom)), move
+            assert set(removed) <= t.rhombi
+            assert set(created) <= apply_move(t, move).rhombi
 
 
 def _census_moves(t):

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -114,12 +115,41 @@ def test_tilings_to_json_matches_dumps(a):
         assert jsonio.tilings_to_json(some) == tilings_json_by_dumps(some)
 
 
+# the benchmark's enumerate workload writes these
+_ENUMERATE_SHA256 = {
+    (3, 3, 3): "e3685b2e12d78ec6294a8f547395505c1b1e36c00ea440d0ce5ed208840fb9e4",
+    (4, 3, 2): "27171dbff8af5d8f6621f9152d74a1be4b03aea1431a48e7d8fc36dec254fc12",
+    (1, 1, 1, 1, 1, 1): "7075bbb245e9c086b6f38b716d6e324d460e8474903f0efc3bb54786e981e1fe",
+}
+
+
+def _enumerate_sha256(tmp_path, a):
+    out = tmp_path / "all.json"
+    assert main(["tile", "--A", ",".join(map(str, a)), "--enumerate", "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def test_cli_tile_enumerate_output_is_unchanged(tmp_path):
     """The 5383 tilings of (2,2,2,2), byte for byte as json.dumps wrote them."""
-    out = tmp_path / "all.json"
-    assert main(["tile", "--A", "2,2,2,2", "--enumerate", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+    assert _enumerate_sha256(tmp_path, (2, 2, 2, 2)) == (
         "18909b0fd697393b72bd7a6c15f0145f76502162f1b5100f8fcc83daa023ad0c")
+
+
+@pytest.mark.parametrize("a", _ENUMERATE_SHA256, ids=lambda a: ",".join(map(str, a)))
+def test_cli_tile_enumerate_benchmark_outputs_are_unchanged(tmp_path, a):
+    assert _enumerate_sha256(tmp_path, a) == _ENUMERATE_SHA256[a]
+
+
+def test_cli_tile_enumerate_does_not_derive_rhombi(tmp_path, monkeypatch):
+    """The flip search carries each tiling's sorted rhombi, so `tile
+    --enumerate` sorts and writes them without deriving any from a vertex set."""
+    def derive(t):
+        raise AssertionError(f"rhombi of {t} derived from its vertex set")
+
+    rhombi = functools.cached_property(derive)
+    rhombi.__set_name__(Tiling, "rhombi")
+    monkeypatch.setattr(Tiling, "rhombi", rhombi)
+    assert _enumerate_sha256(tmp_path, (3, 3, 3)) == _ENUMERATE_SHA256[(3, 3, 3)]
 
 
 def test_cli_bad_input_exit_codes(capsys):
@@ -289,6 +319,17 @@ def test_cli_run_path(tmp_path):
     assert _run_path_111(tmp_path, _path_111(up)) == 0
     data = json.loads((tmp_path / "o.json").read_text())
     assert {"vertex": [1, 0, 1], "value": "3"} in data["values"]
+
+
+def test_cli_run_path_rejects_check(tmp_path, capsys):
+    """The cube check reads a total labeling; a flip path labels one tiling."""
+    up = {"base": [0, 0, 0], "dirs": [1, 2, 3], "dir": "up"}
+    (tmp_path / "p.json").write_text(json.dumps(_path_111(up)))
+    assert _run_111(tmp_path, _ONES_111["values"], "--path", str(tmp_path / "p.json"),
+                    "--check") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--check applies only to extensions" in err
+    assert not (tmp_path / "o.json").exists()
 
 
 @pytest.mark.parametrize("move", [

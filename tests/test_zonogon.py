@@ -7,7 +7,6 @@ from zonorec import (
     Tiling,
     ZonogonSpec,
     lift_decomposition,
-    project,
     t_min,
     t_min_vertices,
     tiling_through_vertex,
@@ -46,9 +45,6 @@ def test_project_examples():
     assert spec.project((1, 0, 0)) == spec.vectors[0]
     v1, v2 = spec.vectors[0], spec.vectors[1]
     assert spec.project((1, 1, 0)) == (v1[0] + v2[0], v1[1] + v2[1])
-    mapped = project(spec, t_min(spec))
-    assert mapped[(0, 0, 0)] == (0, 0)
-    assert len(mapped) == 7
 
 
 def test_t_min_hexagon():
