@@ -225,6 +225,10 @@ def _verify_tropical(args) -> list[str]:
         lab = engine.extend_to_lattice(
             engine.initial_labeling(t0, engine.TROPICAL, values))
         report = tropical.check_propagation(lab, w, g)
+        if not report.recurrence_ok:
+            base, dirs, reason = report.hypothesis_witness
+            raise CliError(f"cube relation failed on the cube at {base} with directions "
+                           f"{tuple(d + 1 for d in dirs)}: {reason}", EXIT_DOMAIN)
         if not report.hypothesis_ok:
             continue
         met += 1

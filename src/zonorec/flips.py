@@ -197,23 +197,6 @@ def apply_flip(t: Tiling, at: Point):
     return apply_move(t, move), move
 
 
-def _moves_after(t2: Tiling, moves: dict, move: FlipMove, interned=None) -> dict:
-    """The flip moves of t2 = apply_move(t, move) keyed by pivot vertex, from
-    those of t: the flip changes edges only at the swapped points and the
-    hexagon corners, so only those are re-examined.  Moves equal to one in
-    `interned` are replaced by it, so that its cached points are reused."""
-    interned = {} if interned is None else interned
-    out = dict(moves)
-    del out[move.removed]
-    for p in move.corners[:6] + (move.created,):
-        m = _flip_at(t2, p)
-        if m is None:
-            out.pop(p, None)
-        else:
-            out[p] = interned.setdefault(m, m)
-    return out
-
-
 def _rhombi_after(rhombi: tuple, move: FlipMove) -> tuple:
     """The sorted rhombi after the move, from the sorted rhombi before it."""
     out = list(rhombi)
@@ -225,28 +208,125 @@ def _rhombi_after(rhombi: tuple, move: FlipMove) -> tuple:
     return tuple(out)
 
 
+@dataclass(frozen=True, slots=True)
+class _UpFlip:
+    """An up move on vertex sets held as bitmasks: it applies to a mask that
+    holds the bits of `need` (the hexagon corners and the removed point) and
+    not the created point's, and XORs `swap` (those two points' bits) into
+    it.  `recheck` lists the internal points among the created point and the
+    hexagon corners, the only points whose flips the move can change."""
+
+    move: FlipMove
+    pivot: int
+    need: int
+    test: int
+    swap: int
+    recheck: tuple
+
+
+class _UpFlips:
+    """The up moves of a spec's tilings, each tiling a bitmask over the
+    sorted lattice points (bit i for point i).  A pivot's move depends only
+    on which of its lattice neighbours are vertices, so it is built once per
+    (pivot, neighbour bits)."""
+
+    def __init__(self, spec: ZonogonSpec):
+        self.points = list(spec.lattice_points())  # product order: sorted
+        self.index = {p: i for i, p in enumerate(self.points)}
+        self.internal = [p not in spec.boundary_vertices for p in self.points]
+        # per point: the (direction, bit) of its lattice neighbours above and
+        # below it, and the mask of them all
+        self.steps = [tuple([(d, self.bit(q)) for d in range(spec.n)
+                             if (q := shift(p, d, step)) in self.index]
+                            for step in (1, -1))
+                      for p in self.points]
+        self.around = [sum(b for _, b in up + down) for up, down in self.steps]
+        self._memo: dict = {}
+
+    def bit(self, p: Point) -> int:
+        return 1 << self.index[p]
+
+    def mask(self, vertices) -> int:
+        return sum(map(self.bit, vertices))
+
+    def at(self, mask: int, i: int) -> _UpFlip | None:
+        """The up move pivoting at internal vertex i of the tiling `mask`, or
+        None unless i has two edges up and one down."""
+        key = (i, mask & self.around[i])
+        try:
+            return self._memo[key]
+        except KeyError:
+            up = self._memo[key] = self._build(*key)
+            return up
+
+    def _build(self, i: int, near: int) -> _UpFlip | None:
+        up, down = ([d for d, b in steps if near & b] for steps in self.steps[i])
+        if len(up) != 2 or len(down) != 1:
+            return None
+        (j, l), (k,) = up, down
+        if not j < k < l:
+            raise FlipError(f"edge directions {tuple(up)}+{tuple(down)} out of order at "
+                            f"{self.points[i]}")
+        p, bit = self.points[i], self.bit
+        move = FlipMove(shift(p, k, -1), (j, k, l), "up")
+        need = bit(p) + sum(map(bit, move.corners[:6]))
+        swap = bit(p) | bit(move.created)
+        recheck = tuple(self.index[q] for q in move.corners[:6] + (move.created,)
+                        if self.internal[self.index[q]])
+        return _UpFlip(move, i, need, need | swap, swap, recheck)
+
+    def all(self, mask: int) -> dict:
+        """Every up move of the tiling `mask`, keyed by pivot."""
+        found = ((i, self.at(mask, i)) for i in range(len(self.points))
+                 if mask >> i & 1 and self.internal[i])
+        return {i: up for i, up in found if up is not None}
+
+    def after(self, moves: dict, up: _UpFlip, mask: int) -> dict:
+        """The up moves of the tiling `mask`, reached by `up` from the tiling
+        whose up moves are `moves`: only `up.recheck` is re-examined."""
+        out = dict(moves)
+        del out[up.pivot]
+        for i in up.recheck:
+            nxt = self.at(mask, i)
+            if nxt is None:
+                out.pop(i, None)
+            else:
+                out[i] = nxt
+        return out
+
+
 def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> set:
-    """All tilings, by breadth-first flip search from t_min; each frontier
-    tiling carries its flip moves, and each tiling found its sorted rhombi
-    (`canonical_rhombi`), so neither is derived from the vertex set."""
+    """All tilings, rank by rank up the flip graph from t_min.
+
+    An up flip adds one unit cube (`phi` rises by 1), and every tiling but
+    t_min has a down flip, so each tiling of rank r + 1 is an up flip of one
+    of rank r: new tilings are looked up only among their own rank, keyed by
+    vertex bitmask.  Each tiling carries its up moves, re-examining only the
+    created point and the six hexagon corners after a flip, and each tiling
+    found its sorted rhombi (`canonical_rhombi`), so neither is derived from
+    the vertex set.  `apply_move` builds each tiling found once."""
+    up_flips = _UpFlips(spec)
     start = t_min(spec)
-    down, up = flippable_vertices(start)
-    seen, interned = {start}, {}
-    frontier = [(start, {v: move_at(start, v) for v in down | up})]
-    while frontier:
-        nxt = []
-        for t, moves in frontier:
-            for move in moves.values():
-                t2 = apply_move(t, move)
-                if t2 not in seen:
-                    t2 = Tiling.from_vertices(spec, t2.vertices,
-                                              _rhombi_after(t.canonical_rhombi(), move))
-                    seen.add(t2)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"more than {cap} tilings")
-                    nxt.append((t2, _moves_after(t2, moves, move, interned)))
-        frontier = nxt
-    return seen
+    mask = up_flips.mask(start.vertices)
+    found = {start}
+    rank = {mask: (start, up_flips.all(mask))}
+    while rank:
+        nxt: dict = {}
+        for mask, (t, moves) in rank.items():
+            for up in moves.values():
+                if mask & up.test != up.need:
+                    raise FlipError(f"move {up.move} not applicable")
+                mask2 = mask ^ up.swap
+                if mask2 in nxt:
+                    continue
+                t2 = Tiling.from_vertices(spec, apply_move(t, up.move).vertices,
+                                          _rhombi_after(t.canonical_rhombi(), up.move))
+                nxt[mask2] = (t2, up_flips.after(moves, up, mask2))
+                if len(found) + len(nxt) > cap:
+                    raise CapExceeded(f"more than {cap} tilings")
+        rank = nxt
+        found.update(t for t, _ in rank.values())
+    return found
 
 
 def random_tiling(spec: ZonogonSpec, rng: random.Random, steps=None) -> Tiling:

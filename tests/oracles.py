@@ -200,6 +200,41 @@ def tilings_by_face_flips(spec: ZonogonSpec) -> list:
     return list(seen.values())
 
 
+def _poly_mul(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def poly_exact_div(p: list, q: list) -> list:
+    """p / q for integer polynomials as coefficient lists, lowest degree
+    first, by long division; raises ValueError unless q divides p."""
+    p, out = list(p), [0] * (len(p) - len(q) + 1)
+    for i in reversed(range(len(out))):
+        out[i], rem = divmod(p[i + len(q) - 1], q[-1])
+        if rem:
+            raise ValueError("quotient has a non-integer coefficient")
+        for j, y in enumerate(q):
+            p[i + j] -= out[i] * y
+    if any(p):
+        raise ValueError("nonzero remainder")
+    return out
+
+
+def macmahon_rank_counts(a: int, b: int, c: int) -> list:
+    """The plane partitions in an a x b x c box counted by size: the
+    coefficients of prod (1 - q^(i+j+k-1)) / (1 - q^(i+j+k-2)) over
+    1 <= i <= a, 1 <= j <= b, 1 <= k <= c (MacMahon)."""
+    num, den = [1], [1]
+    for i, j, k in product(range(1, a + 1), range(1, b + 1), range(1, c + 1)):
+        h = i + j + k
+        num = _poly_mul(num, [1] + [0] * (h - 2) + [-1])
+        den = _poly_mul(den, [1] + [0] * (h - 3) + [-1])
+    return poly_exact_div(num, den)
+
+
 def tilings_json_by_dumps(tilings) -> str:
     """The `tile --enumerate` document by json's own encoder: one dict per
     tiling, dumped with indent=1."""

@@ -27,7 +27,7 @@ from zonorec import (
     tiling_through_vertex,
     validate_tiling,
 )
-from zonorec.flips import _moves_after
+from zonorec.flips import _UpFlips
 from zonorec.zonogon import shift
 
 HEX = ZonogonSpec((1, 1, 1))
@@ -449,16 +449,60 @@ def _census_moves(t):
     return {v: move_at(t, v) for v in down | up}
 
 
+def _census_up_moves(t):
+    return {v: move_at(t, v) for v in flippable_vertices(t)[1]}
+
+
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
 def test_carried_moves_match_census(a):
-    """After every flip out of every tiling, the moves the search carries to
-    the new tiling equal a full census of it.  Comparing only the tilings
-    found would miss a carried census that drops flips yet reaches them all."""
+    """After every up flip out of every tiling, the up moves the search
+    carries to the new tiling equal a full census of it.  Comparing only the
+    tilings found would miss a carried census that drops flips yet reaches
+    them all."""
+    up_flips = _UpFlips(ZonogonSpec(a))
+
+    def by_point(moves):
+        return {up_flips.points[i]: up.move for i, up in moves.items()}
+
     for _, t in _face_flip_tilings(a):
-        moves = _census_moves(t)
-        for move in moves.values():
-            t2 = apply_move(t, move)
-            assert _moves_after(t2, moves, move) == _census_moves(t2), (a, move)
+        mask = up_flips.mask(t.vertices)
+        moves = up_flips.all(mask)
+        assert by_point(moves) == _census_up_moves(t), a
+        for up in moves.values():
+            t2 = apply_move(t, up.move)
+            mask2 = mask ^ up.swap
+            assert mask2 == up_flips.mask(t2.vertices)
+            carried = up_flips.after(moves, up, mask2)
+            assert by_point(carried) == _census_up_moves(t2), (a, up.move)
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2), (3, 2, 2), (3, 3, 3), (4, 3, 2)], ids=_spec_id)
+def test_enumerated_ranks_count_plane_partitions(a):
+    """An up flip adds one unit cube, so the tilings of rank r (phi above
+    t_min by r) are the plane partitions of r in the box (MacMahon)."""
+    from oracles import macmahon_rank_counts
+
+    spec = ZonogonSpec(a)
+    low = phi(t_min(spec))
+    ranks = [0] * (a[0] * a[1] * a[2] + 1)
+    for t in enumerate_tilings(spec):
+        ranks[phi(t) - low] += 1
+    assert ranks == macmahon_rank_counts(*a)
+
+
+@pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
+def test_enumerate_applies_one_move_per_tiling_found(a, monkeypatch):
+    import zonorec.flips
+
+    calls = []
+
+    def counted(t, move):
+        calls.append(move)
+        return apply_move(t, move)
+
+    monkeypatch.setattr(zonorec.flips, "apply_move", counted)
+    assert len(enumerate_tilings(ZonogonSpec(a))) == ORACLE_COUNTS[a]
+    assert len(calls) == ORACLE_COUNTS[a] - 1
 
 
 @pytest.mark.parametrize("a", [(2, 2, 2), (1, 1, 1, 1, 1)], ids=_spec_id)

@@ -461,6 +461,23 @@ def test_cli_verify_tropical_names_wall_direction_1_based(capsys, s):
     assert capsys.readouterr().err == f"error: --s must be a direction in 1..3, got {s}\n"
 
 
+def test_cli_verify_tropical_reports_a_failed_recurrence(monkeypatch, capsys):
+    """A sample whose extension breaks a cube relation is a domain error
+    naming the cube (1-based directions), not a sample that missed the
+    hypothesis."""
+    import zonorec.tropical
+    from zonorec.engine import RelationReport
+
+    def failing(labeling):
+        return RelationReport([((0, 1, 0), (0, 1, 2), "relation violated")])
+
+    monkeypatch.setattr(zonorec.tropical, "verify_cube_relations", failing)
+    assert main(["verify", "tropical", "--A", "2,1,1", "--samples", "3"]) == 4
+    assert capsys.readouterr().err == ("error: cube relation failed on the cube at "
+                                       "(0, 1, 0) with directions (1, 2, 3): "
+                                       "relation violated\n")
+
+
 @pytest.mark.parametrize("command", ["tile", "run", "render"])
 def test_cli_out_into_missing_directory_exits_2(tmp_path, capsys, command):
     (tmp_path / "t.json").write_text(json.dumps(_T_MIN_111))
