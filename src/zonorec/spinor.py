@@ -2,9 +2,15 @@
 
 The split space V = W + W* carries the pairing <(w1,f1),(w2,f2)> =
 (f1(w2) + f2(w1))/2; the exterior algebra of W is a Clifford module via
-wedging (for W) and contraction (for W*).  Spinors are dense vectors of
-2^n rationals indexed by subsets of {0..n-1} as bitmasks, bit i meaning
-the i-th basis vector of W is present.
+wedging (for W) and contraction (for W*).  Spinor coordinates are indexed by
+subsets of {0..n-1} as bitmasks, bit i meaning the i-th basis vector of W is
+present.
+
+A span, and the spinor line a subspace annihilates, do not change when a
+vector is rescaled.  So the kernel behind pure spinors, spin coordinates and
+the random isotropic subspaces computes on the primitive integer vector of
+each line: denominators cleared and the gcd divided out.  Fractions appear
+only at the API edge, in `Vector2n`, `Spinor` and `SpinPoint`.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 MAX_N = 8
 
@@ -66,32 +72,44 @@ def nullspace(rows, ncols):
 
 
 def rank(rows):
-    return len(rref(rows)[0])
+    """Rank of a rational matrix: its rows scaled to primitive integer
+    vectors, then fraction-free elimination, in which every entry is a minor
+    of the scaled matrix and each division by the previous pivot is exact
+    (E. Bareiss, Math. Comp. 22, 1968)."""
+    m = [_primitive(r) for r in rows]
+    r, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        p = m[r][c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], m[r])]
+        prev = p
+        r += 1
+        if r == len(m):
+            break
+    return r
 
 
-def intersect_spans(rows1, rows2):
-    """Basis of span(rows1) & span(rows2)."""
-    if not rows1 or not rows2:
-        return []
-    ncols = len(rows1[0])
-    sys_rows = []
-    # solve lambda * rows1 - mu * rows2 = 0 by transposing
-    for c in range(ncols):
-        sys_rows.append(
-            [Fraction(rows1[i][c]) for i in range(len(rows1))]
-            + [-Fraction(rows2[j][c]) for j in range(len(rows2))]
-        )
-    out = []
-    for sol in nullspace(sys_rows, len(rows1) + len(rows2)):
-        lam = sol[: len(rows1)]
-        vec = [
-            sum(lam[i] * Fraction(rows1[i][c]) for i in range(len(rows1)))
-            for c in range(ncols)
-        ]
-        if any(vec):
-            out.append(vec)
-    red, _ = rref(out)
-    return red
+def _primitive(values) -> list:
+    """The primitive integer vector on the line of a rational vector: its
+    denominators cleared and its content divided out, by positive factors.
+    A zero vector stays zero."""
+    den = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (den // x.denominator) for x in values]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _canonical(values) -> list:
+    """The primitive integer vector with its first nonzero entry positive."""
+    ints = _primitive(values)
+    if next((x for x in ints if x), 0) < 0:
+        return [-x for x in ints]
+    return ints
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +144,14 @@ def eps_dual(i: int, n: int) -> Vector2n:
     return Vector2n((Fraction(0),) * n, tuple(Fraction(j == i) for j in range(n)))
 
 
+def _twice_inner(a, b) -> int:
+    """2<a, b> on flat coordinate vectors; an integer on integer vectors."""
+    n = len(a) // 2
+    return sum(x * y for x, y in zip(a[n:], b)) + sum(x * y for x, y in zip(a, b[n:]))
+
+
 def inner(v1: Vector2n, v2: Vector2n) -> Fraction:
-    s = sum(a * b for a, b in zip(v1.wv, v2.w)) + sum(
-        a * b for a, b in zip(v2.wv, v1.w)
-    )
-    return Fraction(s, 2)
+    return Fraction(_twice_inner(v1.flat(), v2.flat()), 2)
 
 
 class Spinor:
@@ -177,25 +198,11 @@ class Spinor:
 
     def parity(self):
         """0 for even support, 1 for odd, None for mixed or zero."""
-        pars = {m.bit_count() & 1 for m in self.support()}
-        return pars.pop() if len(pars) == 1 else None
+        return _parity(self.coords)
 
     def canonical(self) -> "Spinor":
         """Cleared denominators, content 1, first nonzero coordinate positive."""
-        sup = self.support()
-        if not sup:
-            return Spinor(self.n)
-        denom = 1
-        for m in sup:
-            denom = denom * self.coords[m].denominator // gcd(
-                denom, self.coords[m].denominator
-            )
-        ints = [int(c * denom) for c in self.coords]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        sign = 1 if ints[sup[0]] > 0 else -1
-        return Spinor(self.n, [Fraction(sign * x, g) for x in ints])
+        return Spinor(self.n, _canonical(self.coords))
 
     def __repr__(self):
         bits = [
@@ -206,23 +213,34 @@ class Spinor:
         return " + ".join(bits) if bits else "0"
 
 
-def _sign_below(mask: int, i: int) -> int:
-    return -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+def _parity(coords):
+    pars = {m.bit_count() & 1 for m, c in enumerate(coords) if c}
+    return pars.pop() if len(pars) == 1 else None
+
+
+def _act(w, wv, coords) -> list:
+    """The module action on coordinate lists, for int or Fraction entries:
+    w wedges and wv contracts, index i with the sign (-1)^k, where k counts
+    the indices below i present in the mask."""
+    out = [0] * len(coords)
+    for mask, c in enumerate(coords):
+        if not c:
+            continue
+        sign = 1
+        for i, (a, b) in enumerate(zip(w, wv)):
+            bit = 1 << i
+            if mask & bit:
+                if b:
+                    out[mask ^ bit] += sign * b * c
+                sign = -sign
+            elif a:
+                out[mask | bit] += sign * a * c
+    return out
 
 
 def clifford_act(v: Vector2n, s: Spinor) -> Spinor:
     """Module action: W components wedge, dual components contract."""
-    out = Spinor(s.n)
-    for mask, c in enumerate(s.coords):
-        if not c:
-            continue
-        for i in range(s.n):
-            bit = 1 << i
-            if v.w[i] and not mask & bit:
-                out.coords[mask | bit] += _sign_below(mask, i) * v.w[i] * c
-            if v.wv[i] and mask & bit:
-                out.coords[mask & ~bit] += _sign_below(mask, i) * v.wv[i] * c
-    return out
+    return Spinor(s.n, _act(v.w, v.wv, s.coords))
 
 
 def _merge_sign(m1: int, m2: int) -> int:
@@ -269,42 +287,48 @@ class IsotropicSubspace:
         return self.basis[0].n if self.basis else 0
 
 
+def _isotropic_flats(vecs) -> list:
+    """Primitive integer flats of a basis, checked to be independent and
+    to span an isotropic subspace."""
+    flats = [_primitive(v.flat()) for v in vecs]
+    if rank(flats) != len(flats):
+        raise SpinorError("basis vectors are linearly dependent")
+    for i, a in enumerate(flats):
+        if any(_twice_inner(a, b) for b in flats[i:]):
+            raise SpinorError("subspace is not isotropic")
+    return flats
+
+
 def make_isotropic(vectors) -> IsotropicSubspace:
     vecs = tuple(vectors)
-    flats = [v.flat() for v in vecs]
-    if rank(flats) != len(vecs):
-        raise SpinorError("basis vectors are linearly dependent")
-    for v1, v2 in combinations(vecs, 2):
-        if inner(v1, v2) != 0:
-            raise SpinorError("subspace is not isotropic")
-    for v in vecs:
-        if inner(v, v) != 0:
-            raise SpinorError("subspace is not isotropic")
+    _isotropic_flats(vecs)
     return IsotropicSubspace(vecs)
 
 
-def _clifford_products(basis, n: int):
-    """Nonzero products v_1 ... v_k . e_S of a basis, e_S in mask order.
+def _clifford_products(flats, n: int):
+    """Nonzero products v_1 ... v_k . e_S of a basis given by integer flats,
+    e_S in mask order, as integer coordinate lists.
 
     The basis is applied right to left, as Clifford products act.
     """
+    factors = [(f[:n], f[n:]) for f in reversed(flats)]
     for mask in range(1 << n):
-        s = Spinor.basis(n, mask)
-        for v in reversed(basis):
-            s = clifford_act(v, s)
-        if not s.is_zero():
+        s = [0] * (1 << n)
+        s[mask] = 1
+        for w, wv in factors:
+            s = _act(w, wv, s)
+        if any(s):
             yield s
 
 
-def _annihilated_spinor(basis, s: Spinor) -> Spinor:
-    """Canonical form of s, checked to be annihilated by the basis and
-    parity homogeneous."""
-    if any(not clifford_act(v, s).is_zero() for v in basis):
+def _annihilated_spinor(flats, n: int, s) -> Spinor:
+    """Canonical form of the integer spinor s, checked to be annihilated by
+    the basis and parity homogeneous."""
+    if any(any(_act(f[:n], f[n:], s)) for f in flats):
         raise SpinorError("subspace does not annihilate its Clifford product")
-    s = s.canonical()
-    if s.parity() is None:
+    if _parity(s) is None:
         raise SpinorError("pure spinor is not parity homogeneous")
-    return s
+    return Spinor(n, _canonical(s))
 
 
 def pure_spinor(sub: IsotropicSubspace) -> Spinor:
@@ -319,10 +343,11 @@ def pure_spinor(sub: IsotropicSubspace) -> Spinor:
     n = sub.n
     if sub.dim != n:
         raise SpinorError("pure spinors come from maximal isotropic subspaces")
-    s = next(_clifford_products(sub.basis, n), None)
+    flats = [_primitive(v.flat()) for v in sub.basis]
+    s = next(_clifford_products(flats, n), None)
     if s is None:
         raise SpinorError("Clifford product of the basis is zero")
-    return _annihilated_spinor(sub.basis, s)
+    return _annihilated_spinor(flats, n, s)
 
 
 def annihilator(s: Spinor) -> list:
@@ -355,11 +380,11 @@ def _spinor_pair(sub: IsotropicSubspace):
     n = sub.n
     if sub.dim != n - 1:
         raise SpinorError("expected an isotropic subspace of dimension n-1")
-    make_isotropic(sub.basis)  # K's basis is independent and isotropic
+    flats = _isotropic_flats(sub.basis)
     found = {}
-    for s in _clifford_products(sub.basis, n):
-        if s.parity() not in found:
-            found[s.parity()] = _annihilated_spinor(sub.basis, s)
+    for s in _clifford_products(flats, n):
+        if _parity(s) not in found:
+            found[_parity(s)] = _annihilated_spinor(flats, n, s)
             if len(found) == 2:
                 return found[0], found[1]
     raise SpinorError("Clifford products of K do not reach both parities")
@@ -443,34 +468,6 @@ def sign_twist(p: SpinPoint) -> SpinPoint:
     )
 
 
-def projection_pi(point_mask: int, dirs, s: Spinor) -> Spinor:
-    """Contract by the marked index set, then restrict to three directions.
-
-    point_mask selects the coordinates of I (which must avoid dirs); the
-    result is a spinor on 3 indices in the order given by dirs.
-    """
-    j, k, l = dirs
-    if point_mask & ((1 << j) | (1 << k) | (1 << l)):
-        raise SpinorError("marked point must have zero coordinates on dirs")
-    cur = s
-    n = s.n
-    for i in range(n):
-        if point_mask & (1 << i):
-            cur = clifford_act(eps_dual(i, n), cur)
-    out = Spinor(3)
-    keep = (1 << j) | (1 << k) | (1 << l)
-    for mask in cur.support():
-        if mask & ~keep:
-            continue
-        small = (
-            (1 if mask & (1 << j) else 0)
-            | (2 if mask & (1 << k) else 0)
-            | (4 if mask & (1 << l) else 0)
-        )
-        out.coords[small] = cur.coords[mask]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Pfaffians and standard charts
 
@@ -522,15 +519,6 @@ def _random_fraction(rng, lo=-5, hi=5):
     return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
 
 
-def reflect(v: Vector2n, x: Vector2n) -> Vector2n:
-    """Orthogonal reflection of x in the hyperplane normal to v."""
-    q = inner(v, v)
-    if q == 0:
-        raise SpinorError("cannot reflect in an isotropic vector")
-    f = 2 * inner(x, v) / q
-    return Vector2n.from_flat([a - f * b for a, b in zip(x.flat(), v.flat())])
-
-
 def random_anisotropic_vector(rng, n: int) -> Vector2n:
     while True:
         v = Vector2n(
@@ -547,42 +535,19 @@ def random_isotropic_subspace(rng, n: int, dim: int, reflections: int = 8
 
     Reflections in anisotropic rational vectors preserve the pairing exactly,
     so the image stays isotropic and rational; a short random product of them
-    moves the standard subspace to a generic position.
+    moves the standard subspace to a generic position.  Each basis vector is
+    kept as the primitive integer vector of its line: with B = 2<.,.> and
+    q = B(m, m) for a primitive integer mirror m, q x - 2 B(x, m) m is q times
+    the reflection of x, and dividing by its content times the sign of q
+    keeps every vector a positive multiple of its rational reflection.
     """
-    vecs = [eps(i, n) for i in range(dim)]
+    vecs = [[int(j == i) for j in range(2 * n)] for i in range(dim)]
     for _ in range(reflections):
-        mirror = random_anisotropic_vector(rng, n)
-        vecs = [reflect(mirror, v) for v in vecs]
-    return make_isotropic(vecs)
-
-
-def random_unit_vector(rng, n: int) -> Vector2n:
-    """A random vector of exact norm 1 (rational circle/hyperbola points)."""
-    i = rng.randrange(n)
-    j = rng.randrange(n)
-    while j == i:
-        j = rng.randrange(n)
-    # plus = e_i + e_i*, minus = e_j - e_j*: norms +1 and -1, orthogonal
-    t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-    if rng.random() < 0.5:
-        alpha = (1 - t * t) / (1 + t * t)
-        beta = 2 * t / (1 + t * t)
-        u = eps(j, n)
-        ud = eps_dual(j, n)
-        other_w = tuple(beta * (a + b) for a, b in zip(u.w, ud.w))
-        other_wv = tuple(beta * (a + b) for a, b in zip(u.wv, ud.wv))
-    else:
-        alpha = (t * t + 1) / (2 * t)
-        beta = (t * t - 1) / (2 * t)
-        u = eps(j, n)
-        ud = eps_dual(j, n)
-        other_w = tuple(beta * (a - b) for a, b in zip(u.w, ud.w))
-        other_wv = tuple(beta * (a - b) for a, b in zip(u.wv, ud.wv))
-    base = eps(i, n)
-    based = eps_dual(i, n)
-    w = tuple(alpha * (a + b) + c for a, b, c in zip(base.w, based.w, other_w))
-    wv = tuple(alpha * (a + b) + c for a, b, c in zip(base.wv, based.wv, other_wv))
-    v = Vector2n(w, wv)
-    if inner(v, v) != 1:
-        raise SpinorError("unit construction failed")
-    return v
+        m = _primitive(random_anisotropic_vector(rng, n).flat())
+        q = _twice_inner(m, m)
+        for k, x in enumerate(vecs):
+            f = 2 * _twice_inner(x, m)
+            y = [q * a - f * b for a, b in zip(x, m)]
+            g = gcd(*y) if q > 0 else -gcd(*y)
+            vecs[k] = [a // g for a in y]
+    return make_isotropic(Vector2n.from_flat(x) for x in vecs)

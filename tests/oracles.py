@@ -20,6 +20,7 @@ from zonorec.flips import Cell, FlipError, FlipMove, apply_flip, flippable_verti
 from zonorec.jsonio import tiling_to_json
 from zonorec.laurent import LaurentPoly
 from zonorec.spinor import (
+    IsotropicSubspace,
     SpinPoint,
     Spinor,
     SpinorError,
@@ -30,7 +31,9 @@ from zonorec.spinor import (
     inner,
     make_isotropic,
     nullspace,
+    random_anisotropic_vector,
     rank,
+    rref,
 )
 
 
@@ -473,3 +476,186 @@ def spin_coordinates_by_extensions(sub) -> SpinPoint:
         raise SpinorError("extensions do not have opposite parities")
     return SpinPoint(n, {m: spinors[m.bit_count() % 2].coords[m]
                          for m in range(1 << n)})
+
+
+def intersect_spans(rows1, rows2):
+    """Basis of span(rows1) & span(rows2)."""
+    if not rows1 or not rows2:
+        return []
+    ncols = len(rows1[0])
+    sys_rows = []
+    # solve lambda * rows1 - mu * rows2 = 0 by transposing
+    for c in range(ncols):
+        sys_rows.append(
+            [Fraction(rows1[i][c]) for i in range(len(rows1))]
+            + [-Fraction(rows2[j][c]) for j in range(len(rows2))]
+        )
+    out = []
+    for sol in nullspace(sys_rows, len(rows1) + len(rows2)):
+        lam = sol[: len(rows1)]
+        vec = [
+            sum(lam[i] * Fraction(rows1[i][c]) for i in range(len(rows1)))
+            for c in range(ncols)
+        ]
+        if any(vec):
+            out.append(vec)
+    red, _ = rref(out)
+    return red
+
+
+def projection_pi(point_mask: int, dirs, s: Spinor) -> Spinor:
+    """Contract by the marked index set, then restrict to three directions.
+
+    point_mask selects the coordinates of I (which must avoid dirs); the
+    result is a spinor on 3 indices in the order given by dirs.
+    """
+    j, k, l = dirs
+    if point_mask & ((1 << j) | (1 << k) | (1 << l)):
+        raise SpinorError("marked point must have zero coordinates on dirs")
+    cur = s
+    n = s.n
+    for i in range(n):
+        if point_mask & (1 << i):
+            cur = clifford_act(eps_dual(i, n), cur)
+    out = Spinor(3)
+    keep = (1 << j) | (1 << k) | (1 << l)
+    for mask in cur.support():
+        if mask & ~keep:
+            continue
+        small = (
+            (1 if mask & (1 << j) else 0)
+            | (2 if mask & (1 << k) else 0)
+            | (4 if mask & (1 << l) else 0)
+        )
+        out.coords[small] = cur.coords[mask]
+    return out
+
+
+def random_unit_vector(rng, n: int) -> Vector2n:
+    """A random vector of exact norm 1 (rational circle/hyperbola points)."""
+    i = rng.randrange(n)
+    j = rng.randrange(n)
+    while j == i:
+        j = rng.randrange(n)
+    # plus = e_i + e_i*, minus = e_j - e_j*: norms +1 and -1, orthogonal
+    t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    if rng.random() < 0.5:
+        alpha = (1 - t * t) / (1 + t * t)
+        beta = 2 * t / (1 + t * t)
+        u = eps(j, n)
+        ud = eps_dual(j, n)
+        other_w = tuple(beta * (a + b) for a, b in zip(u.w, ud.w))
+        other_wv = tuple(beta * (a + b) for a, b in zip(u.wv, ud.wv))
+    else:
+        alpha = (t * t + 1) / (2 * t)
+        beta = (t * t - 1) / (2 * t)
+        u = eps(j, n)
+        ud = eps_dual(j, n)
+        other_w = tuple(beta * (a - b) for a, b in zip(u.w, ud.w))
+        other_wv = tuple(beta * (a - b) for a, b in zip(u.wv, ud.wv))
+    base = eps(i, n)
+    based = eps_dual(i, n)
+    w = tuple(alpha * (a + b) + c for a, b, c in zip(base.w, based.w, other_w))
+    wv = tuple(alpha * (a + b) + c for a, b, c in zip(base.wv, based.wv, other_wv))
+    v = Vector2n(w, wv)
+    if inner(v, v) != 1:
+        raise SpinorError("unit construction failed")
+    return v
+
+
+# The spinor construction on Fraction coordinates: the library computes the
+# same lines on primitive integer vectors, and must give equal coordinates.
+
+
+def _sign_below(mask: int, i: int) -> int:
+    return -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+
+
+def clifford_act_by_signs(v: Vector2n, s: Spinor) -> Spinor:
+    """Module action on Fractions, the sign of each index counted afresh from
+    the mask bits below it."""
+    out = Spinor(s.n)
+    for mask, c in enumerate(s.coords):
+        if not c:
+            continue
+        for i in range(s.n):
+            bit = 1 << i
+            if v.w[i] and not mask & bit:
+                out.coords[mask | bit] += _sign_below(mask, i) * v.w[i] * c
+            if v.wv[i] and mask & bit:
+                out.coords[mask & ~bit] += _sign_below(mask, i) * v.wv[i] * c
+    return out
+
+
+def _fraction_products(basis, n: int):
+    """Nonzero Fraction products v_1 ... v_k . e_S, e_S in mask order."""
+    for mask in range(1 << n):
+        s = Spinor.basis(n, mask)
+        for v in reversed(basis):
+            s = clifford_act_by_signs(v, s)
+        if not s.is_zero():
+            yield s
+
+
+def _fraction_annihilated(basis, s: Spinor) -> Spinor:
+    if any(not clifford_act_by_signs(v, s).is_zero() for v in basis):
+        raise SpinorError("subspace does not annihilate its Clifford product")
+    s = s.canonical()
+    if s.parity() is None:
+        raise SpinorError("pure spinor is not parity homogeneous")
+    return s
+
+
+def pure_spinor_by_fractions(sub) -> Spinor:
+    """Chevalley's first nonzero Clifford product of a maximal isotropic
+    basis, computed on Fractions."""
+    n = sub.n
+    if sub.dim != n:
+        raise SpinorError("pure spinors come from maximal isotropic subspaces")
+    s = next(_fraction_products(sub.basis, n), None)
+    if s is None:
+        raise SpinorError("Clifford product of the basis is zero")
+    return _fraction_annihilated(sub.basis, s)
+
+
+def spin_coordinates_by_fractions(sub) -> SpinPoint:
+    """Spin coordinates of an isotropic K of dimension n-1 from the first
+    Fraction Clifford product of each parity, with K checked by Fraction
+    elimination and the pairing."""
+    n = sub.n
+    if sub.dim != n - 1:
+        raise SpinorError("expected an isotropic subspace of dimension n-1")
+    if len(rref([v.flat() for v in sub.basis])[0]) != sub.dim:
+        raise SpinorError("basis vectors are linearly dependent")
+    if any(inner(a, b) for a in sub.basis for b in sub.basis):
+        raise SpinorError("subspace is not isotropic")
+    found = {}
+    for s in _fraction_products(sub.basis, n):
+        if s.parity() not in found:
+            found[s.parity()] = _fraction_annihilated(sub.basis, s)
+            if len(found) == 2:
+                break
+    else:
+        raise SpinorError("Clifford products of K do not reach both parities")
+    return SpinPoint(n, {m: found[m.bit_count() % 2].coords[m]
+                         for m in range(1 << n)})
+
+
+def reflect(v: Vector2n, x: Vector2n) -> Vector2n:
+    """Orthogonal reflection of x in the hyperplane normal to v."""
+    q = inner(v, v)
+    if q == 0:
+        raise SpinorError("cannot reflect in an isotropic vector")
+    f = 2 * inner(x, v) / q
+    return Vector2n.from_flat([a - f * b for a, b in zip(x.flat(), v.flat())])
+
+
+def random_isotropic_subspace_by_reflections(rng, n: int, dim: int,
+                                             reflections: int = 8):
+    """The coordinate subspace spanned by eps_0..eps_{dim-1}, moved by
+    Fraction reflections in the same random mirrors as the library draws."""
+    vecs = [eps(i, n) for i in range(dim)]
+    for _ in range(reflections):
+        mirror = random_anisotropic_vector(rng, n)
+        vecs = [reflect(mirror, v) for v in vecs]
+    return IsotropicSubspace(tuple(vecs))

@@ -36,11 +36,9 @@ from zonorec import (
     initial_labeling,
     move_at,
     pfaffian,
-    projection_pi,
     purity_check,
     random_isotropic_subspace,
     random_tiling,
-    random_unit_vector,
     sign_twist,
     spin_coordinates,
     symbolic_labeling,
@@ -52,7 +50,9 @@ from zonorec import (
     verify_trbi,
 )
 from zonorec.laurent import LaurentPoly as L
-from zonorec.spinor import intersect_spans, rank
+from zonorec.spinor import rank
+
+from oracles import intersect_spans, projection_pi, random_unit_vector
 
 
 def _report(num, name, detail, started, budget):

@@ -424,6 +424,17 @@ def test_cli_entry_point_subprocess():
     assert json.loads(proc.stdout)["A"] == [1, 1, 1]
 
 
+def test_package_runs_as_module():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "zonorec", "verify", "grassmann", "--n", "3",
+         "--samples", "1", "--seed", "0"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("grassmann: n=3: 1 samples, all bilinear residuals zero")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "grassmann", "--n", "3", "--samples", "0"],
     ["verify", "tropical", "--A", "2,1,1", "--samples", "-1"],

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -22,18 +23,26 @@ from zonorec import (
     isotropic_from_skew,
     make_isotropic,
     pfaffian,
-    projection_pi,
     pure_spinor,
     purity_check,
     random_isotropic_subspace,
-    random_unit_vector,
     sign_twist,
     spin_coordinates,
     t_min,
     trbi_residuals,
     verify_trbi,
 )
-from zonorec.spinor import intersect_spans, rank
+from zonorec.spinor import rank, rref
+
+from oracles import (
+    clifford_act_by_signs,
+    intersect_spans,
+    projection_pi,
+    pure_spinor_by_fractions,
+    random_isotropic_subspace_by_reflections,
+    random_unit_vector,
+    spin_coordinates_by_fractions,
+)
 
 
 def mask(*bits):
@@ -257,6 +266,120 @@ def test_spin_coordinates_matches_extensions_oracle():
 def test_spin_coordinates_rejects_bad_subspace(basis):
     with pytest.raises(SpinorError):
         spin_coordinates(IsotropicSubspace(basis))
+
+
+def _scaled(v, c):
+    return Vector2n(tuple(c * x for x in v.w), tuple(c * x for x in v.wv))
+
+
+def _primitive_multiple(v):
+    """The positive multiple of v with integer entries of gcd 1."""
+    flat = v.flat()
+    den = lcm(*(x.denominator for x in flat))
+    ints = [int(x * den) for x in flat]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def test_clifford_act_matches_sign_oracle():
+    rng = random.Random(20)
+    for n in (3, 4, 5, 6):
+        for _ in range(10):
+            v = Vector2n(
+                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)),
+                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)),
+            )
+            s = random_spinor(rng, n).scale(Fraction(1, rng.randint(1, 5)))
+            assert clifford_act(v, s) == clifford_act_by_signs(v, s)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_integer_kernel_matches_fraction_oracle(n):
+    """The integer sampler draws the same numbers as the Fraction one and
+    returns the primitive integer multiple of each of its vectors; pure
+    spinors and spin coordinates equal the Fraction construction's."""
+    rng = random.Random(100 + n)
+    for trial in range(20):
+        dim = n if trial % 4 == 3 else n - 1
+        state = rng.getstate()
+        sub = random_isotropic_subspace(rng, n, dim)
+        after = rng.getstate()
+        rng.setstate(state)
+        ref = random_isotropic_subspace_by_reflections(rng, n, dim)
+        assert rng.getstate() == after
+        rows = [v.flat() for v in sub.basis]
+        ref_rows = [v.flat() for v in ref.basis]
+        assert rank(rows) == rank(ref_rows) == rank(rows + ref_rows) == dim
+        assert rows == [_primitive_multiple(v) for v in ref.basis]
+        if dim == n:
+            assert pure_spinor(sub) == pure_spinor_by_fractions(ref)
+        else:
+            assert spin_coordinates(sub).coords == spin_coordinates_by_fractions(ref).coords
+
+
+def test_rational_rescaling_keeps_spinor():
+    rng = random.Random(21)
+    for n in (3, 4, 5, 6):
+        for dim in (n - 1, n):
+            sub = random_isotropic_subspace(rng, n, dim)
+            # vector i is scaled by a factor with denominator (2, 3, 5, ...)[i]
+            factors = [Fraction(rng.choice((-1, 1)) * (d * rng.randint(1, 5) + 1), d)
+                       for d in (2, 3, 5, 7, 4, 9)[:dim]]
+            scaled = make_isotropic(_scaled(v, c) for v, c in zip(sub.basis, factors))
+            assert len({x.denominator for v in scaled.basis for x in v.flat()}) > 2
+            if dim == n:
+                assert pure_spinor(scaled) == pure_spinor(sub)
+            else:
+                assert spin_coordinates(scaled).coords == spin_coordinates(sub).coords
+
+
+def _bad_basis(kind, size, n=4):
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    second = {"dependent": _scaled(eps(0, n), -two_thirds),
+              "non-isotropic": _scaled(eps_dual(0, n), two_thirds),
+              "anisotropic": Vector2n.from_flat([0, half] + [0] * (n - 1)
+                                                + [two_thirds] + [0] * (n - 2)),
+              "wrong-dimension": _scaled(eps(1, n), -two_thirds)}[kind]
+    rest = [eps(2, n), eps(3, n), _scaled(eps_dual(3, n), half)]
+    return [_scaled(eps(0, n), half), second] + rest[:size - 2]
+
+
+BAD_SUBSPACES = [
+    (make_isotropic, "dependent", 3, "linearly dependent"),
+    (make_isotropic, "non-isotropic", 3, "not isotropic"),
+    (make_isotropic, "anisotropic", 3, "not isotropic"),
+    (make_isotropic, "wrong-dimension", 5, "not isotropic"),
+    (pure_spinor, "dependent", 4, "Clifford product of the basis is zero"),
+    (pure_spinor, "non-isotropic", 4, "does not annihilate"),
+    (pure_spinor, "anisotropic", 4, "does not annihilate"),
+    (pure_spinor, "wrong-dimension", 3, "maximal isotropic"),
+    (spin_coordinates, "dependent", 3, "linearly dependent"),
+    (spin_coordinates, "non-isotropic", 3, "not isotropic"),
+    (spin_coordinates, "anisotropic", 3, "not isotropic"),
+    (spin_coordinates, "wrong-dimension", 4, "dimension n-1"),
+]
+
+
+@pytest.mark.parametrize("fn, kind, size, message", BAD_SUBSPACES,
+                         ids=[f"{fn.__name__}-{kind}" for fn, kind, _, _ in BAD_SUBSPACES])
+def test_rational_bad_subspace_raises(fn, kind, size, message):
+    basis = _bad_basis(kind, size)
+    assert len(basis) == size
+    with pytest.raises(SpinorError, match=message):
+        fn(basis if fn is make_isotropic else IsotropicSubspace(tuple(basis)))
+
+
+def test_rank_matches_rref():
+    rng = random.Random(22)
+    for _ in range(60):
+        rows, cols, r = rng.randint(1, 7), rng.randint(1, 9), rng.randint(0, 5)
+        left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(r)]
+                for _ in range(rows)]
+        right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cols)]
+                 for _ in range(r)]
+        m = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
+             for row in left]
+        assert rank(m) == len(rref(m)[0]) <= r
 
 
 def test_spin_coordinates_makes_no_solve(monkeypatch):
