@@ -35,7 +35,7 @@ down, up = flippable_vertices(tm)
 print("flippable: down =", sorted(down), " up =", sorted(up))
 other, move = apply_flip(tm, next(iter(up)))
 print("after the up flip at", move.removed, "the new vertex is", move.created)
-print("its fundamental forest:", sorted(fundamental_forest(other).edges))
+print("its fundamental forest:", sorted(fundamental_forest(other)))
 print("phi drops back by one on the way down:", phi(other), "->", phi(tm))
 
 print()

@@ -3,9 +3,7 @@
 from .zonogon import (
     ZonogonSpec,
     Tiling,
-    LiftError,
     validate_tiling,
-    lift_decomposition,
     t_min,
     t_min_vertices,
     tiling_through_vertex,
@@ -17,7 +15,6 @@ from .flips import (
     FlipPath,
     FlipError,
     CapExceeded,
-    FundamentalForest,
     fundamental_forest,
     flippable_vertices,
     apply_flip,
@@ -27,9 +24,6 @@ from .flips import (
     random_tiling,
     normalize_to_min,
     connect,
-    connect_through,
-    rhombus_chain,
-    cells_2,
 )
 from .laurent import LaurentPoly, InexactDivision
 from .engine import (
@@ -46,7 +40,6 @@ from .engine import (
     evaluate_path,
     extend_to_lattice,
     verify_cube_relations,
-    exchange_polynomial,
 )
 from .tropical import (
     Wall,
@@ -57,7 +50,6 @@ from .tropical import (
     all_cutcurves,
     w_inequalities_hold,
     check_propagation,
-    local_step_check,
 )
 from .spinor import (
     Vector2n,

@@ -237,8 +237,9 @@ def _verify_tropical(args) -> list[str]:
             raise CliError(
                 f"wall inequality violated at {report.violations[0]}", EXIT_DOMAIN
             )
-    if args.json and last_report is not None:
-        return [json.dumps(jsonio.propagation_report_to_json(last_report))]
+    if args.json:  # with no sample met, the last one's report and its witness
+        return [json.dumps(jsonio.propagation_report_to_json(
+            last_report if last_report is not None else report))]
     if met == 0:
         return [f"tropical: hypothesis not met on any of {args.samples} samples "
                 f"(wall s={args.s}, c={args.c})"]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import LaurentPoly
-from .zonogon import Point, Tiling, ZonogonSpec, shift, tiling_through_vertex
+from .zonogon import Tiling, ZonogonSpec, tiling_through_vertex
 from .flips import FlipMove, FlipPath, apply_move, normalize_to_min
 
 
@@ -222,46 +222,3 @@ def verify_cube_relations(labeling: Labeling) -> RelationReport:
         if d.mul(jl, k) != _cube_sum(d, *hexagon):
             failures.append((base, dirs, "relation violated"))
     return RelationReport(failures)
-
-
-# ---------------------------------------------------------------------------
-# exchange polynomials
-
-
-def exchange_polynomial(t: Tiling, v: Point, var_of=None) -> LaurentPoly:
-    """The flip numerator attached to a vertex, in its neighbors' variables.
-
-    With neighbors a_1..a_r in cyclic order and b_i the far corner of the
-    rhombus on a_i, a_{i+1}, this is sum_i x[b_i] * prod_{m not in {i,i+1}}
-    x[a_m]; a missing far corner (boundary wedge) contributes the full
-    product of the neighbor variables.
-
-    The direction vectors have increasing angles in (0, pi), so the neighbors
-    in counterclockwise order are v + e_d for the up directions d ascending,
-    then v - e_d for the down directions ascending.  The wedge from step
-    (d1, s1) to step (d2, s2) spans less than a half turn when s1 = s2 and
-    d1 < d2, or s1 != s2 and d2 < d1; its rhombus is there when the far
-    corner a_i + a_{i+1} - v is a vertex.
-    """
-    if var_of is None:
-        var_of = lambda p: p
-    up, down = t.edges_at(v)
-    steps = [(d, 1) for d in up] + [(d, -1) for d in down]
-    nbrs = [shift(v, d, s) for d, s in steps]
-    r = len(nbrs)
-    total = LaurentPoly()
-    for i in range(r):
-        i2 = (i + 1) % r
-        (d1, s1), (d2, s2) = steps[i], steps[i2]
-        far = tuple(p + q - c for p, q, c in zip(nbrs[i], nbrs[i2], v))
-        if (d1 < d2 if s1 == s2 else d2 < d1) and far in t.vertices:
-            term = LaurentPoly.var(var_of(far))
-            skip = {i, i2}
-        else:
-            term = LaurentPoly.const(1)
-            skip = set()
-        for m in range(r):
-            if m not in skip:
-                term = term * LaurentPoly.var(var_of(nbrs[m]))
-        total = total + term
-    return total

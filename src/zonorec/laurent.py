@@ -101,9 +101,6 @@ class LaurentPoly:
             out.update(v for v, _ in exps)
         return out
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
@@ -133,24 +130,6 @@ class LaurentPoly:
                 else:
                     out.pop(k, None)
         return LaurentPoly(out)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if not self.is_monomial():
-                raise InexactDivision("negative power of a non-monomial")
-            ((exps, c),) = self.terms.items()
-            if c * c != 1:
-                raise InexactDivision("negative power with non-unit coefficient")
-            inv = LaurentPoly({tuple((v, -e) for v, e in exps): c})
-            return inv ** (-n)
-        result = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- division ------------------------------------------------------------
 
@@ -208,7 +187,7 @@ class LaurentPoly:
         result = LaurentPoly(quot)._shift(cp)._shift(cq, -1)
         return result
 
-    # -- evaluation and substitution ------------------------------------------
+    # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, point: dict) -> Fraction:
         """Exact value at a nonzero rational point; a ring homomorphism."""
@@ -224,13 +203,3 @@ class LaurentPoly:
                 val *= x**e
             total += val
         return total
-
-    def substitute(self, v, value: "LaurentPoly") -> "LaurentPoly":
-        """Replace variable v by a Laurent polynomial."""
-        out = LaurentPoly()
-        for exps, c in self.terms.items():
-            rest = tuple((w, e) for w, e in exps if w != v)
-            e_v = dict(exps).get(v, 0)
-            term = LaurentPoly({rest: c})
-            out = out + term * value**e_v
-        return out

@@ -180,12 +180,6 @@ class Spinor:
             and self.coords == other.coords
         )
 
-    def __add__(self, other):
-        return Spinor(self.n, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        return Spinor(self.n, [a - b for a, b in zip(self.coords, other.coords)])
-
     def scale(self, c) -> "Spinor":
         c = Fraction(c)
         return Spinor(self.n, [c * x for x in self.coords])
@@ -407,12 +401,6 @@ class SpinPoint:
     n: int
     coords: dict  # mask -> Fraction, all 2^n masks
 
-    def even(self):
-        return {m: c for m, c in self.coords.items() if m.bit_count() % 2 == 0}
-
-    def odd(self):
-        return {m: c for m, c in self.coords.items() if m.bit_count() % 2 == 1}
-
 
 def spin_coordinates(sub: IsotropicSubspace) -> SpinPoint:
     """Spin coordinates of an isotropic subspace K of dimension n-1.
@@ -515,18 +503,20 @@ def isotropic_from_skew(a) -> IsotropicSubspace:
 # random rational samplers (exact; used by the verification suites)
 
 
-def _random_fraction(rng, lo=-5, hi=5):
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
-
-
-def random_anisotropic_vector(rng, n: int) -> Vector2n:
+def _random_mirror(rng, n: int):
+    """(m, 2<m, m>) for a random anisotropic mirror: 2n fractions
+    randint(-5, 5)/randint(1, 4), redrawn until anisotropic, as the primitive
+    integer vector m of their line."""
     while True:
-        v = Vector2n(
-            tuple(_random_fraction(rng) for _ in range(n)),
-            tuple(_random_fraction(rng) for _ in range(n)),
-        )
-        if inner(v, v) != 0:
-            return v
+        pairs = [(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2 * n)]
+        den = lcm(*(d for _, d in pairs))
+        m = [x * (den // d) for x, d in pairs]
+        g = gcd(*m)
+        if g > 1:
+            m = [x // g for x in m]
+        q = _twice_inner(m, m)
+        if q:
+            return m, q
 
 
 def random_isotropic_subspace(rng, n: int, dim: int, reflections: int = 8
@@ -543,8 +533,7 @@ def random_isotropic_subspace(rng, n: int, dim: int, reflections: int = 8
     """
     vecs = [[int(j == i) for j in range(2 * n)] for i in range(dim)]
     for _ in range(reflections):
-        m = _primitive(random_anisotropic_vector(rng, n).flat())
-        q = _twice_inner(m, m)
+        m, q = _random_mirror(rng, n)
         for k, x in enumerate(vecs):
             f = 2 * _twice_inner(x, m)
             y = [q * a - f * b for a, b in zip(x, m)]

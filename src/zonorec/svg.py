@@ -60,7 +60,7 @@ def render_svg(t: Tiling, scale: int = 40, labels: bool = False,
             f'<path d="{path}" fill="{fill}" stroke="#333333" stroke-width="1"/>'
         )
     if forest:
-        for base, d in sorted(fundamental_forest(t).edges):
+        for base, d in sorted(fundamental_forest(t)):
             x1, y1 = xy(base)
             x2, y2 = xy(shift(base, d))
             out.append(

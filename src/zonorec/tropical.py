@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .engine import Labeling, TropicalDomain, verify_cube_relations
 from .zonogon import ZonogonSpec, shift
@@ -193,28 +192,3 @@ def check_propagation(labeling: Labeling, w: Wall, g: Cutcurve) -> PropagationRe
         if not w_inequalities_hold(labeling, w, e)
     ]
     return PropagationReport(True, True, None, violations)
-
-
-def local_step_check(values: dict) -> bool:
-    """One elementary-move square: do the four source inequalities force the
-    four target ones?
-
-    `values` holds a,b,c,d,p,q,r,s,v,w,y,z with the two max-plus relations
-        w + s = max(v + r, z + q, y + p)
-        q + d = max(p + c, s + b, r + a)
-    already satisfied.  Returns whether (A)-(D) imply (E)-(H) here.
-    """
-    a, b, c, d = (Fraction(values[k]) for k in "abcd")
-    p, q, r, s = (Fraction(values[k]) for k in "pqrs")
-    v, w, y, z = (Fraction(values[k]) for k in "vwyz")
-    if w + s != max(v + r, z + q, y + p) or q + d != max(p + c, s + b, r + a):
-        raise ValueError("the two max-plus cube relations are not satisfied")
-    hyp = (p + q >= a + w) and (p + q >= b + v) and (q + r >= c + w) and (q + r >= b + y)
-    if not hyp:
-        return True
-    return (
-        p + s >= a + z
-        and p + s >= d + v
-        and s + r >= c + z
-        and s + r >= d + y
-    )

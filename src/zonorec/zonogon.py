@@ -25,10 +25,6 @@ Edge = tuple  # (base, d): the segment base -> base + e_d
 Rhombus = tuple  # (base, (j, k)) with j < k
 
 
-class LiftError(ValueError):
-    pass
-
-
 def shift(p: Point, d: int, step: int = 1) -> Point:
     return tuple(c + step if i == d else c for i, c in enumerate(p))
 
@@ -161,11 +157,6 @@ def rhombus_corners(rh: Rhombus) -> tuple[Point, Point, Point, Point]:
     return (base, shift(base, j), shift(base, k), shift2(base, j, k))
 
 
-def rhombus_edges(rh: Rhombus) -> tuple[Edge, Edge, Edge, Edge]:
-    base, (j, k) = rh
-    return ((base, j), (base, k), (shift(base, j), k), (shift(base, k), j))
-
-
 class Tiling:
     """A rhombus tiling, identified by its vertex set: its rhombi are the unit
     parallelograms with four vertex corners.  `Tiling(spec, rhombi)` keeps the
@@ -223,14 +214,6 @@ class Tiling:
                 if v[:j] + (v[j] + 1,) + v[j + 1:k] + (v[k] + 1,) + v[k + 1:] in vs:
                     out.append((v, (j, k)))
         return frozenset(out)
-
-    @cached_property
-    def edge_rhombi(self) -> dict:
-        out: dict = {}
-        for rh in self.rhombi:
-            for e in rhombus_edges(rh):
-                out.setdefault(e, []).append(rh)
-        return out
 
     def _up_dirs(self, v: Point) -> list[int]:
         """The d with v + e_d a vertex (probed by slicing: this is a hot loop)."""
@@ -417,97 +400,3 @@ def tiling_with_cube_faces(spec: ZonogonSpec, base: Point, dirs, side: str) -> T
         raise ValueError("side must be 'bottom' or 'top'")
     swaps = (0, 1, 0) if side == "bottom" else (1, 0, 1)
     return _wiring_tiling(spec, base, dirs, swaps)
-
-
-# ---------------------------------------------------------------------------
-# lifting planar rhombus decompositions back to the lattice
-
-
-def lift_decomposition(spec: ZonogonSpec, planar_rhombi) -> Tiling:
-    """Reconstruct the lattice tiling from exact planar rhombi.
-
-    Each input rhombus is four planar corner points (in any order).  Edge
-    vectors are matched against the spec directions, then lattice positions
-    are assigned by path integration from the image of the origin.
-    """
-    vecs = spec.vectors
-    labelled = []  # (corner, dir j, dir k) with corner + v_j + v_k the far corner
-    for corners in planar_rhombi:
-        pts = [tuple(Fraction(c) for c in pt) for pt in corners]
-        if len(pts) != 4:
-            raise LiftError(f"rhombus needs 4 corners, got {len(pts)}")
-        base = min(pts)
-        rest = [p for p in pts if p != base]
-        found = None
-        for i in range(3):
-            u = tuple(rest[i][c] - base[c] for c in range(2))
-            v = tuple(rest[(i + 1) % 3][c] - base[c] for c in range(2))
-            w = tuple(rest[(i + 2) % 3][c] - base[c] for c in range(2))
-            if (u[0] + v[0], u[1] + v[1]) == w:
-                found = (u, v)
-                break
-        if found is None:
-            raise LiftError(f"corners {pts} do not form a parallelogram")
-        dirs = []
-        origin = list(base)
-        for u in found:
-            match = None
-            for d, vd in enumerate(vecs):
-                if u == vd:
-                    match = (d, 1)
-                    break
-                if u == (-vd[0], -vd[1]):
-                    match = (d, -1)
-                    break
-            if match is None:
-                raise LiftError(f"unmatched edge direction {u}")
-            d, sign = match
-            if sign < 0:
-                origin[0] += u[0]
-                origin[1] += u[1]
-            dirs.append(d)
-        if dirs[0] == dirs[1]:
-            raise LiftError(f"degenerate rhombus directions at {base}")
-        labelled.append((tuple(origin), min(dirs), max(dirs)))
-
-    # planar graph with edges labelled by +-e_d
-    adjacency: dict = {}
-    for corner, j, k in labelled:
-        vj, vk = vecs[j], vecs[k]
-        c = corner
-        cj = (c[0] + vj[0], c[1] + vj[1])
-        ck = (c[0] + vk[0], c[1] + vk[1])
-        cjk = (cj[0] + vk[0], cj[1] + vk[1])
-        for p, q, d in ((c, cj, j), (c, ck, k), (ck, cjk, j), (cj, cjk, k)):
-            adjacency.setdefault(p, []).append((q, d, 1))
-            adjacency.setdefault(q, []).append((p, d, -1))
-
-    start = (Fraction(0), Fraction(0))
-    if start not in adjacency:
-        raise LiftError("not covering P: image of the origin is not a vertex")
-    lattice = {start: (0,) * spec.n}
-    stack = [start]
-    while stack:
-        p = stack.pop()
-        for q, d, sign in adjacency[p]:
-            lp = shift(lattice[p], d, sign)
-            if q in lattice:
-                if lattice[q] != lp:
-                    raise LiftError(f"inconsistent lift at planar point {q}")
-            else:
-                lattice[q] = lp
-                stack.append(q)
-    if len(lattice) != len(adjacency):
-        raise LiftError("not covering P: decomposition is disconnected")
-
-    rhombi = []
-    for corner, j, k in labelled:
-        base = lattice[corner]
-        if not spec.contains(base):
-            raise LiftError(f"not covering P: lifted base {base} outside the box")
-        rhombi.append((base, (j, k)))
-    t = Tiling(spec, rhombi)
-    report = validate_tiling(t)
-    if not report.ok:
-        raise LiftError(f"not covering P: {report.violations[0]}")
-    return t

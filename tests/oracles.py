@@ -12,11 +12,10 @@ from zonorec.zonogon import (
     Tiling,
     cross,
     rhombus_corners,
-    rhombus_edges,
     shift,
     t_min,
 )
-from zonorec.flips import Cell, FlipError, FlipMove, apply_flip, flippable_vertices
+from zonorec.flips import FlipMove, apply_flip, flippable_vertices
 from zonorec.jsonio import tiling_to_json
 from zonorec.laurent import LaurentPoly
 from zonorec.spinor import (
@@ -31,10 +30,11 @@ from zonorec.spinor import (
     inner,
     make_isotropic,
     nullspace,
-    random_anisotropic_vector,
     rank,
     rref,
 )
+
+from paper_lemmas import Cell, rhombus_edges
 
 
 def _interiors_overlap(spec: ZonogonSpec, r1, r2) -> bool:
@@ -164,26 +164,35 @@ def edges_by_census(t: Tiling) -> dict:
             for v in t.vertices}
 
 
-def apply_move_by_faces(t: Tiling, move: FlipMove) -> Tiling:
+@lru_cache(maxsize=None)
+def _cube_face_sets(base, dirs) -> tuple:
+    return frozenset(cube_bottom_faces(base, dirs)), frozenset(cube_top_faces(base, dirs))
+
+
+@lru_cache(maxsize=None)
+def cube_moves(spec: ZonogonSpec) -> tuple:
+    """The up and the down move on every unit 3-cube of the box."""
+    return tuple(FlipMove(base, dirs, direction) for base, dirs in spec.cubes()
+                 for direction in ("up", "down"))
+
+
+def flip_by_faces(t: Tiling, move: FlipMove) -> Tiling | None:
     """The face-set flip rule: trade the cube's three bottom rhombi for its
-    three top ones (up) or back (down); the result keeps explicit rhombi."""
-    bottom = set(cube_bottom_faces(move.base, move.dirs))
-    top = set(cube_top_faces(move.base, move.dirs))
+    three top ones (up) or back (down); the result keeps explicit rhombi.
+    None when t does not hold the faces the move takes out."""
+    bottom, top = _cube_face_sets(move.base, move.dirs)
     old, new = (bottom, top) if move.direction == "up" else (top, bottom)
     if not old <= t.rhombi:
-        raise FlipError(f"move {move} not applicable")
+        return None
     return Tiling(t.spec, (t.rhombi - old) | new)
 
 
 def moves_by_faces(t: Tiling):
     """Every (move, tiling after it) the face-set rule allows at t."""
-    for base, dirs in t.spec.cubes():
-        for direction in ("up", "down"):
-            move = FlipMove(base, dirs, direction)
-            try:
-                yield move, apply_move_by_faces(t, move)
-            except FlipError:
-                pass
+    for move in cube_moves(t.spec):
+        t2 = flip_by_faces(t, move)
+        if t2 is not None:
+            yield move, t2
 
 
 def tilings_by_face_flips(spec: ZonogonSpec) -> list:
@@ -251,7 +260,7 @@ def tropicalize(p: LaurentPoly, x: dict):
 
 
 def exchange_polynomial_by_angles(t: Tiling, v) -> LaurentPoly:
-    """`engine.exchange_polynomial` by planar geometry: the neighbours of v
+    """`paper_lemmas.exchange_polynomial` by planar geometry: the neighbours of v
     sorted counterclockwise by the angle of their projected steps, and the
     far corner of each wedge under half a turn looked up among the rhombi
     with a corner at v."""
@@ -648,6 +657,20 @@ def reflect(v: Vector2n, x: Vector2n) -> Vector2n:
         raise SpinorError("cannot reflect in an isotropic vector")
     f = 2 * inner(x, v) / q
     return Vector2n.from_flat([a - f * b for a, b in zip(x.flat(), v.flat())])
+
+
+def _random_fraction(rng, lo=-5, hi=5):
+    return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+
+
+def random_anisotropic_vector(rng, n: int) -> Vector2n:
+    while True:
+        v = Vector2n(
+            tuple(_random_fraction(rng) for _ in range(n)),
+            tuple(_random_fraction(rng) for _ in range(n)),
+        )
+        if inner(v, v) != 0:
+            return v
 
 
 def random_isotropic_subspace_by_reflections(rng, n: int, dim: int,

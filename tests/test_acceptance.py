@@ -26,7 +26,6 @@ from zonorec import (
     check_propagation,
     clifford_act,
     connect,
-    connect_through,
     enumerate_tilings,
     evaluate_path,
     extend_to_lattice,
@@ -53,6 +52,7 @@ from zonorec.laurent import LaurentPoly as L
 from zonorec.spinor import rank
 
 from oracles import intersect_spans, projection_pi, random_unit_vector
+from paper_lemmas import connect_through
 
 
 def _report(num, name, detail, started, budget):
@@ -241,9 +241,9 @@ def test_acceptance_06_forest_uniqueness():
         empty = []
         for t in tilings:
             forest = fundamental_forest(t)
-            assert forest.edges not in seen, (a, "forests collide")
-            seen[forest.edges] = t
-            if not forest.edges:
+            assert forest not in seen, (a, "forests collide")
+            seen[forest] = t
+            if not forest:
                 empty.append(t)
         assert empty == [t_min(spec)]
     _report(6, "forest uniqueness", f"{len(specs)} specs, forests pairwise "

@@ -16,7 +16,6 @@ from zonorec import (
     connect,
     enumerate_tilings,
     evaluate_path,
-    exchange_polynomial,
     extend_to_lattice,
     flip_value,
     flippable_vertices,
@@ -28,6 +27,8 @@ from zonorec import (
     verify_cube_relations,
 )
 from zonorec.flips import FlipPath
+
+from paper_lemmas import exchange_polynomial, substitute
 from zonorec.laurent import LaurentPoly as L
 from zonorec.zonogon import rhombus_corners, shift, shift2
 
@@ -279,7 +280,7 @@ def test_exchange_polynomials_transform_across_flips(a):
                 Q0 = L(
                     {e: c for e, c in Q.terms.items() if dict(e).get(i_v, 0) == 0}
                 )
-                sub = R.substitute(j_pos, Q0 * xj_inv)
+                sub = substitute(R, j_pos, Q0 * xj_inv)
                 if i_v in nbrs:
                     assert sub == P * xj_inv, ("case2", a, i_v, pivot)
                 elif i_v in diag:

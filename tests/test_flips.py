@@ -7,14 +7,11 @@ import pytest
 from zonorec import (
     CapExceeded,
     FlipError,
-    FlipMove,
     Tiling,
     ZonogonSpec,
     apply_flip,
     apply_move,
-    cells_2,
     connect,
-    connect_through,
     enumerate_tilings,
     flippable_vertices,
     fundamental_forest,
@@ -22,13 +19,14 @@ from zonorec import (
     normalize_to_min,
     phi,
     random_tiling,
-    rhombus_chain,
     t_min,
     tiling_through_vertex,
     validate_tiling,
 )
 from zonorec.flips import _UpFlips
 from zonorec.zonogon import shift
+
+from paper_lemmas import FundamentalForest, cells_2, connect_through, edge_rhombi, rhombus_chain
 
 HEX = ZonogonSpec((1, 1, 1))
 OCT = ZonogonSpec((1, 1, 1, 1))
@@ -55,12 +53,12 @@ def hexagon_tilings():
 
 def test_forest_of_min_is_empty():
     for a in [(1, 1, 1), (2, 2, 1), (1, 1, 1, 1)]:
-        assert not fundamental_forest(t_min(ZonogonSpec(a))).edges
+        assert not fundamental_forest(t_min(ZonogonSpec(a)))
 
 
 def test_forest_of_nonminimal_hexagon():
     _, other = hexagon_tilings()
-    forest = fundamental_forest(other)
+    forest = FundamentalForest(other)
     # sole internal up-edge at the interior vertex (1,0,1)
     assert forest.edges == frozenset({((1, 0, 1), 1)})
     assert forest.leaves == frozenset({(1, 0, 1)})
@@ -74,7 +72,7 @@ def test_down_flippable_vertices_are_forest_leaves():
     tilings += [random_tiling(ZonogonSpec((3, 3, 3, 3)), rng) for _ in range(10)]
     for t in tilings:
         down, _ = flippable_vertices(t)
-        assert down == fundamental_forest(t).leaves, t.canonical_rhombi()
+        assert down == FundamentalForest(t).leaves, t.canonical_rhombi()
 
 
 def test_forest_down_edge_census():
@@ -84,7 +82,7 @@ def test_forest_down_edge_census():
         spec = ZonogonSpec(a)
         for _ in range(4):
             t = random_tiling(spec, rng)
-            forest = fundamental_forest(t)
+            forest = FundamentalForest(t)
             for v in t.vertices:
                 _, down = t.edges_at(v)
                 got = len(forest.link(v))
@@ -226,11 +224,10 @@ def test_forests_distinct_and_min_unique():
         forests = {}
         empty = []
         for t in ts:
-            f = fundamental_forest(t)
-            key = f.edges
+            key = fundamental_forest(t)
             assert key not in forests, (a, "forest collision")
             forests[key] = t
-            if not f.edges:
+            if not key:
                 empty.append(t)
         assert empty == [t_min(spec)], a
 
@@ -244,7 +241,7 @@ def test_highest_difference_vertex_has_distinct_links():
             t2 = random_tiling(spec, rng)
             if t1 == t2:
                 continue
-            f1, f2 = fundamental_forest(t1), fundamental_forest(t2)
+            f1, f2 = FundamentalForest(t1), FundamentalForest(t2)
             shared = t1.rhombi & t2.rhombi
             diff_corners = set()
             for t in (t1, t2):
@@ -261,7 +258,7 @@ def test_rhombus_chain_lengths():
     for a in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]:
         spec = ZonogonSpec(a)
         t = random_tiling(spec, rng)
-        for e in sorted(t.edge_rhombi):
+        for e in sorted(edge_rhombi(t)):
             chain = rhombus_chain(t, e)
             assert len(chain) == sum(spec.a) - spec.a[e[1]]
             assert all(e[1] in rh[1] for rh in chain)
@@ -274,7 +271,7 @@ def test_chains_of_distinct_directions_cross_once():
         spec = ZonogonSpec(a)
         for t in enumerate_tilings(spec, cap=64):
             chains = {}
-            for e in t.edge_rhombi:
+            for e in edge_rhombi(t):
                 key = frozenset(rhombus_chain(t, e))
                 chains.setdefault(e[1], set()).add(key)
             for d, group in chains.items():
@@ -533,22 +530,17 @@ def test_edges_at_matches_rhombus_census(a):
 
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
 def test_apply_move_matches_face_rule(a):
-    from oracles import apply_move_by_faces
+    from oracles import cube_moves, flip_by_faces
 
-    spec = ZonogonSpec(a)
+    moves = cube_moves(ZonogonSpec(a))  # both directions on every unit cube
     for t, lib in _face_flip_tilings(a):
-        for base, dirs in spec.cubes():
-            for direction in ("up", "down"):
-                move = FlipMove(base, dirs, direction)
-                try:
-                    want = apply_move_by_faces(t, move).vertices
-                except FlipError:
-                    want = None
-                try:
-                    got = apply_move(lib, move).vertices
-                except FlipError:
-                    got = None
-                assert got == want, (a, move)
+        for move in moves:
+            want = flip_by_faces(t, move)
+            try:
+                got = apply_move(lib, move).vertices
+            except FlipError:
+                got = None
+            assert got == (None if want is None else want.vertices), (a, move)
 
 
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)

@@ -86,7 +86,7 @@ def test_svg_deterministic_and_forest():
     svg1 = render_svg(other, labels=True, forest=True)
     svg2 = render_svg(other, labels=True, forest=True)
     assert svg1 == svg2
-    assert svg1.count("<line") == len(fundamental_forest(other).edges) == 1
+    assert svg1.count("<line") == len(fundamental_forest(other)) == 1
     assert svg1.count("<path") == 3
 
 
@@ -164,7 +164,8 @@ def test_cli_tile_bad_cube_exits_2(capsys, cube):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("mode", [["--through", "1,2,0,1"], ["--cube", "1,0,1,0,1,2,4,top"]])
+@pytest.mark.parametrize("mode", [["--through", "1,2,0,1"], ["--cube", "1,0,1,0,1,2,4,top"],
+                                  ["--enumerate"]])
 def test_cli_tile_does_not_depend_on_seed(tmp_path, mode):
     outs = []
     for seed in ("0", "1", "7"):
@@ -294,6 +295,14 @@ def _run_111(tmp_path, values, *args):
     lab_file.write_text(json.dumps({**_ONES_111, "values": values}))
     return main(["run", "--tiling", str(tiling_file), "--labeling", str(lab_file),
                  "--out", str(tmp_path / "o.json"), *args])
+
+
+def test_cli_run_does_not_depend_on_seed(tmp_path):
+    outs = []
+    for seed in ("0", "1", "7"):
+        assert _run_111(tmp_path, _ONES_111["values"], "--check", "--seed", seed) == 0
+        outs.append((tmp_path / "o.json").read_text())
+    assert outs[0] == outs[1] == outs[2]
 
 
 @pytest.mark.parametrize("point", [[1, 0, 1], [5, 5, 5]],
@@ -487,6 +496,21 @@ def test_cli_verify_tropical_reports_a_failed_recurrence(monkeypatch, capsys):
     assert capsys.readouterr().err == ("error: cube relation failed on the cube at "
                                        "(0, 1, 0) with directions (1, 2, 3): "
                                        "relation violated\n")
+
+
+@pytest.mark.parametrize("a, met", [("2,2,2", False), ("2,1,1", True)])
+def test_cli_verify_tropical_json_is_always_a_report(capsys, a, met):
+    """With --json the output is one report even when no sample met the
+    hypothesis (on (2,2,2) none of these five does): the last sample's, with
+    the cutcurve edge where the hypothesis failed."""
+    assert main(["verify", "tropical", "--A", a, "--s", "1", "--c", "1",
+                 "--samples", "5", "--seed", "1", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["recurrence_ok"] and report["violations"] == []
+    assert report["hypothesis_ok"] == met
+    if not met:
+        base, d = report["hypothesis_witness"]["base"], report["hypothesis_witness"]["dir"]
+        assert base[0] == 1 and d != 1  # an edge on the wall i_1 = 1
 
 
 @pytest.mark.parametrize("command", ["tile", "run", "render"])

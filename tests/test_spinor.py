@@ -509,7 +509,7 @@ def test_purity_check_examples():
     assert ok
     assert rank([v.flat() for v in ann.basis]) == 3
     assert all(v.w == (0, 0, 0) for v in ann.basis)
-    mixed = Spinor.basis(4, 0) + Spinor.basis(4, 0b1111)
+    mixed = Spinor(4, [int(m in (0, 0b1111)) for m in range(16)])  # e_0 + e_1111
     ok, ann = purity_check(mixed)
     assert not ok
 

@@ -14,12 +14,13 @@ from zonorec import (
     elementary_move,
     extend_to_lattice,
     initial_labeling,
-    local_step_check,
     t_min,
     validate_cutcurve,
     w_inequalities_hold,
 )
 from zonorec.tropical import cutcurve_edges, wall_edges
+
+from paper_lemmas import local_step_check
 
 SPEC = ZonogonSpec((2, 1, 1))
 WALL = Wall(0, 1)

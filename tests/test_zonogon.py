@@ -3,10 +3,8 @@ import itertools
 import pytest
 
 from zonorec import (
-    LiftError,
     Tiling,
     ZonogonSpec,
-    lift_decomposition,
     t_min,
     t_min_vertices,
     tiling_through_vertex,
@@ -17,6 +15,7 @@ from zonorec.flips import flippable_vertices
 from zonorec.zonogon import cross, rhombus_corners
 
 from oracles import cube_bottom_faces, cube_top_faces
+from paper_lemmas import LiftError, lift_decomposition
 
 HEX = ZonogonSpec((1, 1, 1))
 
