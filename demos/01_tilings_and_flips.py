@@ -43,7 +43,7 @@ print("== the octagon: eight tilings forming a single cycle of flips ==")
 octagon = ZonogonSpec((1, 1, 1, 1))
 tilings = enumerate_tilings(octagon)
 print("tiling count:", len(tilings))
-for t in sorted(tilings, key=lambda t: t.canonical_rhombi()):
+for t in tilings:
     d, u = flippable_vertices(t)
     print("  interior vertices:", sorted(v for v in t.vertices if t.is_internal(v)),
           "flips:", len(d) + len(u))

@@ -9,6 +9,7 @@ tile and run accept --seed but their results do not depend on it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -44,15 +45,23 @@ def _require_at_least(value: int, least: int, flag: str):
         raise CliError(f"{flag} must be at least {least}, got {value}", EXIT_BAD_INPUT)
 
 
-def _write_out(path, payload: str):
-    if path in (None, "-"):
-        sys.stdout.write(payload)
-    else:
-        try:
+@contextlib.contextmanager
+def _write_out(path):
+    """The stream the output goes to: stdout for "-", else the file `path`.
+    A failed write, also to a pipe whose reader has gone, is bad input."""
+    to_stdout = path in (None, "-")
+    try:
+        if to_stdout:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
             with open(path, "w") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise CliError(f"cannot write {path}: {exc}", EXIT_BAD_INPUT)
+                yield fh
+    except OSError as exc:
+        if to_stdout:  # drop what is left, which Python would flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliError(f"cannot write {'stdout' if to_stdout else path}: {exc}",
+                       EXIT_BAD_INPUT)
 
 
 def _read_json(path):
@@ -81,8 +90,9 @@ def cmd_tile(args) -> int:
             tilings = flips.enumerate_tilings(spec, cap=args.cap)
         except flips.CapExceeded as exc:
             raise CliError(str(exc), EXIT_CAP)
-        tilings = sorted(tilings, key=zonogon.Tiling.canonical_rhombi)
-        _write_out(args.out, jsonio.tilings_to_json(tilings) + "\n")
+        with _write_out(args.out) as fh:
+            jsonio.tilings_to_json(tilings, fh)
+            fh.write("\n")
         return EXIT_OK
     if args.through:
         try:
@@ -106,7 +116,8 @@ def cmd_tile(args) -> int:
             raise CliError(str(exc), EXIT_BAD_INPUT)
     else:
         t = zonogon.t_min(spec)
-    _write_out(args.out, json.dumps(jsonio.tiling_to_json(t), indent=1) + "\n")
+    with _write_out(args.out) as fh:
+        fh.write(json.dumps(jsonio.tiling_to_json(t), indent=1) + "\n")
     return EXIT_OK
 
 
@@ -148,7 +159,8 @@ def cmd_run(args) -> int:
         raise CliError(f"consistency violation: {exc}", EXIT_DOMAIN)
     except flips.FlipError as exc:
         raise CliError(f"invalid tiling or flip path: {exc}", EXIT_BAD_INPUT)
-    _write_out(args.out, json.dumps(jsonio.labeling_to_json(result), indent=1) + "\n")
+    with _write_out(args.out) as fh:
+        fh.write(json.dumps(jsonio.labeling_to_json(result), indent=1) + "\n")
     return EXIT_OK
 
 
@@ -156,7 +168,8 @@ def cmd_render(args) -> int:
     _require_at_least(args.scale, 1, "--scale")
     tiling = _load(jsonio.tiling_from_json, args.tiling)
     svg = render_svg(tiling, scale=args.scale, labels=args.labels, forest=args.forest)
-    _write_out(args.out, svg)
+    with _write_out(args.out) as fh:
+        fh.write(svg)
     return EXIT_OK
 
 

@@ -18,7 +18,24 @@ from .zonogon import (
 
 
 class FlipError(ValueError):
-    pass
+    """A flip that cannot be made.  When a move is at fault, `base`, `dirs`
+    (1-based, as in a flip path document) and `direction` name it, and the
+    message is built from them only when it is read."""
+
+    def __init__(self, reason: str, move: FlipMove | None = None):
+        super().__init__(reason)
+        self.reason = reason
+        self.base = self.dirs = self.direction = None
+        if move is not None:
+            j, k, l = move.dirs
+            self.base, self.direction = move.base, move.direction
+            self.dirs = (j + 1, k + 1, l + 1)
+
+    def __str__(self):
+        if self.base is None:
+            return self.reason
+        return (f"{self.direction} move on the cube at {self.base} with directions "
+                f"{self.dirs} {self.reason}")
 
 
 class CapExceeded(RuntimeError):
@@ -156,7 +173,7 @@ def apply_move(t: Tiling, move: FlipMove) -> Tiling:
     vs = t.vertices
     removed, created = move.removed, move.created
     if created in vs or removed not in vs or not vs.issuperset(move.corners[:6]):
-        raise FlipError(f"move {move} not applicable")
+        raise FlipError("not applicable", move)
     return Tiling.from_vertices(t.spec, vs - {removed} | {created})
 
 
@@ -264,27 +281,30 @@ class _UpFlips:
         return out
 
 
-def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> set:
-    """All tilings, rank by rank up the flip graph from t_min.
+def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> list:
+    """All tilings, rank by rank up the flip graph from t_min, as a list in
+    `canonical_rhombi` order.
 
     An up flip adds one unit cube (`phi` rises by 1), and every tiling but
     t_min has a down flip, so each tiling of rank r + 1 is an up flip of one
     of rank r: new tilings are looked up only among their own rank, keyed by
-    vertex bitmask.  Each tiling carries its up moves, re-examining only the
-    created point and the six hexagon corners after a flip, and each tiling
-    found its sorted rhombi (`canonical_rhombi`), so neither is derived from
-    the vertex set.  `apply_move` builds each tiling found once."""
+    vertex bitmask.  Each tiling of the current and the next rank carries its
+    up moves, re-examining only the created point and the six hexagon corners
+    after a flip, and its sorted rhombi (`canonical_rhombi`), so neither is
+    derived from the vertex set.  `apply_move` builds each tiling found once.
+    A tiling found keeps only its sorted rhombi, so memory follows the number
+    of tilings and not their vertex sets."""
     up_flips = _UpFlips(spec)
     start = t_min(spec)
     mask = up_flips.mask(start.vertices)
-    found = {start}
+    found = [start.canonical_rhombi()]
     rank = {mask: (start, up_flips.all(mask))}
     while rank:
         nxt: dict = {}
         for mask, (t, moves) in rank.items():
             for up in moves.values():
                 if mask & up.test != up.need:
-                    raise FlipError(f"move {up.move} not applicable")
+                    raise FlipError("not applicable", up.move)
                 mask2 = mask ^ up.swap
                 if mask2 in nxt:
                     continue
@@ -294,8 +314,9 @@ def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> set:
                 if len(found) + len(nxt) > cap:
                     raise CapExceeded(f"more than {cap} tilings")
         rank = nxt
-        found.update(t for t, _ in rank.values())
-    return found
+        found.extend(t.canonical_rhombi() for t, _ in rank.values())
+    found.sort()
+    return [Tiling.from_sorted_rhombi(spec, rhombi) for rhombi in found]
 
 
 def random_tiling(spec: ZonogonSpec, rng: random.Random, steps=None) -> Tiling:

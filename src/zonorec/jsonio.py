@@ -38,26 +38,28 @@ def _nested(obj, level: int) -> str:
     return json.dumps(obj, indent=1).replace("\n", "\n" + " " * level)
 
 
-def tilings_to_json(tilings) -> str:
-    """The text of `json.dumps([tiling_to_json(t) for t in tilings], indent=1)`.
+def tilings_to_json(tilings, fh) -> None:
+    """Write the text of `json.dumps([tiling_to_json(t) for t in tilings],
+    indent=1)` to the stream `fh`, one tiling at a time.
 
     With `indent` set, json runs its pure-Python encoder; here each distinct
-    rhombus and multiplicity vector is encoded once per call and the
-    documents are joined from those text blocks.
+    rhombus and multiplicity vector is encoded once per call and each
+    document is joined from those text blocks.
     """
-    heads, blocks, docs = {}, {}, []
+    heads, blocks, sep = {}, {}, "[\n"
     for t in tilings:
         a = t.spec.a
         if a not in heads:
-            heads[a] = ' {\n  "A": ' + _nested(list(a), 2) + ',\n  "rhombi": '
+            heads[a] = ' {\n  "A": ' + _nested(list(a), 2) + ',\n  "rhombi": [\n'
         rows = []
         for rh in t.canonical_rhombi():
             if rh not in blocks:
                 base, (j, k) = rh
                 blocks[rh] = "   " + _nested({"base": list(base), "dirs": [j + 1, k + 1]}, 3)
             rows.append(blocks[rh])
-        docs.append(heads[a] + "[\n" + ",\n".join(rows) + "\n  ]\n }")
-    return "[\n" + ",\n".join(docs) + "\n]" if docs else "[]"
+        fh.write(sep + heads[a] + ",\n".join(rows) + "\n  ]\n }")
+        sep = ",\n"
+    fh.write("[]" if sep == "[\n" else "\n]")
 
 
 def tiling_from_json(data: dict, spec: ZonogonSpec | None = None) -> Tiling:

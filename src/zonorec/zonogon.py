@@ -160,7 +160,8 @@ def rhombus_corners(rh: Rhombus) -> tuple[Point, Point, Point, Point]:
 class Tiling:
     """A rhombus tiling, identified by its vertex set: its rhombi are the unit
     parallelograms with four vertex corners.  `Tiling(spec, rhombi)` keeps the
-    given rhombi, for `validate_tiling`; `from_vertices` derives them on use."""
+    given rhombi, for `validate_tiling`; `from_vertices` derives them on use,
+    and `from_sorted_rhombi` derives the vertices on use."""
 
     def __init__(self, spec: ZonogonSpec, rhombi):
         self.spec = spec
@@ -184,6 +185,15 @@ class Tiling:
             t._sorted_rhombi = sorted_rhombi
         return t
 
+    @staticmethod
+    def from_sorted_rhombi(spec: ZonogonSpec, sorted_rhombi: tuple) -> "Tiling":
+        """The tiling with these rhombi, given in sorted order and returned by
+        `canonical_rhombi`; it holds no vertex set until one is asked for."""
+        t = _TilingOfRhombi.__new__(_TilingOfRhombi)
+        t.spec = spec
+        t._sorted_rhombi = sorted_rhombi
+        return t
+
     def __eq__(self, other):
         return (
             isinstance(other, Tiling)
@@ -199,7 +209,7 @@ class Tiling:
 
     def canonical_rhombi(self) -> tuple[Rhombus, ...]:
         """The rhombi in sorted order, computed once unless given to
-        `from_vertices`."""
+        `from_vertices` or `from_sorted_rhombi`."""
         return self._sorted_rhombi
 
     @cached_property
@@ -231,6 +241,17 @@ class Tiling:
 
     def is_internal(self, v: Point) -> bool:
         return v not in self.spec.boundary_vertices
+
+
+class _TilingOfRhombi(Tiling):
+    """A tiling that derives its vertex set from its sorted rhombi on first
+    use.  `vertices` is a descriptor on this class only: CPython 3.11 does not
+    specialise reads of an instance attribute that shadows one, so on `Tiling`
+    it would slow every vertex probe."""
+
+    @cached_property
+    def vertices(self) -> frozenset:
+        return frozenset(p for rh in self._sorted_rhombi for p in rhombus_corners(rh))
 
 
 def phi(t: Tiling) -> int:

@@ -7,6 +7,7 @@ import pytest
 from zonorec import (
     CapExceeded,
     FlipError,
+    FlipMove,
     Tiling,
     ZonogonSpec,
     apply_flip,
@@ -127,6 +128,18 @@ def test_not_flippable_raises():
     tm = t_min(HEX)
     with pytest.raises(FlipError, match="not an internal vertex"):
         apply_flip(tm, (0, 0, 0))
+
+
+def test_inapplicable_move_names_its_witness():
+    """The move is data on the error, with 1-based directions as in a flip
+    path document; the message is built from those fields."""
+    tm = t_min(HEX)
+    move = FlipMove((0, 0, 0), (0, 1, 2), "down")
+    with pytest.raises(FlipError, match="not applicable") as info:
+        apply_move(tm, move)
+    err = info.value
+    assert (err.base, err.dirs, err.direction) == ((0, 0, 0), (1, 2, 3), "down")
+    assert str(err) == "down move on the cube at (0, 0, 0) with directions (1, 2, 3) not applicable"
 
 
 def test_middle_direction_between():
@@ -411,7 +424,9 @@ def test_distinct_tilings_have_distinct_vertex_sets(a):
     pairs = _face_flip_tilings(a)
     assert len(pairs) == ORACLE_COUNTS[a]
     assert len({t.vertices for t, _ in pairs}) == len(pairs)
-    assert _enumerated(a) == {lib for _, lib in pairs}
+    assert set(_enumerated(a)) == {lib for _, lib in pairs}
+    rhombi = [t.canonical_rhombi() for t in _enumerated(a)]
+    assert rhombi == sorted(set(rhombi))  # sorted, no repeats
 
 
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)

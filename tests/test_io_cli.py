@@ -110,9 +110,11 @@ def test_cli_tile_enumerate(tmp_path):
 def test_tilings_to_json_matches_dumps(a):
     from oracles import tilings_json_by_dumps
 
-    tilings = sorted(enumerate_tilings(ZonogonSpec(a)), key=Tiling.canonical_rhombi)
+    tilings = enumerate_tilings(ZonogonSpec(a))
     for some in (tilings, tilings[::-1], tilings[:1], []):
-        assert jsonio.tilings_to_json(some) == tilings_json_by_dumps(some)
+        fh = io.StringIO()
+        jsonio.tilings_to_json(some, fh)
+        assert fh.getvalue() == tilings_json_by_dumps(some)
 
 
 # the benchmark's enumerate workload writes these
@@ -150,6 +152,62 @@ def test_cli_tile_enumerate_does_not_derive_rhombi(tmp_path, monkeypatch):
     rhombi.__set_name__(Tiling, "rhombi")
     monkeypatch.setattr(Tiling, "rhombi", rhombi)
     assert _enumerate_sha256(tmp_path, (3, 3, 3)) == _ENUMERATE_SHA256[(3, 3, 3)]
+
+
+def test_cli_tile_enumerate_memory_follows_the_tilings(tmp_path):
+    """The writer streams the text, so the peak of Python allocations stays
+    well below the size of the output."""
+    import tracemalloc
+
+    out = tmp_path / "all.json"
+    tracemalloc.start()
+    try:
+        assert main(["tile", "--A", "2,2,2,2", "--enumerate", "--cap", "10000",
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 2, (peak, out.stat().st_size)
+
+
+def test_cli_tile_enumerate_over_cap_leaves_out_untouched(tmp_path, capsys):
+    out = tmp_path / "all.json"
+    out.write_bytes(b"earlier output\n")
+    assert main(["tile", "--A", "2,2,2", "--enumerate", "--cap", "19",
+                 "--out", str(out)]) == 3
+    assert "more than 19 tilings" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier output\n"
+
+
+def test_cli_tile_enumerate_stdout_equals_file(tmp_path, capsys):
+    out = tmp_path / "all.json"
+    assert main(["tile", "--A", "2,2,2", "--enumerate", "--out", str(out)]) == 0
+    assert main(["tile", "--A", "2,2,2", "--enumerate"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("a", ["1,1,1", "2,2,2"])  # fails on close, and mid-stream
+def test_cli_tile_enumerate_to_a_full_device_is_bad_output(capsys, a):
+    assert main(["tile", "--A", a, "--enumerate", "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full") and "Traceback" not in err
+
+
+def test_cli_tile_enumerate_to_a_closed_pipe_is_bad_output():
+    """`zonorec tile --enumerate | head -c 10`: the writer meets a pipe whose
+    reader has gone, and exits 2 with an error line, not a traceback."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zonorec", "tile", "--A", "3,3,3", "--enumerate"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout.read(10) == b"[\n {\n  \"A\""
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: cannot write stdout: ") and "Traceback" not in err, err
 
 
 def test_cli_bad_input_exit_codes(capsys):

@@ -183,4 +183,7 @@ def test_enumerate_counts_against_brute_force():
 
     for a in [(1, 1, 1), (2, 1, 1), (1, 1, 1, 1)]:
         spec = ZonogonSpec(a)
-        assert set(brute_force_tilings(spec)) == enumerate_tilings(spec)
+        tilings = enumerate_tilings(spec)
+        assert set(brute_force_tilings(spec)) == set(tilings)
+        rhombi = [t.canonical_rhombi() for t in tilings]
+        assert rhombi == sorted(set(rhombi))  # sorted, no repeats
