@@ -59,7 +59,6 @@ from .spinor import (
     SpinorError,
     eps,
     eps_dual,
-    inner,
     clifford_act,
     bilinear_form_B,
     make_isotropic,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -291,13 +292,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="zonorec", description=__doc__)
+def _env_seed() -> int:
+    """The default --seed: ZONOREC_SEED, else 0; read on every call."""
     env_seed = os.environ.get("ZONOREC_SEED", "0")
     try:
-        default_seed = int(env_seed)
+        return int(env_seed)
     except ValueError:
         raise CliError(f"ZONOREC_SEED must be an integer, got {env_seed!r}", EXIT_BAD_INPUT)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; --seed defaults to None,
+    which `main` replaces by `_env_seed()`."""
+    parser = argparse.ArgumentParser(prog="zonorec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tile = sub.add_parser("tile", help="construct tilings")
@@ -308,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--cube", help="base,j,k,l,side with 1-based directions")
     mode.add_argument("--enumerate", action="store_true", help="all tilings")
     p_tile.add_argument("--cap", type=int, default=10000)
-    p_tile.add_argument("--seed", type=int, default=default_seed,
+    p_tile.add_argument("--seed", type=int, default=None,
                         help="accepted; tilings do not depend on it")
     p_tile.add_argument("--out", default="-")
     p_tile.set_defaults(func=cmd_tile)
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--check", action="store_true",
                        help="also check the cube relation on every unit 3-cube "
                             "of the extension (not with --path)")
-    p_run.add_argument("--seed", type=int, default=default_seed,
+    p_run.add_argument("--seed", type=int, default=None,
                        help="accepted; the extension does not depend on it")
     p_run.add_argument("--out", default="-")
     p_run.set_defaults(func=cmd_run)
@@ -335,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--s", type=int, default=1, help="wall direction (1-based)")
     p_verify.add_argument("--c", type=int, default=1, help="wall offset")
     p_verify.add_argument("--n", type=int, default=3)
-    p_verify.add_argument("--seed", type=int, default=default_seed)
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--json", action="store_true",
                           help="emit a JSON report where supported")
     p_verify.set_defaults(func=cmd_verify)
@@ -352,10 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        seed = _env_seed()
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
+        if getattr(args, "seed", 0) is None:
+            args.seed = seed
         needs_a = args.command == "tile" or (
             args.command == "verify" and args.suite in ("confluence", "laurent", "tropical")
         )

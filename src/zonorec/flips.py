@@ -319,11 +319,11 @@ def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> list:
     return [Tiling.from_sorted_rhombi(spec, rhombi) for rhombi in found]
 
 
-def random_tiling(spec: ZonogonSpec, rng: random.Random, steps=None) -> Tiling:
-    """Random walk in the flip graph from t_min."""
+def random_tiling(spec: ZonogonSpec, rng: random.Random) -> Tiling:
+    """Random walk in the flip graph from t_min, of 3R to 4R flips for R
+    rhombi."""
     t = t_min(spec)
-    if steps is None:
-        steps = 3 * spec.rhombus_count + rng.randrange(spec.rhombus_count + 1)
+    steps = 3 * spec.rhombus_count + rng.randrange(spec.rhombus_count + 1)
     for _ in range(steps):
         down, up = flippable_vertices(t)
         options = sorted(down | up)

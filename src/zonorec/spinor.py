@@ -7,10 +7,11 @@ subsets of {0..n-1} as bitmasks, bit i meaning the i-th basis vector of W is
 present.
 
 A span, and the spinor line a subspace annihilates, do not change when a
-vector is rescaled.  So the kernel behind pure spinors, spin coordinates and
-the random isotropic subspaces computes on the primitive integer vector of
-each line: denominators cleared and the gcd divided out.  Fractions appear
-only at the API edge, in `Vector2n`, `Spinor` and `SpinPoint`.
+vector is rescaled.  So the kernel behind pure spinors, spin coordinates,
+the random isotropic subspaces and the row elimination computes on the
+primitive integer vector of each line: denominators cleared and the gcd
+divided out.  Fractions appear only at the API edge, in `Vector2n`,
+`Spinor`, `SpinPoint` and the kernel vectors of `nullspace`.
 """
 
 from __future__ import annotations
@@ -31,67 +32,52 @@ class SpinorError(ValueError):
 # rational linear algebra on lists of lists
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _reduce(rows):
+    """Gauss-Jordan elimination on the primitive integer vectors of the rows:
+    (reduced rows, pivot columns).  Each pivot clears its column from every
+    other row, and each updated row is divided by its content, so no
+    fraction is formed; a reduced row is a multiple of the rref row with the
+    same pivot."""
+    m = [_primitive(r) for r in rows]
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                y = [p * x - f * t for x, t in zip(row, top)]
+                g = gcd(*y)
+                m[i] = [x // g for x in y] if g > 1 else y
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if len(pivots) == len(m):
             break
-    return m[:r], pivots
+    return m[:len(pivots)], pivots
 
 
 def nullspace(rows, ncols):
-    """Basis of the right kernel of the matrix."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right kernel of the matrix: for each free column fc, the
+    vector with 1 at fc, -row[fc]/row[pc] at each reduced row's pivot pc and
+    0 elsewhere."""
+    red, pivots = _reduce(rows)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+        for row, pc in zip(red, pivots):
+            vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(vec)
     return basis
 
 
 def rank(rows):
-    """Rank of a rational matrix: its rows scaled to primitive integer
-    vectors, then fraction-free elimination, in which every entry is a minor
-    of the scaled matrix and each division by the previous pivot is exact
-    (E. Bareiss, Math. Comp. 22, 1968)."""
-    m = [_primitive(r) for r in rows]
-    r, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], m[r])]
-        prev = p
-        r += 1
-        if r == len(m):
-            break
-    return r
+    """Rank of a rational matrix: the number of pivots of its elimination."""
+    return len(_reduce(rows)[1])
 
 
 def _primitive(values) -> list:
@@ -148,10 +134,6 @@ def _twice_inner(a, b) -> int:
     """2<a, b> on flat coordinate vectors; an integer on integer vectors."""
     n = len(a) // 2
     return sum(x * y for x, y in zip(a[n:], b)) + sum(x * y for x, y in zip(a, b[n:]))
-
-
-def inner(v1: Vector2n, v2: Vector2n) -> Fraction:
-    return Fraction(_twice_inner(v1.flat(), v2.flat()), 2)
 
 
 class Spinor:
@@ -357,15 +339,8 @@ def annihilator(s: Spinor) -> list:
 
 def purity_check(s: Spinor):
     """(is_pure, annihilator subspace); pure means the kernel has dimension n."""
-    ann = annihilator(s)
-    sub = IsotropicSubspace(tuple(ann))
-    for v1, v2 in combinations(ann, 2):
-        if inner(v1, v2) != 0:
-            raise SpinorError("annihilator is not isotropic")
-    for v in ann:
-        if inner(v, v) != 0:
-            raise SpinorError("annihilator is not isotropic")
-    return len(ann) == s.n, sub
+    sub = make_isotropic(annihilator(s))
+    return sub.dim == s.n, sub
 
 
 def _spinor_pair(sub: IsotropicSubspace):
@@ -519,24 +494,25 @@ def _random_mirror(rng, n: int):
             return m, q
 
 
-def random_isotropic_subspace(rng, n: int, dim: int, reflections: int = 8
-                              ) -> IsotropicSubspace:
-    """Image of a coordinate isotropic subspace under random exact reflections.
+def random_isotropic_subspace(rng, n: int, dim: int) -> IsotropicSubspace:
+    """Image of a coordinate isotropic subspace under 8 random exact reflections.
 
-    Reflections in anisotropic rational vectors preserve the pairing exactly,
-    so the image stays isotropic and rational; a short random product of them
-    moves the standard subspace to a generic position.  Each basis vector is
-    kept as the primitive integer vector of its line: with B = 2<.,.> and
-    q = B(m, m) for a primitive integer mirror m, q x - 2 B(x, m) m is q times
-    the reflection of x, and dividing by its content times the sign of q
-    keeps every vector a positive multiple of its rational reflection.
+    Reflections in anisotropic rational vectors preserve rank and the pairing
+    exactly, so the image is isotropic of the same dimension and is returned
+    unchecked (pure spinors and spin coordinates check their input); 8 of
+    them move the standard subspace to a generic position.  Each basis
+    vector is kept as the primitive integer vector of its line: with
+    B = 2<.,.> and q = B(m, m) for a primitive integer mirror m,
+    q x - 2 B(x, m) m is q times the reflection of x, and dividing by its
+    content times the sign of q keeps every vector a positive multiple of
+    its rational reflection.
     """
     vecs = [[int(j == i) for j in range(2 * n)] for i in range(dim)]
-    for _ in range(reflections):
+    for _ in range(8):
         m, q = _random_mirror(rng, n)
         for k, x in enumerate(vecs):
             f = 2 * _twice_inner(x, m)
             y = [q * a - f * b for a, b in zip(x, m)]
             g = gcd(*y) if q > 0 else -gcd(*y)
             vecs[k] = [a // g for a in y]
-    return make_isotropic(Vector2n.from_flat(x) for x in vecs)
+    return IsotropicSubspace(tuple(Vector2n.from_flat(x) for x in vecs))

@@ -27,11 +27,9 @@ from zonorec.spinor import (
     clifford_act,
     eps,
     eps_dual,
-    inner,
     make_isotropic,
     nullspace,
     rank,
-    rref,
 )
 
 from paper_lemmas import Cell, rhombus_edges
@@ -409,19 +407,71 @@ def det(matrix) -> Fraction:
     return rec(0, 0)
 
 
+def rref(rows):
+    """Reduced row echelon form over Fractions; returns (rows, pivot column
+    list)."""
+    m = [list(map(Fraction, r)) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def nullspace_by_rref(rows, ncols):
+    """Basis of the right kernel read off the Fraction rref: for each free
+    column, 1 there and minus that column of the reduced rows at the pivots."""
+    red, pivots = rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def inner(v1: Vector2n, v2: Vector2n) -> Fraction:
+    """The pairing <(w1,f1),(w2,f2)> = (f1(w2) + f2(w1))/2 on Fractions."""
+    return Fraction(sum(a * b for a, b in zip(v1.wv, v2.w))
+                    + sum(a * b for a, b in zip(v1.w, v2.wv)), 2)
+
+
+def clifford_action_rows(sub) -> list:
+    """The (dim 2^n) x 2^n matrix of the Clifford action of a subspace's
+    basis, tall and sparse; its kernel is the spinors the basis annihilates."""
+    n = sub.n
+    rows = []
+    for v in sub.basis:
+        cols = [clifford_act(v, Spinor.basis(n, m)).coords for m in range(1 << n)]
+        rows += [[col[out] for col in cols] for out in range(1 << n)]
+    return rows
+
+
 def pure_spinor_by_kernel(sub) -> Spinor:
     """Pure spinor of a maximal isotropic subspace as the joint kernel of its
     Clifford action, by one dense rational solve of size (n 2^n) x 2^n."""
     n = sub.n
     if sub.dim != n:
         raise SpinorError("pure spinors come from maximal isotropic subspaces")
-    dim_s = 1 << n
-    rows = []
-    for v in sub.basis:
-        cols = [clifford_act(v, Spinor.basis(n, m)).coords for m in range(dim_s)]
-        for out_mask in range(dim_s):
-            rows.append([cols[m][out_mask] for m in range(dim_s)])
-    kernel = nullspace(rows, dim_s)
+    kernel = nullspace(clifford_action_rows(sub), 1 << n)
     if len(kernel) != 1:
         raise SpinorError(f"solution space dimension {len(kernel)} != 1")
     s = Spinor(n, kernel[0]).canonical()
@@ -500,7 +550,7 @@ def intersect_spans(rows1, rows2):
             + [-Fraction(rows2[j][c]) for j in range(len(rows2))]
         )
     out = []
-    for sol in nullspace(sys_rows, len(rows1) + len(rows2)):
+    for sol in nullspace_by_rref(sys_rows, len(rows1) + len(rows2)):
         lam = sol[: len(rows1)]
         vec = [
             sum(lam[i] * Fraction(rows1[i][c]) for i in range(len(rows1)))

@@ -523,6 +523,29 @@ def test_cli_rejects_non_integer_seed_variable(monkeypatch, capsys):
     assert out.out == ""
 
 
+def test_cli_reads_seed_variable_on_every_call(monkeypatch):
+    """The parser is built once per process, but the default --seed follows
+    ZONOREC_SEED as it is at each call; an explicit --seed wins."""
+    import zonorec.spinor
+
+    seen = []
+    sampler = zonorec.spinor.random_isotropic_subspace
+
+    def recording(rng, n, dim):
+        seen.append(rng.getstate())
+        return sampler(rng, n, dim)
+
+    monkeypatch.setattr(zonorec.spinor, "random_isotropic_subspace", recording)
+    argv = ["verify", "grassmann", "--n", "3", "--samples", "1"]
+    for env in ("5", "6"):
+        monkeypatch.setenv("ZONOREC_SEED", env)
+        assert main(argv) == 0
+    assert main(argv + ["--seed", "7"]) == 0
+    monkeypatch.delenv("ZONOREC_SEED")
+    assert main(argv) == 0
+    assert seen == [random.Random(s).getstate() for s in (5, 6, 7, 0)]
+
+
 @pytest.mark.parametrize("scale", ["0", "-5"])
 def test_cli_render_rejects_scale_below_1(tmp_path, capsys, scale):
     (tmp_path / "t.json").write_text(json.dumps(_T_MIN_111))

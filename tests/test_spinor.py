@@ -19,7 +19,6 @@ from zonorec import (
     eps_dual,
     extend_to_lattice,
     initial_labeling,
-    inner,
     isotropic_from_skew,
     make_isotropic,
     pfaffian,
@@ -32,15 +31,19 @@ from zonorec import (
     trbi_residuals,
     verify_trbi,
 )
-from zonorec.spinor import rank, rref
+from zonorec.spinor import nullspace, rank
 
 from oracles import (
     clifford_act_by_signs,
+    clifford_action_rows,
+    inner,
     intersect_spans,
+    nullspace_by_rref,
     projection_pi,
     pure_spinor_by_fractions,
     random_isotropic_subspace_by_reflections,
     random_unit_vector,
+    rref,
     spin_coordinates_by_fractions,
 )
 
@@ -369,8 +372,14 @@ def test_rational_bad_subspace_raises(fn, kind, size, message):
         fn(basis if fn is make_isotropic else IsotropicSubspace(tuple(basis)))
 
 
-def test_rank_matches_rref():
+def _elimination_cases():
+    """(rows, ncols, a bound on the rank): random rational matrices of rank
+    at most r (so mostly rank-deficient), wide ones with zero rows and a
+    dependent row, empty ones, and the Clifford action matrices of maximal
+    and (n-1)-dimensional isotropic subspaces for n <= 5, whose kernels have
+    dimension 1 and 2."""
     rng = random.Random(22)
+    cases = []
     for _ in range(60):
         rows, cols, r = rng.randint(1, 7), rng.randint(1, 9), rng.randint(0, 5)
         left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(r)]
@@ -379,7 +388,53 @@ def test_rank_matches_rref():
                  for _ in range(r)]
         m = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
              for row in left]
-        assert rank(m) == len(rref(m)[0]) <= r
+        cases.append((m, cols, r))
+    for _ in range(20):
+        rows, cols = rng.randint(1, 4), rng.randint(8, 16)
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(cols)]
+             for _ in range(rows)]
+        for _ in range(rng.randint(1, 3)):
+            m.insert(rng.randint(0, len(m)), [0] * cols)
+        m.append([2 * x - y for x, y in zip(m[0], m[-1])])
+        cases.append((m, cols, rows))
+    cases += [([], 0, 0), ([], 4, 0), ([[]], 0, 0), ([[0] * 5] * 3, 5, 0)]
+    for n in (3, 4, 5):
+        for dim in (n - 1, n):
+            rows = clifford_action_rows(random_isotropic_subspace(rng, n, dim))
+            cases.append((rows, 1 << n, (1 << n) + dim - n - 1))
+    return cases
+
+
+def test_rank_matches_rref():
+    for m, _, bound in _elimination_cases():
+        assert rank(m) == len(rref(m)[0]) <= bound
+
+
+def test_nullspace_matches_rref_kernel():
+    for m, ncols, _ in _elimination_cases():
+        got = nullspace(m, ncols)
+        assert got == nullspace_by_rref(m, ncols)
+        assert all(type(x) is Fraction for vec in got for x in vec)
+        assert len(got) == ncols - rank(m)
+
+
+def test_spin_coordinates_of_a_sample_runs_rank_once(monkeypatch):
+    from zonorec import spinor
+
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(spinor, "rank", counted)
+    rng = random.Random(25)
+    for n in (3, 4, 5, 6):
+        for _ in range(3):
+            before = len(calls)
+            sub = random_isotropic_subspace(rng, n, n - 1)
+            assert verify_trbi(spin_coordinates(sub)) == []
+            assert calls[before:] == [n - 1]
 
 
 def test_spin_coordinates_makes_no_solve(monkeypatch):
