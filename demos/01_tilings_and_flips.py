@@ -17,7 +17,6 @@ from zonorec import (
     phi,
     render_svg,
     t_min,
-    t_min_vertices,
     tiling_through_vertex,
     validate_tiling,
 )
@@ -28,7 +27,6 @@ print("direction vectors:", hexagon.vectors)
 tm = t_min(hexagon)
 print("minimal tiling rhombi:", tm.canonical_rhombi())
 print("vertices:", sorted(tm.vertices))
-print("matches the closed-form vertex family:", tm.vertices == t_min_vertices(hexagon))
 print("validation:", validate_tiling(tm))
 
 down, up = flippable_vertices(tm)

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from zonorec import (
     RATIONAL,
-    SpinPoint,
     Spinor,
     ZonogonSpec,
     bilinear_form_B,
@@ -68,7 +67,7 @@ vals = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in tm.vertices}
 lab = extend_to_lattice(initial_labeling(tm, RATIONAL, vals))
 coords = {sum(b << i for i, b in enumerate(p)): lab.values[p]
           for p in spec.lattice_points()}
-pt = sign_twist(SpinPoint(n, coords))
+pt = sign_twist(Spinor(n, [coords[m] for m in range(1 << n)]))
 print("twisted recurrence labeling satisfies the bilinear equations:",
       verify_trbi(pt) == [])
 even = Spinor(n, [pt.coords[m] if m.bit_count() % 2 == 0 else 0
@@ -85,4 +84,4 @@ v111 = Spinor.basis(3, 0b111)
 print("B(v_000, v_111) =", bilinear_form_B(v000, v111))
 K3 = make_isotropic([eps(0, 3), eps(1, 3)])
 print("spin point of span(e1, e2):",
-      {m: c for m, c in spin_coordinates(K3).coords.items() if c})
+      {m: c for m, c in enumerate(spin_coordinates(K3).coords) if c})

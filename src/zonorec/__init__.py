@@ -5,7 +5,6 @@ from .zonogon import (
     Tiling,
     validate_tiling,
     t_min,
-    t_min_vertices,
     tiling_through_vertex,
     tiling_with_cube_faces,
     phi,
@@ -55,7 +54,6 @@ from .spinor import (
     Vector2n,
     Spinor,
     IsotropicSubspace,
-    SpinPoint,
     SpinorError,
     eps,
     eps_dual,

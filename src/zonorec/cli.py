@@ -286,6 +286,8 @@ def cmd_verify(args) -> int:
         "tropical": _verify_tropical,
         "grassmann": _verify_grassmann,
     }
+    if args.json and args.suite != "tropical":
+        raise CliError("--json applies only to verify tropical", EXIT_BAD_INPUT)
     lines = suites[args.suite](args)
     for line in lines:
         print(line)
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=3)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--json", action="store_true",
-                          help="emit a JSON report where supported")
+                          help="print the report as JSON (verify tropical only)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="render a tiling to SVG")
@@ -367,10 +369,7 @@ def main(argv=None) -> int:
             return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
         if getattr(args, "seed", 0) is None:
             args.seed = seed
-        needs_a = args.command == "tile" or (
-            args.command == "verify" and args.suite in ("confluence", "laurent", "tropical")
-        )
-        if needs_a and not getattr(args, "A", None):
+        if args.command == "verify" and args.suite != "grassmann" and not args.A:
             raise CliError("--A is required", EXIT_BAD_INPUT)
         return args.func(args)
     except CliError as exc:

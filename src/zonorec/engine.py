@@ -103,9 +103,6 @@ class Labeling:
     def copy(self) -> "Labeling":
         return Labeling(self.spec, self.domain, dict(self.values), self.tiling)
 
-    def is_total(self) -> bool:
-        return all(p in self.values for p in self.spec.lattice_points())
-
 
 def symbolic_labeling(t: Tiling) -> Labeling:
     """Each vertex of the tiling labelled by its own Laurent variable."""

@@ -94,13 +94,6 @@ class FlipPath:
     def __len__(self):
         return len(self.moves)
 
-    def replay(self):
-        """All tilings along the path, starting with `start`."""
-        out = [self.start]
-        for m in self.moves:
-            out.append(apply_move(out[-1], m))
-        return out
-
     @property
     def end(self) -> Tiling:
         t = self.start
@@ -138,22 +131,29 @@ def flippable_vertices(t: Tiling):
     return frozenset(down), frozenset(up)
 
 
+def _pivot_move(at: Point, up, down) -> FlipMove | None:
+    """The flip move pivoting at `at`, whose edges go up in the directions
+    `up` and down in `down`: a down move for two down and one up, an up move
+    for two up and one down, else None."""
+    if len(down) == 2 and len(up) == 1:
+        (j, l), (k,), direction = down, up, "down"
+        base = shift2(at, j, l, -1)
+    elif len(up) == 2 and len(down) == 1:
+        (j, l), (k,), direction = up, down, "up"
+        base = shift(at, k, -1)
+    else:
+        return None
+    if not j < k < l:
+        raise FlipError(f"edge directions {tuple(up)}+{tuple(down)} out of order at {at}")
+    return FlipMove(base, (j, k, l), direction)
+
+
 def _flip_at(t: Tiling, at: Point) -> FlipMove | None:
     """The flip move pivoting at `at`, or None unless `at` is a trivalent
     internal vertex."""
     if at not in t.vertices or not t.is_internal(at):
         return None
-    u, d = t.edges_at(at)
-    if len(u) + len(d) != 3:
-        return None
-    if len(d) == 2:
-        (j, l), k, direction = d, u[0], "down"
-    else:
-        (j, l), k, direction = u, d[0], "up"
-    if not j < k < l:
-        raise FlipError(f"edge directions {u}+{d} out of order at {at}")
-    base = shift2(at, j, l, -1) if direction == "down" else shift(at, k, -1)
-    return FlipMove(base, (j, k, l), direction)
+    return _pivot_move(at, *t.edges_at(at))
 
 
 def move_at(t: Tiling, at: Point) -> FlipMove:
@@ -246,15 +246,10 @@ class _UpFlips:
             return up
 
     def _build(self, i: int, near: int) -> _UpFlip | None:
-        up, down = ([d for d, b in steps if near & b] for steps in self.steps[i])
-        if len(up) != 2 or len(down) != 1:
-            return None
-        (j, l), (k,) = up, down
-        if not j < k < l:
-            raise FlipError(f"edge directions {tuple(up)}+{tuple(down)} out of order at "
-                            f"{self.points[i]}")
         p, bit = self.points[i], self.bit
-        move = FlipMove(shift(p, k, -1), (j, k, l), "up")
+        move = _pivot_move(p, *([d for d, b in steps if near & b] for steps in self.steps[i]))
+        if move is None or move.direction == "down":
+            return None
         need = bit(p) + sum(map(bit, move.corners[:6]))
         swap = bit(p) | bit(move.created)
         recheck = tuple(self.index[q] for q in move.corners[:6] + (move.created,)

@@ -86,20 +86,6 @@ def tiling_from_json(data: dict, spec: ZonogonSpec | None = None) -> Tiling:
     return t
 
 
-def flip_path_to_json(path: FlipPath) -> dict:
-    return {
-        "start": tiling_to_json(path.start),
-        "moves": [
-            {
-                "base": list(m.base),
-                "dirs": [d + 1 for d in m.dirs],
-                "dir": m.direction,
-            }
-            for m in path.moves
-        ],
-    }
-
-
 def flip_path_from_json(data: dict, spec: ZonogonSpec | None = None) -> FlipPath:
     """Decode a flip path and check each move's fields (`ValueError`); whether
     a move applies is checked when the path is replayed."""

@@ -11,7 +11,7 @@ vector is rescaled.  So the kernel behind pure spinors, spin coordinates,
 the random isotropic subspaces and the row elimination computes on the
 primitive integer vector of each line: denominators cleared and the gcd
 divided out.  Fractions appear only at the API edge, in `Vector2n`,
-`Spinor`, `SpinPoint` and the kernel vectors of `nullspace`.
+`Spinor` and the kernel vectors of `nullspace`.
 """
 
 from __future__ import annotations
@@ -169,16 +169,9 @@ class Spinor:
     def is_zero(self):
         return not any(self.coords)
 
-    def support(self):
-        return [m for m, c in enumerate(self.coords) if c]
-
     def parity(self):
         """0 for even support, 1 for odd, None for mixed or zero."""
         return _parity(self.coords)
-
-    def canonical(self) -> "Spinor":
-        """Cleared denominators, content 1, first nonzero coordinate positive."""
-        return Spinor(self.n, _canonical(self.coords))
 
     def __repr__(self):
         bits = [
@@ -297,33 +290,43 @@ def _clifford_products(flats, n: int):
             yield s
 
 
-def _annihilated_spinor(flats, n: int, s) -> Spinor:
-    """Canonical form of the integer spinor s, checked to be annihilated by
-    the basis and parity homogeneous."""
-    if any(any(_act(f[:n], f[n:], s)) for f in flats):
-        raise SpinorError("subspace does not annihilate its Clifford product")
-    if _parity(s) is None:
-        raise SpinorError("pure spinor is not parity homogeneous")
-    return Spinor(n, _canonical(s))
+def _pure_spinors(flats, n: int, parities: int) -> dict:
+    """Parity -> the first nonzero Clifford product v_1 ... v_k . e_S of that
+    parity, e_S in mask order, until `parities` parities are found, each
+    checked to be annihilated by the basis and parity homogeneous and kept
+    as its canonical integer coordinate list.
+
+    For a basis of an isotropic subspace L, each nonzero product spans a
+    spinor line that L annihilates: the pure spinor of L when L is maximal,
+    and the even or the odd one of L's two maximal extensions when L has
+    dimension n-1 (C. Chevalley, The Algebraic Theory of Spinors, 1954).
+    """
+    found = {}
+    for s in _clifford_products(flats, n):
+        parity = _parity(s)
+        if parity in found:
+            continue
+        if any(any(_act(f[:n], f[n:], s)) for f in flats):
+            raise SpinorError("subspace does not annihilate its Clifford product")
+        if parity is None:
+            raise SpinorError("pure spinor is not parity homogeneous")
+        found[parity] = _canonical(s)
+        if len(found) == parities:
+            break
+    return found
 
 
 def pure_spinor(sub: IsotropicSubspace) -> Spinor:
-    """The spinor line annihilated by a maximal isotropic subspace L.
-
-    Chevalley's construction: for a basis v_1..v_n of L and any basis spinor
-    e_S, the Clifford product v_1 ... v_n . e_S is either zero or spans that
-    line (C. Chevalley, The Algebraic Theory of Spinors, 1954).  Basis
-    spinors are tried in mask order and the first nonzero product is
-    returned in canonical form.
-    """
+    """The spinor line annihilated by a maximal isotropic subspace L: the
+    first nonzero Clifford product v_1 ... v_n . e_S of a basis of L, in
+    canonical form."""
     n = sub.n
     if sub.dim != n:
         raise SpinorError("pure spinors come from maximal isotropic subspaces")
-    flats = [_primitive(v.flat()) for v in sub.basis]
-    s = next(_clifford_products(flats, n), None)
-    if s is None:
+    found = _pure_spinors([_primitive(v.flat()) for v in sub.basis], n, 1)
+    if not found:
         raise SpinorError("Clifford product of the basis is zero")
-    return _annihilated_spinor(flats, n, s)
+    return Spinor(n, *found.values())
 
 
 def annihilator(s: Spinor) -> list:
@@ -344,58 +347,42 @@ def purity_check(s: Spinor):
 
 
 def _spinor_pair(sub: IsotropicSubspace):
-    """(even, odd) pure spinors annihilated by an isotropic K of dim n-1:
-    the first Clifford product of each parity, in canonical form."""
+    """(even, odd) canonical integer coordinates of the pure spinors
+    annihilated by an isotropic K of dim n-1."""
     n = sub.n
     if sub.dim != n - 1:
         raise SpinorError("expected an isotropic subspace of dimension n-1")
-    flats = _isotropic_flats(sub.basis)
-    found = {}
-    for s in _clifford_products(flats, n):
-        if _parity(s) not in found:
-            found[_parity(s)] = _annihilated_spinor(flats, n, s)
-            if len(found) == 2:
-                return found[0], found[1]
-    raise SpinorError("Clifford products of K do not reach both parities")
+    found = _pure_spinors(_isotropic_flats(sub.basis), n, 2)
+    if len(found) < 2:
+        raise SpinorError("Clifford products of K do not reach both parities")
+    return found[0], found[1]
 
 
 def complete_isotropic_pair(sub: IsotropicSubspace):
     """The two maximal isotropic subspaces containing a given (n-1)-dim one,
     the first with an even-parity pure spinor."""
-    return tuple(make_isotropic(annihilator(s)) for s in _spinor_pair(sub))
+    return tuple(make_isotropic(annihilator(Spinor(sub.n, s))) for s in _spinor_pair(sub))
 
 
 # ---------------------------------------------------------------------------
 # spin coordinates and the bilinear cube equations
 
 
-@dataclass
-class SpinPoint:
-    """Projective coordinates on the even and odd halves of the cube."""
-
-    n: int
-    coords: dict  # mask -> Fraction, all 2^n masks
-
-
-def spin_coordinates(sub: IsotropicSubspace) -> SpinPoint:
+def spin_coordinates(sub: IsotropicSubspace) -> Spinor:
     """Spin coordinates of an isotropic subspace K of dimension n-1.
 
     The Clifford product v_1 ... v_{n-1} of a basis of K maps the spinor
     module onto the 2-dimensional space that K annihilates, which is spanned
     by the even and the odd pure spinor of the two maximal isotropic
-    subspaces containing K (C. Chevalley, The Algebraic Theory of Spinors,
-    1954).  Basis spinors e_S are tried in mask order; the first nonzero
-    product of each parity gives the even and the odd coordinates, with no
-    linear solve.
+    subspaces containing K.  The first nonzero product of each parity gives
+    the even and the odd coordinates, with no linear solve; each is zero off
+    its own parity, so their sum holds both.
     """
-    sp, sm = _spinor_pair(sub)
-    coords = {}
-    for m in range(1 << sub.n):
-        coords[m] = sp.coords[m] if m.bit_count() % 2 == 0 else sm.coords[m]
-    return SpinPoint(sub.n, coords)
+    even, odd = _spinor_pair(sub)
+    return Spinor(sub.n, [a + b for a, b in zip(even, odd)])
 
 
-def trbi_residuals(p: SpinPoint):
+def trbi_residuals(p: Spinor):
     """Residuals of x_I x_Ijkl + x_Ijl x_Ik - x_Ijk x_Il - x_Ikl x_Ij."""
     n = p.n
     x = p.coords
@@ -415,20 +402,14 @@ def trbi_residuals(p: SpinPoint):
     return out
 
 
-def verify_trbi(p: SpinPoint):
+def verify_trbi(p: Spinor):
     """List of violated bilinear cube equations (empty when all hold)."""
     return [(where, res) for where, res in trbi_residuals(p) if res != 0]
 
 
-def sign_twist(p: SpinPoint) -> SpinPoint:
+def sign_twist(p: Spinor) -> Spinor:
     """Negate the coordinates whose index has popcount divisible by 4."""
-    return SpinPoint(
-        p.n,
-        {
-            m: (-c if m.bit_count() % 4 == 0 else c)
-            for m, c in p.coords.items()
-        },
-    )
+    return Spinor(p.n, [-c if m.bit_count() % 4 == 0 else c for m, c in enumerate(p.coords)])
 
 
 # ---------------------------------------------------------------------------

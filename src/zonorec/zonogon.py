@@ -235,10 +235,6 @@ class Tiling:
         down = [d for d, c in enumerate(v) if v[:d] + (c - 1,) + v[d + 1:] in self.vertices]
         return tuple(self._up_dirs(v)), tuple(down)
 
-    def neighbors(self, v: Point) -> list[Point]:
-        up, down = self.edges_at(v)
-        return [shift(v, d) for d in up] + [shift(v, d, -1) for d in down]
-
     def is_internal(self, v: Point) -> bool:
         return v not in self.spec.boundary_vertices
 
@@ -367,33 +363,6 @@ def t_min(spec: ZonogonSpec) -> Tiling:
     """The unique tiling with no downward flip: the wiring diagram that always
     swaps the lowest ascending pair."""
     return _wiring_tiling(spec, (0,) * spec.n)
-
-
-def t_min_vertices(spec: ZonogonSpec) -> frozenset:
-    """Closed-form vertex set of t_min.
-
-    Zero, the single-coordinate points (0,..,0,m,0,..,0) with 0 < m <= a_r,
-    and for r < s all (0,..,0,b,a_{r+1},..,a_{s-1},b',0,..,0) with
-    0 < b <= a_r, 0 < b' <= a_s.
-    """
-    n, a = spec.n, spec.a
-    out = {(0,) * n}
-    for r in range(n):
-        for m in range(1, a[r] + 1):
-            p = [0] * n
-            p[r] = m
-            out.add(tuple(p))
-    for r in range(n):
-        for s in range(r + 1, n):
-            for b in range(1, a[r] + 1):
-                for b2 in range(1, a[s] + 1):
-                    p = [0] * n
-                    p[r] = b
-                    p[s] = b2
-                    for w in range(r + 1, s):
-                        p[w] = a[w]
-                    out.add(tuple(p))
-    return frozenset(out)
 
 
 def tiling_through_vertex(spec: ZonogonSpec, p: Point) -> Tiling:

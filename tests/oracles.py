@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, product
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from zonorec.zonogon import (
     ZonogonSpec,
@@ -15,12 +15,11 @@ from zonorec.zonogon import (
     shift,
     t_min,
 )
-from zonorec.flips import FlipMove, apply_flip, flippable_vertices
+from zonorec.flips import FlipMove, apply_flip, apply_move, flippable_vertices
 from zonorec.jsonio import tiling_to_json
 from zonorec.laurent import LaurentPoly
 from zonorec.spinor import (
     IsotropicSubspace,
-    SpinPoint,
     Spinor,
     SpinorError,
     Vector2n,
@@ -129,6 +128,33 @@ def brute_force_tilings(spec: ZonogonSpec):
     return results
 
 
+def t_min_vertices(spec: ZonogonSpec) -> frozenset:
+    """Closed-form vertex set of t_min.
+
+    Zero, the single-coordinate points (0,..,0,m,0,..,0) with 0 < m <= a_r,
+    and for r < s all (0,..,0,b,a_{r+1},..,a_{s-1},b',0,..,0) with
+    0 < b <= a_r, 0 < b' <= a_s.
+    """
+    n, a = spec.n, spec.a
+    out = {(0,) * n}
+    for r in range(n):
+        for m in range(1, a[r] + 1):
+            p = [0] * n
+            p[r] = m
+            out.add(tuple(p))
+    for r in range(n):
+        for s in range(r + 1, n):
+            for b in range(1, a[r] + 1):
+                for b2 in range(1, a[s] + 1):
+                    p = [0] * n
+                    p[r] = b
+                    p[s] = b2
+                    for w in range(r + 1, s):
+                        p[w] = a[w]
+                    out.add(tuple(p))
+    return frozenset(out)
+
+
 def cube_bottom_faces(base, dirs):
     """The three faces of a unit 3-cube through base + e_k (k the middle
     direction): the rhombi an up flip removes."""
@@ -160,6 +186,12 @@ def edges_by_census(t: Tiling) -> dict:
             downs.setdefault(shift(base, d), set()).add(d)
     return {v: (tuple(sorted(ups.get(v, ()))), tuple(sorted(downs.get(v, ()))))
             for v in t.vertices}
+
+
+def neighbors(t: Tiling, v) -> list:
+    """The vertices joined to v by an edge of t: those above, then below."""
+    up, down = t.edges_at(v)
+    return [shift(v, d) for d in up] + [shift(v, d, -1) for d in down]
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +296,7 @@ def exchange_polynomial_by_angles(t: Tiling, v) -> LaurentPoly:
     with a corner at v."""
     spec = t.spec
     pv = spec.project(v)
-    step = {q: tuple(a - b for a, b in zip(spec.project(q), pv)) for q in t.neighbors(v)}
+    step = {q: tuple(a - b for a, b in zip(spec.project(q), pv)) for q in neighbors(t, v)}
 
     def half(u):  # 0 for angles in [0, pi), 1 for [pi, 2 pi)
         return 0 if u[1] > 0 or (u[1] == 0 and u[0] > 0) else 1
@@ -380,6 +412,14 @@ def walk_keeping(t, marked, rng, steps):
     return t
 
 
+def replay(path) -> list:
+    """All tilings along a flip path, starting with its start."""
+    out = [path.start]
+    for m in path.moves:
+        out.append(apply_move(out[-1], m))
+    return out
+
+
 def det(matrix) -> Fraction:
     """Exact determinant by cofactor recursion with column-mask memoisation."""
     n = len(matrix)
@@ -465,6 +505,15 @@ def clifford_action_rows(sub) -> list:
     return rows
 
 
+def canonical_spinor(s: Spinor) -> Spinor:
+    """The multiple of a nonzero spinor with integer coordinates of gcd 1
+    and its first nonzero coordinate positive."""
+    den = lcm(*(c.denominator for c in s.coords))
+    ints = [int(c * den) for c in s.coords]
+    g = gcd(*ints) if next(x for x in ints if x) > 0 else -gcd(*ints)
+    return Spinor(s.n, [x // g for x in ints])
+
+
 def pure_spinor_by_kernel(sub) -> Spinor:
     """Pure spinor of a maximal isotropic subspace as the joint kernel of its
     Clifford action, by one dense rational solve of size (n 2^n) x 2^n."""
@@ -474,7 +523,7 @@ def pure_spinor_by_kernel(sub) -> Spinor:
     kernel = nullspace(clifford_action_rows(sub), 1 << n)
     if len(kernel) != 1:
         raise SpinorError(f"solution space dimension {len(kernel)} != 1")
-    s = Spinor(n, kernel[0]).canonical()
+    s = canonical_spinor(Spinor(n, kernel[0]))
     if s.parity() is None:
         raise SpinorError("pure spinor is not parity homogeneous")
     return s
@@ -490,7 +539,7 @@ def _rational_sqrt(x: Fraction):
     return None
 
 
-def spin_coordinates_by_extensions(sub) -> SpinPoint:
+def spin_coordinates_by_extensions(sub) -> Spinor:
     """Spin coordinates of an isotropic K of dimension n-1 through its two
     maximal isotropic extensions: perp(K) by a linear solve, a complement of
     K in it, the isotropic lines of the rank-2 split form on perp(K)/K, and
@@ -533,8 +582,7 @@ def spin_coordinates_by_extensions(sub) -> SpinPoint:
         spinors[s.parity()] = s
     if set(spinors) != {0, 1}:
         raise SpinorError("extensions do not have opposite parities")
-    return SpinPoint(n, {m: spinors[m.bit_count() % 2].coords[m]
-                         for m in range(1 << n)})
+    return Spinor(n, [spinors[m.bit_count() % 2].coords[m] for m in range(1 << n)])
 
 
 def intersect_spans(rows1, rows2):
@@ -578,15 +626,15 @@ def projection_pi(point_mask: int, dirs, s: Spinor) -> Spinor:
             cur = clifford_act(eps_dual(i, n), cur)
     out = Spinor(3)
     keep = (1 << j) | (1 << k) | (1 << l)
-    for mask in cur.support():
-        if mask & ~keep:
+    for mask, c in enumerate(cur.coords):
+        if not c or mask & ~keep:
             continue
         small = (
             (1 if mask & (1 << j) else 0)
             | (2 if mask & (1 << k) else 0)
             | (4 if mask & (1 << l) else 0)
         )
-        out.coords[small] = cur.coords[mask]
+        out.coords[small] = c
     return out
 
 
@@ -659,7 +707,7 @@ def _fraction_products(basis, n: int):
 def _fraction_annihilated(basis, s: Spinor) -> Spinor:
     if any(not clifford_act_by_signs(v, s).is_zero() for v in basis):
         raise SpinorError("subspace does not annihilate its Clifford product")
-    s = s.canonical()
+    s = canonical_spinor(s)
     if s.parity() is None:
         raise SpinorError("pure spinor is not parity homogeneous")
     return s
@@ -677,7 +725,7 @@ def pure_spinor_by_fractions(sub) -> Spinor:
     return _fraction_annihilated(sub.basis, s)
 
 
-def spin_coordinates_by_fractions(sub) -> SpinPoint:
+def spin_coordinates_by_fractions(sub) -> Spinor:
     """Spin coordinates of an isotropic K of dimension n-1 from the first
     Fraction Clifford product of each parity, with K checked by Fraction
     elimination and the pairing."""
@@ -696,8 +744,7 @@ def spin_coordinates_by_fractions(sub) -> SpinPoint:
                 break
     else:
         raise SpinorError("Clifford products of K do not reach both parities")
-    return SpinPoint(n, {m: found[m.bit_count() % 2].coords[m]
-                         for m in range(1 << n)})
+    return Spinor(n, [found[m.bit_count() % 2].coords[m] for m in range(1 << n)])
 
 
 def reflect(v: Vector2n, x: Vector2n) -> Vector2n:

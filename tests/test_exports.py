@@ -1,9 +1,9 @@
-"""The package exports only what the program uses: every name that
-`zonorec/__init__.py` imports is referenced, outside its own definition, by
-a `zonorec` module, a demo or a benchmark module."""
+"""The package holds only what the program uses: every name that
+`zonorec/__init__.py` imports, and every public function, class and method
+that a `zonorec` module defines, is referenced, outside its own definition,
+by a `zonorec` module, a demo or a benchmark module."""
 
 import ast
-import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -17,14 +17,33 @@ def _exported_names() -> list:
 
 
 def _referenced_names(path: Path) -> set:
-    """The identifiers in a file's code, less those a `def` or `class`
-    defines; strings and comments are not code."""
-    out, prev = set(), None
-    with open(path, "rb") as fh:
-        for tok in tokenize.tokenize(fh.readline):
-            if tok.type == tokenize.NAME and prev not in ("def", "class"):
-                out.add(tok.string)
-            prev = tok.string if tok.type == tokenize.NAME else None
+    """The names a file's code uses: identifiers, attribute names and
+    imported names, also those inside f-strings.  A `def` or `class` does
+    not use the name it defines; strings and comments are not code."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def _public_definitions() -> list:
+    """`module.name` for each public module-level function and class of the
+    package, and `module.Class.name` for each public method of its classes."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                out.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out += [f"{path.stem}.{node.name}.{m.name}" for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
     return out
 
 
@@ -47,3 +66,18 @@ def test_a_name_only_defined_is_not_a_use(tmp_path):
                    "class Kept:\n    pass\n\nx = Kept()\n")
     assert _referenced_names(src) & {"only_defined", "used_in_a_string",
                                      "used_in_a_comment", "Kept"} == {"Kept"}
+
+
+def test_every_public_definition_is_used_by_the_program():
+    """Matched by name: a method counts as used when any attribute or
+    identifier of the program has its name."""
+    used = set().union(*map(_referenced_names, _program_files()))
+    defined = _public_definitions()
+    assert len(defined) > 100
+    assert [d for d in defined if d.rsplit(".", 1)[1] not in used] == []
+
+
+def test_a_name_in_an_f_string_is_a_use(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text('def f(x):\n    return f"{x.only_in_an_f_string()}"\n')
+    assert "only_in_an_f_string" in _referenced_names(src)

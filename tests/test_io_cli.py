@@ -43,12 +43,20 @@ def test_tiling_json_round_trip():
     assert jsonio.tiling_from_json(json.loads(json.dumps(data))) == t
 
 
+def _flip_path_json(path) -> dict:
+    """A flip path document: the start tiling and each move with 1-based
+    directions."""
+    return {"start": jsonio.tiling_to_json(path.start),
+            "moves": [{"base": list(m.base), "dirs": [d + 1 for d in m.dirs],
+                       "dir": m.direction} for m in path.moves]}
+
+
 def test_flip_path_json_round_trip():
     spec = ZonogonSpec((2, 2, 1))
     rng = random.Random(0)
     t1, t2 = random_tiling(spec, rng), random_tiling(spec, rng)
     path = connect(t1, t2)
-    data = json.loads(json.dumps(jsonio.flip_path_to_json(path)))
+    data = json.loads(json.dumps(_flip_path_json(path)))
     back = jsonio.flip_path_from_json(data)
     assert back.start == path.start and back.moves == path.moves
     assert back.end == t2
@@ -592,6 +600,19 @@ def test_cli_verify_tropical_json_is_always_a_report(capsys, a, met):
     if not met:
         base, d = report["hypothesis_witness"]["base"], report["hypothesis_witness"]["dir"]
         assert base[0] == 1 and d != 1  # an edge on the wall i_1 = 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "confluence", "--A", "1,1,1", "--trials", "1"],
+    ["verify", "laurent", "--A", "1,1,1"],
+    ["verify", "grassmann", "--n", "3", "--samples", "1"],
+], ids=["confluence", "laurent", "grassmann"])
+def test_cli_verify_json_outside_tropical_exits_2(capsys, argv):
+    """Only verify tropical has a JSON report; elsewhere --json is rejected
+    before the suite runs, not ignored."""
+    assert main(argv + ["--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --json applies only to verify tropical\n"
 
 
 @pytest.mark.parametrize("command", ["tile", "run", "render"])

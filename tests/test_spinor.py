@@ -7,7 +7,6 @@ import pytest
 from zonorec import (
     RATIONAL,
     IsotropicSubspace,
-    SpinPoint,
     Spinor,
     SpinorError,
     Vector2n,
@@ -34,6 +33,7 @@ from zonorec import (
 from zonorec.spinor import nullspace, rank
 
 from oracles import (
+    canonical_spinor,
     clifford_act_by_signs,
     clifford_action_rows,
     inner,
@@ -226,7 +226,7 @@ def test_complete_isotropic_pair_random():
 def test_spin_coordinates_special_point():
     sub = make_isotropic([eps(0, 3), eps(1, 3)])
     pt = spin_coordinates(sub)
-    nonzero = {m for m, c in pt.coords.items() if c}
+    nonzero = {m for m, c in enumerate(pt.coords) if c}
     assert nonzero == {mask(0, 1), mask(0, 1, 2)}
     assert verify_trbi(pt) == []
 
@@ -258,6 +258,21 @@ def test_spin_coordinates_matches_extensions_oracle():
         got = spin_coordinates(sub)
         want = spin_coordinates_by_extensions(sub)
         assert got.n == want.n and got.coords == want.coords
+
+
+def test_pure_spinors_of_the_extensions_are_the_spin_coordinate_halves():
+    """pure_spinor of each maximal extension of K, built on the annihilator
+    basis of one parity's Clifford product, is the canonical form of that
+    parity's half of the spin coordinates of K."""
+    rng = random.Random(26)
+    for n in (3, 4, 5, 6):
+        for _ in range(3):
+            sub = random_isotropic_subspace(rng, n, n - 1)
+            coords = spin_coordinates(sub).coords
+            for parity, extension in enumerate(complete_isotropic_pair(sub)):
+                half = Spinor(n, [c if m.bit_count() % 2 == parity else 0
+                                  for m, c in enumerate(coords)])
+                assert pure_spinor(extension) == canonical_spinor(half)
 
 
 @pytest.mark.parametrize("basis", [
@@ -451,8 +466,8 @@ def test_spin_coordinates_makes_no_solve(monkeypatch):
 
 def test_sign_twist_involution_and_examples():
     rng = random.Random(6)
-    coords = {m: Fraction(rng.randint(1, 9)) for m in range(8)}
-    pt = SpinPoint(3, coords)
+    coords = [Fraction(rng.randint(1, 9)) for m in range(8)]
+    pt = Spinor(3, coords)
     tw = sign_twist(pt)
     assert tw.coords[0] == -coords[0]  # popcount 0
     assert tw.coords[mask(0, 1, 2)] == coords[mask(0, 1, 2)]  # popcount 3
@@ -471,7 +486,7 @@ def test_twisted_recurrence_point_is_spinor_point():
             sum(b << i for i, b in enumerate(p)): lab.values[p]
             for p in spec.lattice_points()
         }
-        pt = sign_twist(SpinPoint(n, coords))
+        pt = sign_twist(Spinor(n, [coords[m] for m in range(1 << n)]))
         assert verify_trbi(pt) == []
         even = Spinor(n, [pt.coords[m] if m.bit_count() % 2 == 0 else 0
                           for m in range(1 << n)])

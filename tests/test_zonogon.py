@@ -6,7 +6,6 @@ from zonorec import (
     Tiling,
     ZonogonSpec,
     t_min,
-    t_min_vertices,
     tiling_through_vertex,
     tiling_with_cube_faces,
     validate_tiling,
@@ -14,7 +13,7 @@ from zonorec import (
 from zonorec.flips import flippable_vertices
 from zonorec.zonogon import cross, rhombus_corners
 
-from oracles import cube_bottom_faces, cube_top_faces
+from oracles import cube_bottom_faces, cube_top_faces, t_min_vertices
 from paper_lemmas import LiftError, lift_decomposition
 
 HEX = ZonogonSpec((1, 1, 1))
