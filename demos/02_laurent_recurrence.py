@@ -10,7 +10,6 @@ import random
 from fractions import Fraction
 
 from zonorec import (
-    LAURENT,
     RATIONAL,
     TROPICAL,
     ZonogonSpec,

@@ -33,12 +33,30 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_a(text: str):
+def _parse(text: str, what: str, make):
+    """`make(text)`, where a `ValueError` is invalid input naming `what`."""
     try:
-        a = tuple(int(x) for x in text.split(","))
-        return zonogon.ZonogonSpec(a)
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"invalid multiplicities {text!r}: {exc}", EXIT_BAD_INPUT)
+        return make(text)
+    except ValueError as exc:
+        raise CliError(f"invalid {what} {text!r}: {exc}", EXIT_BAD_INPUT)
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(","))
+
+
+def _parse_a(text: str):
+    return _parse(text, "multiplicities", lambda t: zonogon.ZonogonSpec(_ints(t)))
+
+
+def _cube_tiling(spec, text: str):
+    """The tiling `--cube base,j,k,l,side` names (1-based directions)."""
+    bits = text.split(",")
+    if len(bits) != spec.n + 4:
+        raise ValueError(f"needs base ({spec.n} coords), j,k,l, side")
+    base = tuple(int(x) for x in bits[:spec.n])
+    dirs = tuple(int(x) - 1 for x in bits[spec.n:spec.n + 3])
+    return zonogon.tiling_with_cube_faces(spec, base, dirs, bits[-1])
 
 
 def _require_at_least(value: int, least: int, flag: str):
@@ -87,34 +105,16 @@ def cmd_tile(args) -> int:
     spec = _parse_a(args.A)
     if args.enumerate:
         _require_at_least(args.cap, 0, "--cap")
-        try:
-            tilings = flips.enumerate_tilings(spec, cap=args.cap)
-        except flips.CapExceeded as exc:
-            raise CliError(str(exc), EXIT_CAP)
+        tilings = flips.enumerate_tilings(spec, cap=args.cap)
         with _write_out(args.out) as fh:
             jsonio.tilings_to_json(tilings, fh)
             fh.write("\n")
         return EXIT_OK
     if args.through:
-        try:
-            p = tuple(int(x) for x in args.through.split(","))
-        except ValueError as exc:
-            raise CliError(f"bad vertex {args.through!r}: {exc}", EXIT_BAD_INPUT)
-        if not spec.contains(p):
-            raise CliError(f"vertex {p} outside the box", EXIT_BAD_INPUT)
-        t = zonogon.tiling_through_vertex(spec, p)
+        t = _parse(args.through, "--through",
+                   lambda text: zonogon.tiling_through_vertex(spec, _ints(text)))
     elif args.cube:
-        bits = args.cube.split(",")
-        if len(bits) != spec.n + 4:
-            raise CliError(
-                f"--cube needs base ({spec.n} coords), j,k,l, side", EXIT_BAD_INPUT
-            )
-        try:
-            base = tuple(int(x) for x in bits[: spec.n])
-            dirs = tuple(int(x) - 1 for x in bits[spec.n:spec.n + 3])
-            t = zonogon.tiling_with_cube_faces(spec, base, dirs, bits[-1])
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_BAD_INPUT)
+        t = _parse(args.cube, "--cube", lambda text: _cube_tiling(spec, text))
     else:
         t = zonogon.t_min(spec)
     with _write_out(args.out) as fh:
@@ -133,33 +133,17 @@ def cmd_run(args) -> int:
             f"labeling domain {given.domain.name!r} != --domain {args.domain!r}",
             EXIT_BAD_INPUT,
         )
-    extra = [v for v in given.values if v not in tiling.vertices]
-    if extra:
-        raise CliError(f"labeling has values at {extra}, which are not tiling vertices",
-                       EXIT_BAD_INPUT)
-    missing = [v for v in tiling.vertices if v not in given.values]
-    if missing:
-        raise CliError(f"labeling misses tiling vertices {missing}", EXIT_BAD_INPUT)
-    try:
-        labeling = engine.initial_labeling(tiling, given.domain, given.values)
-        if args.path:
-            path = _load(jsonio.flip_path_from_json, args.path, tiling.spec)
-            if path.start != tiling:
-                raise CliError("flip path does not start at the tiling", EXIT_BAD_INPUT)
-            result = engine.evaluate_path(labeling, path)
-        else:
-            result = engine.extend_to_lattice(labeling)
-            if args.check:
-                report = engine.verify_cube_relations(result)
-                if not report.ok:
-                    raise CliError(f"relation check failed: {report.failures[0]}",
-                                   EXIT_DOMAIN)
-    except (InexactDivision, ZeroDivisionError, engine.DomainError) as exc:
-        raise CliError(f"domain error: {exc}", EXIT_DOMAIN)
-    except engine.ConsistencyError as exc:
-        raise CliError(f"consistency violation: {exc}", EXIT_DOMAIN)
-    except flips.FlipError as exc:
-        raise CliError(f"invalid tiling or flip path: {exc}", EXIT_BAD_INPUT)
+    labeling = engine.initial_labeling(tiling, given.domain, given.values)
+    if args.path:
+        path = _load(jsonio.flip_path_from_json, args.path, tiling)
+        result = engine.evaluate_path(labeling, path)
+    else:
+        result = engine.extend_to_lattice(labeling)
+        if args.check:
+            report = engine.verify_cube_relations(result)
+            if not report.ok:
+                raise CliError(f"relation check failed: {report.failures[0]}",
+                               EXIT_DOMAIN)
     with _write_out(args.out) as fh:
         fh.write(json.dumps(jsonio.labeling_to_json(result), indent=1) + "\n")
     return EXIT_OK
@@ -174,11 +158,10 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _verify_confluence(args) -> list[str]:
+def _verify_confluence(args) -> str:
     spec = _parse_a(args.A)
     _require_at_least(args.trials, 1, "--trials")
     rng = random.Random(args.seed)
-    lines = []
     for trial in range(args.trials):
         t1 = flips.random_tiling(spec, rng)
         t2 = flips.random_tiling(spec, rng)
@@ -194,11 +177,10 @@ def _verify_confluence(args) -> list[str]:
                 raise CliError(
                     f"confluence violated at {v} on trial {trial}", EXIT_DOMAIN
                 )
-    lines.append(f"confluence: {args.trials} trials on A={spec.a}: all labelings equal")
-    return lines
+    return f"confluence: {args.trials} trials on A={spec.a}: all labelings equal"
 
 
-def _verify_laurent(args) -> list[str]:
+def _verify_laurent(args) -> str:
     spec = _parse_a(args.A)
     t0 = zonogon.t_min(spec)
     lab = engine.symbolic_labeling(t0)
@@ -212,13 +194,12 @@ def _verify_laurent(args) -> list[str]:
     for p in spec.lattice_points():
         if total.values[p].evaluate(point) != rat.values[p]:
             raise CliError(f"symbolic/rational mismatch at {p}", EXIT_DOMAIN)
-    lines = [f"laurent: A={spec.a}: all {spec.vertex_count} initial + "
-             f"{len(total.values) - spec.vertex_count} derived values Laurent; "
-             "evaluation matches the rational run"]
-    return lines
+    return (f"laurent: A={spec.a}: all {spec.vertex_count} initial + "
+            f"{len(total.values) - spec.vertex_count} derived values Laurent; "
+            "evaluation matches the rational run")
 
 
-def _verify_tropical(args) -> list[str]:
+def _verify_tropical(args) -> str:
     spec = _parse_a(args.A)
     _require_at_least(args.samples, 1, "--samples")
     if not 1 <= args.s <= spec.n:
@@ -252,31 +233,29 @@ def _verify_tropical(args) -> list[str]:
                 f"wall inequality violated at {report.violations[0]}", EXIT_DOMAIN
             )
     if args.json:  # with no sample met, the last one's report and its witness
-        return [json.dumps(jsonio.propagation_report_to_json(
-            last_report if last_report is not None else report))]
+        return json.dumps(jsonio.propagation_report_to_json(
+            last_report if last_report is not None else report))
     if met == 0:
-        return [f"tropical: hypothesis not met on any of {args.samples} samples "
-                f"(wall s={args.s}, c={args.c})"]
-    return [f"tropical: {met}/{args.samples} samples met the cutcurve hypothesis; "
-            "wall inequalities held on every edge"]
+        return (f"tropical: hypothesis not met on any of {args.samples} samples "
+                f"(wall s={args.s}, c={args.c})")
+    return (f"tropical: {met}/{args.samples} samples met the cutcurve hypothesis; "
+            "wall inequalities held on every edge")
 
 
-def _verify_grassmann(args) -> list[str]:
+def _verify_grassmann(args) -> str:
     n = args.n
     if not 3 <= n <= spinor.MAX_N:
         raise CliError(f"n must be in 3..{spinor.MAX_N}", EXIT_BAD_INPUT)
     _require_at_least(args.samples, 1, "--samples")
     rng = random.Random(args.seed)
-    worst = Fraction(0)
     for _ in range(args.samples):
         sub = spinor.random_isotropic_subspace(rng, n, n - 1)
         point = spinor.spin_coordinates(sub)
         for _, res in spinor.trbi_residuals(point):
-            worst = max(worst, abs(res))
             if res != 0:
                 raise CliError(f"bilinear cube equation violated: {res}", EXIT_DOMAIN)
-    return [f"grassmann: n={n}: {args.samples} samples, all bilinear residuals "
-            f"zero (max |residual| = {worst})"]
+    return (f"grassmann: n={n}: {args.samples} samples, all bilinear residuals "
+            "zero (max |residual| = 0)")
 
 
 def cmd_verify(args) -> int:
@@ -288,9 +267,7 @@ def cmd_verify(args) -> int:
     }
     if args.json and args.suite != "tropical":
         raise CliError("--json applies only to verify tropical", EXIT_BAD_INPUT)
-    lines = suites[args.suite](args)
-    for line in lines:
-        print(line)
+    print(suites[args.suite](args))
     return EXIT_OK
 
 
@@ -360,6 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each library exception that reaches `main`; a `CliError`
+# carries its own.
+_EXIT_CODES = {
+    flips.CapExceeded: EXIT_CAP,
+    flips.FlipError: EXIT_BAD_INPUT,
+    engine.DomainError: EXIT_DOMAIN,
+    engine.ConsistencyError: EXIT_DOMAIN,
+    InexactDivision: EXIT_DOMAIN,
+    ZeroDivisionError: EXIT_DOMAIN,
+}
+
+
 def main(argv=None) -> int:
     try:
         seed = _env_seed()
@@ -372,15 +361,11 @@ def main(argv=None) -> int:
         if args.command == "verify" and args.suite != "grassmann" and not args.A:
             raise CliError("--A is required", EXIT_BAD_INPUT)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except flips.CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (InexactDivision, ZeroDivisionError, engine.DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        if isinstance(exc, CliError):
+            return exc.code
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -144,26 +144,35 @@ def flip_value(labeling: Labeling, move: FlipMove):
         ) from exc
 
 
+def _replay(labeling: Labeling, tiling: Tiling, moves) -> Tiling:
+    """Apply `moves` from `tiling`, writing the value of each created vertex
+    into `labeling.values`; returns the tiling reached.
+
+    Each move is applied before its value is computed, so a move that does
+    not apply raises `FlipError`; a re-derived value that disagrees with the
+    one already there raises `ConsistencyError`.
+    """
+    values = labeling.values
+    for move in moves:
+        tiling = apply_move(tiling, move)
+        val = flip_value(labeling, move)
+        created = move.created
+        if created in values and values[created] != val:
+            raise ConsistencyError(f"re-derived value at {created} disagrees")
+        values[created] = val
+    return tiling
+
+
 def evaluate_path(labeling: Labeling, path: FlipPath) -> Labeling:
     """Push values along a flip path; returns the labeling on the end tiling.
 
     The returned labeling keeps every value computed along the way (values at
-    vertices shared with earlier tilings never change).  Each move is applied
-    before its value is computed, so a move that does not apply to the tiling
-    it reaches raises `FlipError`.
+    vertices shared with earlier tilings never change).
     """
     if labeling.tiling is not None and path.start != labeling.tiling:
         raise DomainError("path does not start at the labeling's tiling")
     out = labeling.copy()
-    cur = path.start
-    for move in path.moves:
-        cur = apply_move(cur, move)
-        val = flip_value(out, move)
-        created = move.created
-        if created in out.values and out.values[created] != val:
-            raise ConsistencyError(f"re-derived value at {created} disagrees")
-        out.values[created] = val
-    out.tiling = cur
+    out.tiling = _replay(out, path.start, path.moves)
     return out
 
 
@@ -171,29 +180,24 @@ def extend_to_lattice(labeling: Labeling) -> Labeling:
     """The unique extension of the initial values to the whole lattice box.
 
     Each missing point is reached by routing a flip path from T0 through the
-    wiring-diagram tiling containing it (`tiling_through_vertex`);
-    re-derivations of already-known values are compared exactly.
+    wiring-diagram tiling containing it (`tiling_through_vertex`) and
+    replaying it into one growing labeling, so re-derivations of already
+    known values are compared exactly.
     """
     t0 = labeling.tiling
     if t0 is None:
         raise DomainError("labeling has no initial tiling")
-    cache = dict(labeling.values)
+    out = labeling.copy()
     down0 = normalize_to_min(t0)
     for p in sorted(labeling.spec.lattice_points()):
-        if p in cache:
+        if p in out.values:
             continue
         t_p = tiling_through_vertex(labeling.spec, p)
         up = normalize_to_min(t_p)
-        path = FlipPath(t0, list(down0.moves) + [m.inverse() for m in reversed(up.moves)])
-        for q, val in evaluate_path(labeling, path).values.items():
-            if q in cache:
-                if cache[q] != val:
-                    raise ConsistencyError(f"inconsistent re-derivation at {q}")
-            else:
-                cache[q] = val
-        if p not in cache:
+        _replay(out, t0, list(down0.moves) + [m.inverse() for m in reversed(up.moves)])
+        if p not in out.values:
             raise DomainError(f"path through {p} failed to label it")
-    return Labeling(labeling.spec, labeling.domain, cache, t0)
+    return out
 
 
 @dataclass

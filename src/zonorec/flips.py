@@ -94,13 +94,6 @@ class FlipPath:
     def __len__(self):
         return len(self.moves)
 
-    @property
-    def end(self) -> Tiling:
-        t = self.start
-        for m in self.moves:
-            t = apply_move(t, m)
-        return t
-
 
 def fundamental_forest(t: Tiling) -> frozenset:
     """The internal edges (I, I+e_j) that are the sole up-edge at I."""

@@ -86,10 +86,13 @@ def tiling_from_json(data: dict, spec: ZonogonSpec | None = None) -> Tiling:
     return t
 
 
-def flip_path_from_json(data: dict, spec: ZonogonSpec | None = None) -> FlipPath:
-    """Decode a flip path and check each move's fields (`ValueError`); whether
-    a move applies is checked when the path is replayed."""
-    start = tiling_from_json(data["start"], spec)
+def flip_path_from_json(data: dict, tiling: Tiling | None = None) -> FlipPath:
+    """Decode a flip path, which must start at `tiling` when one is given, and
+    check each move's fields (`ValueError`); whether a move applies is checked
+    when the path is replayed."""
+    start = tiling_from_json(data["start"], tiling and tiling.spec)
+    if tiling is not None and start != tiling:
+        raise ValueError("flip path does not start at the tiling")
     spec, moves = start.spec, []
     for i, m in enumerate(data["moves"]):
         base, dirs, direction = m["base"], m["dirs"], m["dir"]
@@ -161,7 +164,8 @@ def labeling_to_json(labeling: Labeling) -> dict:
 
 def labeling_from_json(data: dict, tiling: Tiling | None = None) -> Labeling:
     """Decode a labeling; each vertex must be n JSON integers and each value
-    a Laurent polynomial or a rational (`ValueError`)."""
+    a Laurent polynomial or a rational, and given a tiling, the vertices must
+    be exactly its vertices (`ValueError`)."""
     spec = tiling.spec if tiling is not None else ZonogonSpec(data["A"])
     if tuple(spec.a) != tuple(data["A"]):
         raise ValueError("labeling multiplicities disagree with the spec")
@@ -177,6 +181,13 @@ def labeling_from_json(data: dict, tiling: Tiling | None = None) -> Labeling:
             values[vertex] = laurent_from_json(item["value"])
         else:
             values[vertex] = _fraction_from_json(item["value"])
+    if tiling is not None:
+        extra = [v for v in values if v not in tiling.vertices]
+        if extra:
+            raise ValueError(f"labeling has values at {extra}, which are not tiling vertices")
+        missing = [v for v in tiling.vertices if v not in values]
+        if missing:
+            raise ValueError(f"labeling misses tiling vertices {missing}")
     return Labeling(spec, domain, values, tiling)
 
 

@@ -162,10 +162,6 @@ class Spinor:
             and self.coords == other.coords
         )
 
-    def scale(self, c) -> "Spinor":
-        c = Fraction(c)
-        return Spinor(self.n, [c * x for x in self.coords])
-
     def is_zero(self):
         return not any(self.coords)
 

@@ -1,14 +1,15 @@
 """Lattice model of a zonogon and its rhombus tilings.
 
-A spec fixes positive side multiplicities ``a = (a_1, ..., a_n)`` and n exact
-planar direction vectors with strictly increasing angles in (0, pi).  The
-lattice box ``Pi = prod {0..a_i}`` projects onto the zonogon ``P`` via
-``I -> sum_i I_i * v_i``; a tiling is a set of unit rhombi (base point plus an
-unordered direction pair) whose projection decomposes P, and is determined by
-the set of their corners, its vertices.
+A spec fixes positive side multiplicities ``a = (a_1, ..., a_n)``; its n
+planar direction vectors are ``default_directions(n)``, integer vectors with
+strictly increasing angles in (0, pi).  The lattice box ``Pi = prod {0..a_i}``
+projects onto the zonogon ``P`` via ``I -> sum_i I_i * v_i``; a tiling is a
+set of unit rhombi (base point plus an unordered direction pair) whose
+projection decomposes P, and is determined by the set of their corners, its
+vertices.
 
-Everything here is exact: direction vectors are integer (or Fraction) pairs,
-so all geometric predicates (left/right, higher/lower, incidence) are integer
+Everything here is exact: direction vectors are integer pairs, so all
+geometric predicates (left/right, higher/lower, incidence) are integer
 arithmetic.
 """
 
@@ -35,10 +36,6 @@ def shift2(p: Point, d1: int, d2: int, step: int = 1) -> Point:
     )
 
 
-def cross(u: Vec2, v: Vec2):
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def default_directions(n: int) -> tuple[Vec2, ...]:
     """Integer direction vectors with strictly increasing angles in (0, pi).
 
@@ -59,7 +56,7 @@ def default_directions(n: int) -> tuple[Vec2, ...]:
 class ZonogonSpec:
     """Side multiplicities plus exact planar directions for the zonogon."""
 
-    def __init__(self, a, vectors=None):
+    def __init__(self, a):
         a = tuple(int(x) for x in a)
         if len(a) < 3:
             raise ValueError("need n >= 3 directions")
@@ -67,15 +64,7 @@ class ZonogonSpec:
             raise ValueError("side multiplicities must be >= 1")
         self.a = a
         self.n = len(a)
-        self.vectors = tuple(tuple(v) for v in (vectors or default_directions(self.n)))
-        if len(self.vectors) != self.n:
-            raise ValueError("need one direction vector per multiplicity")
-        for v in self.vectors:
-            if v[1] <= 0:
-                raise ValueError("direction vectors must point into the upper half plane")
-        for (i, u), (j, v) in combinations(enumerate(self.vectors), 2):
-            if cross(u, v) <= 0:
-                raise ValueError(f"angles not strictly increasing at directions {i},{j}")
+        self.vectors = default_directions(self.n)
 
     def __eq__(self, other):
         return (

@@ -10,7 +10,6 @@ from math import gcd, isqrt, lcm
 from zonorec.zonogon import (
     ZonogonSpec,
     Tiling,
-    cross,
     rhombus_corners,
     shift,
     t_min,
@@ -32,6 +31,11 @@ from zonorec.spinor import (
 )
 
 from paper_lemmas import Cell, rhombus_edges
+
+
+def cross(u, v):
+    """The planar cross product u x v, positive when v is counterclockwise of u."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def _interiors_overlap(spec: ZonogonSpec, r1, r2) -> bool:

@@ -9,13 +9,10 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from zonorec import (
     LAURENT,
     RATIONAL,
     TROPICAL,
-    FlipPath,
     Spinor,
     Wall,
     ZonogonSpec,

@@ -6,9 +6,6 @@ import pytest
 
 from zonorec import (
     ConsistencyError,
-    FlipMove,
-    Labeling,
-    LAURENT,
     RATIONAL,
     TROPICAL,
     ZonogonSpec,
@@ -31,7 +28,7 @@ from zonorec.flips import FlipPath
 from oracles import neighbors
 from paper_lemmas import exchange_polynomial, substitute
 from zonorec.laurent import LaurentPoly as L
-from zonorec.zonogon import rhombus_corners, shift, shift2
+from zonorec.zonogon import shift, shift2
 
 HEX = ZonogonSpec((1, 1, 1))
 

@@ -1,7 +1,8 @@
 """The package holds only what the program uses: every name that
 `zonorec/__init__.py` imports, and every public function, class and method
 that a `zonorec` module defines, is referenced, outside its own definition,
-by a `zonorec` module, a demo or a benchmark module."""
+by a `zonorec` module, a demo or a benchmark module.  And no module of the
+package, the demos or the tests imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,35 @@ def test_a_name_in_an_f_string_is_a_use(tmp_path):
     src = tmp_path / "m.py"
     src.write_text('def f(x):\n    return f"{x.only_in_an_f_string()}"\n')
     assert "only_in_an_f_string" in _referenced_names(src)
+
+
+def _unread_imports(path: Path) -> list:
+    """The names a file imports but never reads; `from __future__` imports
+    are exempt."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """`zonorec/__init__.py` is exempt: its imports are the package's exports."""
+    files = ([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+             + list((ROOT / "demos").glob("*.py")) + list((ROOT / "tests").glob("*.py")))
+    assert len(files) > 20
+    unread = {str(p.relative_to(ROOT)): _unread_imports(p) for p in sorted(files)}
+    assert {path: names for path, names in unread.items() if names} == {}
+
+
+def test_an_import_read_nowhere_is_reported(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from __future__ import annotations\n"
+                   "import os.path, json as js\nfrom re import sub, fullmatch\n"
+                   "def f():\n    import sys\n    return os.sep, sub  # fullmatch, js\n"
+                   "doc = 'sys'\n")
+    assert _unread_imports(src) == ["js", "fullmatch", "sys"]

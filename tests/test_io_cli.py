@@ -33,6 +33,8 @@ from zonorec import jsonio
 from zonorec.cli import main
 from zonorec.flips import fundamental_forest
 
+from oracles import replay
+
 
 def test_tiling_json_round_trip():
     spec = ZonogonSpec((2, 2, 1))
@@ -59,7 +61,7 @@ def test_flip_path_json_round_trip():
     data = json.loads(json.dumps(_flip_path_json(path)))
     back = jsonio.flip_path_from_json(data)
     assert back.start == path.start and back.moves == path.moves
-    assert back.end == t2
+    assert replay(back)[-1] == t2
 
 
 @pytest.mark.parametrize("domain", ["rational", "laurent", "tropical"])
@@ -79,7 +81,7 @@ def test_labeling_json_round_trip(domain):
             t, TROPICAL, {v: Fraction(rng.randint(-5, 5)) for v in t.vertices}
         ))
     data = json.loads(json.dumps(jsonio.labeling_to_json(lab)))
-    back = jsonio.labeling_from_json(data, t)
+    back = jsonio.labeling_from_json(data)
     assert back.domain.name == domain
     assert back.values == lab.values
 
@@ -404,6 +406,27 @@ def test_cli_run_path_rejects_check(tmp_path, capsys):
                     "--check") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--check applies only to extensions" in err
+    assert not (tmp_path / "o.json").exists()
+
+
+def _max_111():
+    """The (1,1,1) tiling other than the minimal one, as a document."""
+    spec = ZonogonSpec((1, 1, 1))
+    return jsonio.tiling_to_json(next(t for t in enumerate_tilings(spec) if t != t_min(spec)))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--domain", "tropical"], "labeling domain 'rational' != --domain 'tropical'"),
+    (["--path", "p.json"], "flip path does not start at the tiling"),
+], ids=["domain", "path-start"])
+def test_cli_run_rejects_documents_that_disagree(tmp_path, capsys, flags, message):
+    """The labeling's domain must be the one --domain names, and a flip path
+    must start at --tiling."""
+    (tmp_path / "p.json").write_text(json.dumps({"start": _max_111(), "moves": []}))
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    assert _run_111(tmp_path, _ONES_111["values"], *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not (tmp_path / "o.json").exists()
 
 
@@ -745,9 +768,9 @@ def test_cli_mutated_labeling_or_path_exits_cleanly(tmp_path_factory, kind, data
     work = tmp_path_factory.mktemp("fuzz")
     (work / "t.json").write_text(json.dumps(_T_MIN_111))
     argv = ["run", "--tiling", str(work / "t.json"), "--labeling", str(work / "lab.json"),
-            "--check", "--out", str(work / "o.json")]
+            "--out", str(work / "o.json")]
     labeling = _laurent_111() if kind == "laurent" else _ONES_111
-    if kind == "path":
+    if kind == "path":  # without --check, which --path rejects before reading the path
         up = {"base": [0, 0, 0], "dirs": [1, 2, 3], "dir": "up"}
         path = _mutate(data, _path_111(up, dict(up, dir="down")), _RUN_JSON_VALUES)
         (work / "p.json").write_text(json.dumps(path))
@@ -759,4 +782,4 @@ def test_cli_mutated_labeling_or_path_exits_cleanly(tmp_path_factory, kind, data
         labeling = json.loads(json.dumps(labeling))
         labeling["values"][i] = _mutate(data, labeling["values"][i], _RUN_JSON_VALUES)
     (work / "lab.json").write_text(json.dumps(labeling))
-    _exits_cleanly(argv)
+    _exits_cleanly(argv if kind == "path" else argv + ["--check"])

@@ -11,9 +11,9 @@ from zonorec import (
     validate_tiling,
 )
 from zonorec.flips import flippable_vertices
-from zonorec.zonogon import cross, rhombus_corners
+from zonorec.zonogon import rhombus_corners
 
-from oracles import cube_bottom_faces, cube_top_faces, t_min_vertices
+from oracles import cross, cube_bottom_faces, cube_top_faces, t_min_vertices
 from paper_lemmas import LiftError, lift_decomposition
 
 HEX = ZonogonSpec((1, 1, 1))
