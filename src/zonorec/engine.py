@@ -115,7 +115,10 @@ def initial_labeling(t: Tiling, domain, values: dict) -> Labeling:
     for v in t.vertices:
         if v not in values:
             raise DomainError(f"initial labeling misses vertex {v}")
-        val = domain.coerce(values[v])
+        try:
+            val = domain.coerce(values[v])
+        except ValueError as exc:
+            raise DomainError(f"invalid initial value at {v}: {exc}") from None
         if not domain.valid_initial(val):
             raise DomainError(f"invalid initial value at {v}: {val!r}")
         vals[v] = val

@@ -135,18 +135,29 @@ def laurent_to_json(p: LaurentPoly) -> dict:
 
 
 def laurent_from_json(data: dict) -> LaurentPoly:
-    """Decode a Laurent polynomial; coefficients must be integer strings and
-    exponents JSON integers (`ValueError`)."""
-    out = LaurentPoly()
+    """Decode a Laurent polynomial; coefficients must be integer strings,
+    variable keys comma-separated integers, no term may name a variable twice,
+    and exponents must be JSON integers (`ValueError`).  Terms with the same
+    monomial are summed."""
+    terms: dict = {}
     for term in data["terms"]:
         coeff, exps = term["coeff"], term["exps"]
         if not (isinstance(coeff, str) and re.fullmatch(r"-?[0-9]+", coeff)
-                and isinstance(exps, dict) and all(type(e) is int for e in exps.values())):
-            raise ValueError(f"term {term!r} needs an integer-string coeff and "
-                             f"integer exponents")
-        exps = {tuple(int(c) for c in key.split(",")): e for key, e in exps.items()}
-        out = out + LaurentPoly.monomial(exps, int(coeff))
-    return out
+                and isinstance(exps, dict) and all(type(e) is int for e in exps.values())
+                and all(isinstance(k, str) and re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", k)
+                        for k in exps)):
+            raise ValueError(f"term {term!r} needs an integer-string coeff, "
+                             f"comma-separated integer variables and integer exponents")
+        named = {tuple(map(int, key.split(","))): e for key, e in exps.items()}
+        if len(named) < len(exps):
+            raise ValueError(f"term {term!r} names a variable twice")
+        mono = tuple(sorted((v, e) for v, e in named.items() if e))
+        c = terms.get(mono, 0) + int(coeff)
+        if c:
+            terms[mono] = c
+        else:
+            terms.pop(mono, None)
+    return LaurentPoly(terms)
 
 
 def labeling_to_json(labeling: Labeling) -> dict:

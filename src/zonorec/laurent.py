@@ -2,8 +2,9 @@
 
 Terms are keyed by sorted tuples of (variable, exponent) pairs; variables are
 any mutually orderable hashables (lattice points, strings).  Exponents may be
-negative; zero exponents and zero coefficients are never stored.  The term
-order used for division is graded lex with variables compared ascending.
+negative; zero exponents and zero coefficients are never stored.  Division
+orders monomials graded lex by one sort key, `_grlex_key`, with variables
+compared ascending, and keeps one remainder that each step updates in place.
 """
 
 from __future__ import annotations
@@ -28,21 +29,19 @@ def _merge_exps(e1, e2, sign=1):
     return tuple(sorted(out.items()))
 
 
-def _grlex_key(exps):
-    # not a sort key by itself; see _grlex_less
-    return sum(e for _, e in exps)
+def _grlex_key(variables):
+    """Sort key for graded lex order on monomials over `variables`: the total
+    degree, then the exponent list over the sorted variables."""
+    index = {v: i for i, v in enumerate(sorted(variables))}
+    zeros = [0] * len(index)
 
+    def key(exps):
+        dense = zeros.copy()
+        for v, e in exps:
+            dense[index[v]] = e
+        return sum(dense), dense
 
-def _grlex_less(e1, e2) -> bool:
-    g1, g2 = _grlex_key(e1), _grlex_key(e2)
-    if g1 != g2:
-        return g1 < g2
-    d1, d2 = dict(e1), dict(e2)
-    for v in sorted(set(d1) | set(d2)):
-        a, b = d1.get(v, 0), d2.get(v, 0)
-        if a != b:
-            return a < b
-    return False
+    return key
 
 
 class LaurentPoly:
@@ -55,23 +54,15 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        c = int(c)
-        return cls({(): c} if c else {})
+        """The constant c; a non-integral c is a ValueError."""
+        n = int(c)
+        if n != c:
+            raise ValueError(f"coefficient {c!r} is not an integer")
+        return cls({(): n} if n else {})
 
     @classmethod
-    def var(cls, v, exp: int = 1, coeff: int = 1) -> "LaurentPoly":
-        if coeff == 0:
-            return cls()
-        if exp == 0:
-            return cls.const(coeff)
-        return cls({((v, exp),): int(coeff)})
-
-    @classmethod
-    def monomial(cls, exps: dict, coeff: int = 1) -> "LaurentPoly":
-        if coeff == 0:
-            return cls()
-        key = tuple(sorted((v, e) for v, e in exps.items() if e))
-        return cls({key: int(coeff)})
+    def var(cls, v, exp: int = 1) -> "LaurentPoly":
+        return cls({((v, exp),): 1} if exp else {(): 1})
 
     # -- basics --------------------------------------------------------------
 
@@ -135,30 +126,14 @@ class LaurentPoly:
 
     def _content_monomial(self):
         """Componentwise minimum exponent over all terms, as an exps tuple."""
-        mins: dict = {}
-        allvars = self.variables()
-        first = True
-        for exps in self.terms:
-            d = dict(exps)
-            if first:
-                mins = {v: d.get(v, 0) for v in allvars}
-                first = False
-            else:
-                for v in allvars:
-                    mins[v] = min(mins[v], d.get(v, 0))
-        return tuple(sorted((v, e) for v, e in mins.items() if e))
+        terms = [dict(exps) for exps in self.terms]
+        mins = [(v, min(d.get(v, 0) for d in terms)) for v in sorted(self.variables())]
+        return tuple((v, e) for v, e in mins if e)
 
     def _shift(self, exps, sign=1):
         return LaurentPoly(
             {_merge_exps(k, exps, sign): c for k, c in self.terms.items()}
         )
-
-    def _leading(self):
-        lead = None
-        for exps in self.terms:
-            if lead is None or _grlex_less(lead, exps):
-                lead = exps
-        return lead
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Quotient self/other; raises InexactDivision unless it divides exactly."""
@@ -168,24 +143,30 @@ class LaurentPoly:
             return LaurentPoly()
         cp = self._content_monomial()
         cq = other._content_monomial()
-        p = self._shift(cp, -1)
-        q = other._shift(cq, -1)
-        qlead = q._leading()
-        qc = q.terms[qlead]
+        content = _merge_exps(cp, cq, -1)
+        r = self._shift(cp, -1).terms
+        q = other._shift(cq, -1).terms
+        key = _grlex_key(self.variables() | other.variables())
+        qlead = max(q, key=key)
+        qc = q[qlead]
         quot: dict = {}
-        r = p
         while r:
-            rlead = r._leading()
+            rlead = max(r, key=key)
             shift = _merge_exps(rlead, qlead, -1)
-            if any(e < 0 for _, e in shift) or r.terms[rlead] % qc:
+            if any(e < 0 for _, e in shift) or r[rlead] % qc:
                 raise InexactDivision(
-                    "inexact division", remainder=r._shift(cp)._shift(cq, -1)
+                    "inexact division", remainder=LaurentPoly(r)._shift(content)
                 )
-            c = r.terms[rlead] // qc
+            c = r[rlead] // qc
             quot[shift] = c
-            r = r - q._shift(shift) * LaurentPoly.const(c)
-        result = LaurentPoly(quot)._shift(cp)._shift(cq, -1)
-        return result
+            for k, qk in q.items():
+                k = _merge_exps(k, shift)
+                nc = r.get(k, 0) - c * qk
+                if nc:
+                    r[k] = nc
+                else:
+                    del r[k]
+        return LaurentPoly(quot)._shift(content)
 
     # -- evaluation -----------------------------------------------------------
 

@@ -293,6 +293,21 @@ def tropicalize(p: LaurentPoly, x: dict):
     return max(sum(e * x[v] for v, e in exps) for exps in p.terms)
 
 
+def grlex_less(e1, e2) -> bool:
+    """Graded lex comparison of two monomials (sorted (variable, exponent)
+    tuples) pair by pair: total degree first, then the first exponent that
+    differs, walking the sorted union of their variables."""
+    g1, g2 = sum(e for _, e in e1), sum(e for _, e in e2)
+    if g1 != g2:
+        return g1 < g2
+    d1, d2 = dict(e1), dict(e2)
+    for v in sorted(set(d1) | set(d2)):
+        a, b = d1.get(v, 0), d2.get(v, 0)
+        if a != b:
+            return a < b
+    return False
+
+
 def exchange_polynomial_by_angles(t: Tiling, v) -> LaurentPoly:
     """`paper_lemmas.exchange_polynomial` by planar geometry: the neighbours of v
     sorted counterclockwise by the angle of their projected steps, and the

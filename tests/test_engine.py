@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +8,8 @@ import pytest
 
 from zonorec import (
     ConsistencyError,
+    DomainError,
+    LAURENT,
     RATIONAL,
     TROPICAL,
     ZonogonSpec,
@@ -24,6 +28,7 @@ from zonorec import (
     verify_cube_relations,
 )
 from zonorec.flips import FlipPath
+from zonorec.jsonio import labeling_to_json
 
 from oracles import neighbors
 from paper_lemmas import exchange_polynomial, substitute
@@ -31,6 +36,21 @@ from zonorec.laurent import LaurentPoly as L
 from zonorec.zonogon import shift, shift2
 
 HEX = ZonogonSpec((1, 1, 1))
+
+
+@pytest.mark.parametrize("c", [Fraction(3, 2), 2.7], ids=["fraction", "float"])
+def test_laurent_initial_labeling_rejects_non_integral_constant(c):
+    t = t_min(HEX)
+    values = {v: 1 for v in t.vertices}
+    values[(0, 1, 0)] = c
+    with pytest.raises(DomainError, match=r"invalid initial value at \(0, 1, 0\)"):
+        initial_labeling(t, LAURENT, values)
+
+
+def test_laurent_initial_labeling_accepts_integral_constant():
+    t = t_min(HEX)
+    lab = initial_labeling(t, LAURENT, {v: Fraction(4, 2) for v in t.vertices})
+    assert set(lab.values.values()) == {L.const(2)}
 
 
 def test_flip_value_all_ones():
@@ -297,6 +317,19 @@ POSITIVITY_SPECS = [(2, 2, 2), (1, 1, 1, 1, 1), (2, 2, 1, 1)]
 def _symbolic_extension(a):
     tm = t_min(ZonogonSpec(a))
     return tm, extend_to_lattice(symbolic_labeling(tm))
+
+
+@pytest.mark.parametrize("a, digest, max_terms", [
+    ((3, 2, 2), "dae9f4cd1dfe56e614fa0a4843ab9987a0615faea07cd961490cab6c2723970e", 221),
+    ((2, 2, 1, 1), "e4a5f545b9249d8d5a80148a2c2af4cc1f0b86cfa208135290e12b38df08dd4e", 65),
+], ids=["3,2,2", "2,2,1,1"])
+def test_symbolic_extension_output_is_pinned(a, digest, max_terms):
+    """The exact symbolic extension of t_min, byte for byte: a change to the
+    Laurent arithmetic must not change any output."""
+    _, total = _symbolic_extension(a)
+    text = json.dumps(labeling_to_json(total), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert max(len(p.terms) for p in total.values.values()) == max_terms
 
 
 @pytest.mark.parametrize("a", POSITIVITY_SPECS, ids=lambda a: ",".join(map(str, a)))

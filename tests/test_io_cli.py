@@ -32,6 +32,7 @@ from zonorec import (
 from zonorec import jsonio
 from zonorec.cli import main
 from zonorec.flips import fundamental_forest
+from zonorec.laurent import LaurentPoly
 
 from oracles import replay
 
@@ -457,6 +458,42 @@ def test_cli_run_rejects_non_integer_laurent_exponent(tmp_path, capsys, exponent
                  str(tmp_path / "lab.json"), "--out", str(tmp_path / "o.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "integer exponents" in err
+
+
+@pytest.mark.parametrize("exps", [
+    {"10": 1, "1_0": 1}, {" 7": 1}, {"+8": 1}, {"\u0663": 1}, {"0,1,": 1}, {"": 1},
+    {"0,,1": 1},
+], ids=["underscore", "space", "plus", "arabic-indic", "trailing-comma", "empty",
+        "empty-field"])
+def test_cli_run_rejects_loose_laurent_variable_key(tmp_path, capsys, exps):
+    labeling = _laurent_111()
+    labeling["values"][0]["value"]["terms"][0]["exps"] = exps
+    (tmp_path / "t.json").write_text(json.dumps(_T_MIN_111))
+    (tmp_path / "lab.json").write_text(json.dumps(labeling))
+    assert main(["run", "--tiling", str(tmp_path / "t.json"), "--labeling",
+                 str(tmp_path / "lab.json"), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "comma-separated integer variables" in err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("exps", [{"10": 1, "010": 1}, {"0,1,0": 2, "-0,01,0": 1}],
+                         ids=["leading-zero", "signed-zero"])
+def test_laurent_term_naming_a_variable_twice_is_rejected(exps):
+    with pytest.raises(ValueError, match="names a variable twice"):
+        jsonio.laurent_from_json({"terms": [{"coeff": "1", "exps": exps}]})
+
+
+def test_laurent_from_json_sums_repeated_monomials():
+    terms = [
+        {"coeff": "2", "exps": {"1": 1, "2": -1}},
+        {"coeff": "3", "exps": {"2": -1, "1": 1}},
+        {"coeff": "1", "exps": {"3": 1}},
+        {"coeff": "-1", "exps": {"3": 1, "4": 0}},
+        {"coeff": "0", "exps": {}},
+    ]
+    expected = LaurentPoly.const(5) * LaurentPoly.var((1,)) * LaurentPoly.var((2,), -1)
+    assert jsonio.laurent_from_json({"terms": terms}) == expected
 
 
 @pytest.mark.parametrize("domain, value, vertex", [

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zonorec.laurent import InexactDivision, LaurentPoly as L
+from zonorec.laurent import InexactDivision, LaurentPoly as L, _grlex_key
 
+from oracles import grlex_less
 from paper_lemmas import substitute
 
 VARS = ["a", "b", "c"]
@@ -23,10 +25,10 @@ def polys(max_terms=4):
     def build(terms):
         out = L()
         for coeff, exps in terms:
-            d = {}
+            mono = L.const(coeff)
             for v, e in exps:
-                d[v] = d.get(v, 0) + e
-            out = out + L.monomial({v: e for v, e in d.items() if e}, coeff)
+                mono = mono * L.var(v, e)
+            out = out + mono
         return out
 
     return st.lists(term, max_size=max_terms).map(build)
@@ -48,6 +50,56 @@ def test_exact_div_of_products(p, q):
     if not q:
         return
     assert (p * q).exact_div(q) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(), polys())
+def test_exact_div_returns_the_quotient_or_raises(p, q):
+    # arbitrary pairs, so most divisions are inexact
+    if not q:
+        return
+    try:
+        s = p.exact_div(q)
+    except InexactDivision as exc:
+        assert exc.remainder
+    else:
+        assert s * q == p
+
+
+# monomials over lattice-point variables, as the engine's are
+POINTS = [(i, j) for i in range(3) for j in range(3)]
+monomials = st.dictionaries(
+    st.sampled_from(POINTS), st.integers(min_value=-3, max_value=3), max_size=4
+).map(lambda d: tuple(sorted((v, e) for v, e in d.items() if e)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(monomials, min_size=1, max_size=8, unique=True),
+       st.sets(st.sampled_from(POINTS)))
+def test_grlex_key_orders_as_the_pairwise_comparator(monos, extra):
+    # the key may range over variables that no monomial has, as it does
+    # when exact_div builds it from both operands
+    key = _grlex_key({v for m in monos for v, _ in m} | extra)
+    lead = None
+    for m in monos:
+        if lead is None or grlex_less(lead, m):
+            lead = m
+    assert max(monos, key=key) == lead
+    cmp = cmp_to_key(lambda a, b: grlex_less(b, a) - grlex_less(a, b))
+    assert sorted(monos, key=key) == sorted(monos, key=cmp)
+
+
+@pytest.mark.parametrize("c", [Fraction(3, 2), 2.7, 0.5, Fraction(-1, 3)])
+def test_const_rejects_non_integral_coefficients(c):
+    with pytest.raises(ValueError, match="not an integer"):
+        L.const(c)
+
+
+def test_const_accepts_integral_coefficients():
+    assert L.const(Fraction(4, 2)).terms == {(): 2}
+    assert type(L.const(Fraction(4, 2)).terms[()]) is int
+    assert L.const(-3.0) == L.const(-3)
+    assert not L.const(Fraction(0, 7))
 
 
 def test_additive_identity_and_inverse_monomial():
