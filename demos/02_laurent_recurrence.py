@@ -16,6 +16,7 @@ from zonorec import (
     connect,
     evaluate_path,
     extend_to_lattice,
+    extension_moves,
     initial_labeling,
     random_tiling,
     symbolic_labeling,
@@ -35,7 +36,8 @@ print()
 print("== symbolic run on a bigger zonogon ==")
 spec = ZonogonSpec((2, 2, 1))
 tm = t_min(spec)
-total = extend_to_lattice(symbolic_labeling(tm))
+moves = extension_moves(tm)  # one flip schedule serves every labeling of tm
+total = extend_to_lattice(symbolic_labeling(tm), moves)
 widest = max(total.values.values(), key=lambda p: len(p.terms))
 print("largest Laurent value has", len(widest.terms), "terms; every division",
       "along the way was exact")
@@ -44,7 +46,7 @@ print()
 print("== the same recurrence over exact rationals, and the commuting square ==")
 rng = random.Random(0)
 point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in tm.vertices}
-rational = extend_to_lattice(initial_labeling(tm, RATIONAL, point))
+rational = extend_to_lattice(initial_labeling(tm, RATIONAL, point), moves)
 agree = all(
     total.values[p].evaluate(point) == rational.values[p]
     for p in spec.lattice_points()
@@ -66,7 +68,8 @@ print()
 print("== max-plus: plus becomes max, times becomes plus ==")
 tropical = extend_to_lattice(
     initial_labeling(tm, TROPICAL,
-                     {v: Fraction(rng.randint(-5, 5)) for v in tm.vertices})
+                     {v: Fraction(rng.randint(-5, 5)) for v in tm.vertices}),
+    moves,
 )
 print("tropical extension satisfies the max-plus cube relation:",
       verify_cube_relations(tropical).ok)

@@ -18,6 +18,7 @@ from zonorec import (
     check_propagation,
     elementary_move,
     extend_to_lattice,
+    extension_moves,
     initial_labeling,
     t_min,
 )
@@ -39,11 +40,12 @@ print("elementary moves reach all", len(curves), "cutcurves of this wall")
 print()
 rng = random.Random(0)
 tm = t_min(spec)
+moves = extension_moves(tm)  # one flip schedule serves every sample
 met = tried = 0
 while met < 25:
     tried += 1
     data = {v: Fraction(rng.randint(-5, 5)) for v in tm.vertices}
-    lab = extend_to_lattice(initial_labeling(tm, TROPICAL, data))
+    lab = extend_to_lattice(initial_labeling(tm, TROPICAL, data), moves)
     report = check_propagation(lab, wall, g)
     if report.hypothesis_ok:
         met += 1

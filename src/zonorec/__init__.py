@@ -37,6 +37,7 @@ from .engine import (
     symbolic_labeling,
     flip_value,
     evaluate_path,
+    extension_moves,
     extend_to_lattice,
     verify_cube_relations,
 )

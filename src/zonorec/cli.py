@@ -183,14 +183,15 @@ def _verify_confluence(args) -> str:
 def _verify_laurent(args) -> str:
     spec = _parse_a(args.A)
     t0 = zonogon.t_min(spec)
-    lab = engine.symbolic_labeling(t0)
-    total = engine.extend_to_lattice(lab)
+    moves = engine.extension_moves(t0)
+    total = engine.extend_to_lattice(engine.symbolic_labeling(t0), moves)
     report = engine.verify_cube_relations(total)
     if not report.ok:
         raise CliError(f"cube relation failed: {report.failures[0]}", EXIT_DOMAIN)
     rng = random.Random(args.seed)
     point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in t0.vertices}
-    rat = engine.extend_to_lattice(engine.initial_labeling(t0, engine.RATIONAL, point))
+    rat = engine.extend_to_lattice(engine.initial_labeling(t0, engine.RATIONAL, point),
+                                   moves)
     for p in spec.lattice_points():
         if total.values[p].evaluate(point) != rat.values[p]:
             raise CliError(f"symbolic/rational mismatch at {p}", EXIT_DOMAIN)
@@ -212,13 +213,14 @@ def _verify_tropical(args) -> str:
         raise CliError(str(exc), EXIT_BAD_INPUT)
     rng = random.Random(args.seed)
     t0 = zonogon.t_min(spec)
+    moves = engine.extension_moves(t0)
     g = tropical.canonical_cutcurve(spec, w)
     met = 0
     last_report = None
     for _ in range(args.samples):
         values = {v: Fraction(rng.randint(-5, 5)) for v in t0.vertices}
         lab = engine.extend_to_lattice(
-            engine.initial_labeling(t0, engine.TROPICAL, values))
+            engine.initial_labeling(t0, engine.TROPICAL, values), moves)
         report = tropical.check_propagation(lab, w, g)
         if not report.recurrence_ok:
             base, dirs, reason = report.hypothesis_witness

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .laurent import LaurentPoly
 from .zonogon import Tiling, ZonogonSpec, tiling_through_vertex
@@ -147,59 +148,86 @@ def flip_value(labeling: Labeling, move: FlipMove):
         ) from exc
 
 
-def _replay(labeling: Labeling, tiling: Tiling, moves) -> Tiling:
-    """Apply `moves` from `tiling`, writing the value of each created vertex
-    into `labeling.values`; returns the tiling reached.
-
-    Each move is applied before its value is computed, so a move that does
-    not apply raises `FlipError`; a re-derived value that disagrees with the
-    one already there raises `ConsistencyError`.
-    """
+def _derive(labeling: Labeling, move: FlipMove) -> None:
+    """Write the value of the move's created point into `labeling.values`; a
+    re-derived value that disagrees with the one already there raises
+    `ConsistencyError`."""
     values = labeling.values
-    for move in moves:
-        tiling = apply_move(tiling, move)
-        val = flip_value(labeling, move)
-        created = move.created
-        if created in values and values[created] != val:
-            raise ConsistencyError(f"re-derived value at {created} disagrees")
+    val = flip_value(labeling, move)
+    created = move.created
+    if created not in values:
         values[created] = val
-    return tiling
+    elif values[created] != val:
+        raise ConsistencyError(f"re-derived value at {created} disagrees")
 
 
 def evaluate_path(labeling: Labeling, path: FlipPath) -> Labeling:
     """Push values along a flip path; returns the labeling on the end tiling.
 
-    The returned labeling keeps every value computed along the way (values at
-    vertices shared with earlier tilings never change).
+    Each move is applied before its value is computed, so a move that does
+    not apply raises `FlipError`.  The returned labeling keeps every value
+    computed along the way (values at vertices shared with earlier tilings
+    never change).
     """
     if labeling.tiling is not None and path.start != labeling.tiling:
         raise DomainError("path does not start at the labeling's tiling")
     out = labeling.copy()
-    out.tiling = _replay(out, path.start, path.moves)
+    tiling = path.start
+    for move in path.moves:
+        tiling = apply_move(tiling, move)
+        _derive(out, move)
+    out.tiling = tiling
     return out
 
 
-def extend_to_lattice(labeling: Labeling) -> Labeling:
+def extension_moves(t0: Tiling) -> list:
+    """The flips that extend values on T0 to the whole lattice box.
+
+    For each point p of the box, in sorted order, that no earlier route has
+    labelled, the route runs T0 -> t_min -> `tiling_through_vertex(p)`; the
+    schedule is the distinct moves of these routes, each at its first
+    occurrence, so every move finds its cube's other corners labelled.  The
+    values do not depend on the order of the flips, so the schedule depends
+    only on T0 and serves every labeling of T0 in every domain.
+    """
+    spec = t0.spec
+    down0 = normalize_to_min(t0).moves
+    schedule: dict = {}
+    labelled = set(t0.vertices)
+    for p in sorted(spec.lattice_points()):
+        if p in labelled:
+            continue
+        up = normalize_to_min(tiling_through_vertex(spec, p)).moves
+        for move in chain(down0, [m.inverse() for m in reversed(up)]):
+            if move not in schedule:
+                schedule[move] = None
+                labelled.add(move.created)
+        if p not in labelled:
+            raise DomainError(f"path through {p} failed to label it")
+    return list(schedule)
+
+
+def extend_to_lattice(labeling: Labeling, moves: list | None = None) -> Labeling:
     """The unique extension of the initial values to the whole lattice box.
 
-    Each missing point is reached by routing a flip path from T0 through the
-    wiring-diagram tiling containing it (`tiling_through_vertex`) and
-    replaying it into one growing labeling, so re-derivations of already
-    known values are compared exactly.
+    Evaluates each move of `moves`, by default `extension_moves` of the
+    labeling's tiling T0, once; a caller that extends many labelings of one
+    T0 builds that schedule once and passes it.  A move whose created point
+    is already labelled re-derives its value, which is compared exactly.  A
+    point left unlabelled, as by a schedule built for another tiling, is a
+    `DomainError`.
     """
     t0 = labeling.tiling
     if t0 is None:
         raise DomainError("labeling has no initial tiling")
+    if moves is None:
+        moves = extension_moves(t0)
     out = labeling.copy()
-    down0 = normalize_to_min(t0)
-    for p in sorted(labeling.spec.lattice_points()):
-        if p in out.values:
-            continue
-        t_p = tiling_through_vertex(labeling.spec, p)
-        up = normalize_to_min(t_p)
-        _replay(out, t0, list(down0.moves) + [m.inverse() for m in reversed(up.moves)])
-        if p not in out.values:
-            raise DomainError(f"path through {p} failed to label it")
+    for move in moves:
+        _derive(out, move)
+    missing = next((p for p in labeling.spec.lattice_points() if p not in out.values), None)
+    if missing is not None:
+        raise DomainError(f"the flip schedule leaves {missing} unlabelled")
     return out
 
 

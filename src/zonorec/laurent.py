@@ -104,12 +104,6 @@ class LaurentPoly:
                 out.pop(k, None)
         return LaurentPoly(out)
 
-    def __neg__(self):
-        return LaurentPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         out: dict = {}
         for k1, c1 in self.terms.items():

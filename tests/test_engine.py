@@ -18,6 +18,7 @@ from zonorec import (
     enumerate_tilings,
     evaluate_path,
     extend_to_lattice,
+    extension_moves,
     flip_value,
     flippable_vertices,
     initial_labeling,
@@ -27,6 +28,7 @@ from zonorec import (
     t_min,
     verify_cube_relations,
 )
+from zonorec.engine import RationalDomain
 from zonorec.flips import FlipPath
 from zonorec.jsonio import labeling_to_json
 
@@ -206,6 +208,116 @@ def test_consistency_check_fires_on_corruption():
     with pytest.raises(ConsistencyError):
         evaluate_path(walked, FlipPath(t2, [down]))
 
+
+# -- the flip schedule of an extension ----------------------------------------
+
+SCHEDULE_SPECS = [(2, 2, 2), (2, 2, 1, 1), (1, 1, 1, 1, 1), (3, 3, 2)]
+
+
+def _random_t0(a, seed):
+    return random_tiling(ZonogonSpec(a), random.Random(seed))
+
+
+def _random_rational(t, seed):
+    rng = random.Random(seed)
+    return initial_labeling(t, RATIONAL, {v: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                          for v in t.vertices})
+
+
+@pytest.mark.parametrize("a", SCHEDULE_SPECS, ids=lambda a: ",".join(map(str, a)))
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_extension_moves_are_distinct_and_create_every_missing_point(a, seed):
+    """No move repeats, each finds its hexagon corners and removed point
+    labelled, and every lattice point off T0 is created by one of them."""
+    t0 = t_min(ZonogonSpec(a)) if seed is None else _random_t0(a, seed)
+    moves = extension_moves(t0)
+    assert len(set(moves)) == len(moves)
+    labelled = set(t0.vertices)
+    for move in moves:
+        assert labelled.issuperset(move.corners[:6]) and move.removed in labelled, move
+        labelled.add(move.created)
+    assert set(t0.spec.lattice_points()) - t0.vertices <= {m.created for m in moves}
+
+
+def test_tropical_extension_output_is_pinned():
+    """The max-plus extension from a random tiling, byte for byte."""
+    rng = random.Random(4)
+    t = random_tiling(ZonogonSpec((2, 2, 2, 2)), rng)
+    x = {v: Fraction(rng.randint(-5, 5)) for v in t.vertices}
+    total = extend_to_lattice(initial_labeling(t, TROPICAL, x))
+    text = json.dumps(labeling_to_json(total), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "12fc1215fcf20591d85156089e1d4e98347cd15e415c0481e686165fa05d7aa6")
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["built", "given"])
+def test_extend_to_lattice_evaluates_each_scheduled_move_once(monkeypatch, given):
+    import zonorec.engine
+
+    t0 = _random_t0((2, 2, 2, 1), 3)
+    moves = extension_moves(t0)
+    evaluated = []
+    value_of = zonorec.engine.flip_value
+
+    def counting(labeling, move):
+        evaluated.append(move)
+        return value_of(labeling, move)
+
+    monkeypatch.setattr(zonorec.engine, "flip_value", counting)
+    total = extend_to_lattice(_random_rational(t0, 3), moves if given else None)
+    assert evaluated == moves
+    assert verify_cube_relations(total).ok
+
+
+class _CorruptOneDivision(RationalDomain):
+    """Rational arithmetic, but division number `at` (from 0) is off by one."""
+
+    def __init__(self, at):
+        self.at, self.calls = at, 0
+
+    def div(self, a, b):
+        self.calls += 1
+        return super().div(a, b) + (self.calls == self.at + 1)
+
+
+def test_corrupted_rederivation_raises_consistency_error():
+    """Each scheduled move divides once; corrupting the value of a move whose
+    point is already labelled must be caught by the exact comparison."""
+    t0 = _random_t0((2, 2, 2, 1), 5)
+    moves = extension_moves(t0)
+    labelled = set(t0.vertices)
+    rederived = []
+    for i, move in enumerate(moves):
+        if move.created in labelled:
+            rederived.append(i)
+        labelled.add(move.created)
+    assert rederived
+    values = _random_rational(t0, 5).values
+    for at in (rederived[0], rederived[-1]):
+        lab = initial_labeling(t0, _CorruptOneDivision(at), values)
+        with pytest.raises(ConsistencyError, match="re-derived value"):
+            extend_to_lattice(lab, moves)
+    # the same domain without a corrupted division extends as the rational one
+    lab = initial_labeling(t0, _CorruptOneDivision(len(moves)), values)
+    assert extend_to_lattice(lab, moves).values == extend_to_lattice(_random_rational(t0, 5)).values
+
+
+def test_schedule_for_another_tiling_raises_domain_error():
+    """A schedule built for another tiling of the spec, or cut short, is a
+    `DomainError`; the given labeling is left as it was."""
+    spec = ZonogonSpec((1, 1, 1, 1))
+    tilings = enumerate_tilings(spec)
+    schedules = {t: extension_moves(t) for t in tilings}
+    for t0 in tilings:
+        lab = _random_rational(t0, 6)
+        before = dict(lab.values)
+        for t1 in tilings:
+            if t1 != t0:
+                with pytest.raises(DomainError, match="unlabeled cube corner"):
+                    extend_to_lattice(lab, schedules[t1])
+        with pytest.raises(DomainError, match="leaves .* unlabelled"):
+            extend_to_lattice(lab, schedules[t0][:1])
+        assert lab.values == before
 
 # -- exchange polynomials ----------------------------------------------------
 

@@ -374,6 +374,48 @@ def test_cli_run_does_not_depend_on_seed(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("a, seed, digest", [
+    ((3, 3, 3, 3), 1, "f08e64651798441edcd70b3f620b45bc163e2aae6eaad77ce350f17153f0beeb"),
+    ((2, 2, 2, 2, 2), 2, "b6099a34486d24192e18ea9b9594f204ee53b986bc9d50078a3abe94471a8e37"),
+    ((4, 4, 4), 3, "a7108fc73f57d431f0832c8faa623b288ad74e7bbad526dc135be6b1357d5161"),
+], ids=["3,3,3,3", "2,2,2,2,2", "4,4,4"])
+def test_cli_run_check_output_is_pinned(tmp_path, a, seed, digest):
+    """`run --check` from a random tiling, byte for byte: the flip schedule
+    of the extension must not change any value."""
+    rng = random.Random(seed)
+    t = random_tiling(ZonogonSpec(a), rng)
+    lab = initial_labeling(t, RATIONAL, {v: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                         for v in t.vertices})
+    (tmp_path / "t.json").write_text(json.dumps(jsonio.tiling_to_json(t)))
+    (tmp_path / "lab.json").write_text(json.dumps(jsonio.labeling_to_json(lab)))
+    out = tmp_path / "out.json"
+    assert main(["run", "--tiling", str(tmp_path / "t.json"), "--labeling",
+                 str(tmp_path / "lab.json"), "--check", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "tropical", "--A", "2,2,2", "--samples", "20"],
+    ["verify", "laurent", "--A", "2,2,1"],
+], ids=["tropical", "laurent"])
+def test_cli_verify_routes_t_min_once(monkeypatch, argv):
+    """The verify suites extend many labelings of t_min along one flip
+    schedule, so t_min is normalized once per call, not once per labeling."""
+    import zonorec.engine
+
+    tm = t_min(ZonogonSpec(tuple(map(int, argv[3].split(",")))))
+    routed = []
+    normalize = zonorec.engine.normalize_to_min
+
+    def counting(t, *args):
+        routed.append(t == tm)
+        return normalize(t, *args)
+
+    monkeypatch.setattr(zonorec.engine, "normalize_to_min", counting)
+    assert main(argv) == 0
+    assert routed.count(True) == 1
+
+
 @pytest.mark.parametrize("point", [[1, 0, 1], [5, 5, 5]],
                          ids=["non-vertex", "outside-box"])
 def test_cli_run_rejects_value_off_the_tiling(tmp_path, capsys, point):

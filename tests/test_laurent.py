@@ -110,7 +110,8 @@ def test_additive_identity_and_inverse_monomial():
 
 def test_difference_of_squares():
     a, b = L.var("a"), L.var("b")
-    assert (a + b) * (a - b) == a * a - b * b
+    minus_b = L.const(-1) * b
+    assert (a + b) * (a + minus_b) == a * a + minus_b * b
 
 
 def test_monomial_divisor():
