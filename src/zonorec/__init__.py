@@ -43,7 +43,6 @@ from .engine import (
 )
 from .tropical import (
     Wall,
-    Cutcurve,
     canonical_cutcurve,
     validate_cutcurve,
     elementary_move,

@@ -1,7 +1,8 @@
 """Command line surface: construct tilings, run the recurrence, verify, render.
 
 Exit codes: 0 success, 2 invalid input, 3 resource cap exceeded, 4 domain
-error (zero divisor / inexact division).  The verify suites draw their
+error (zero divisor, inexact division, or a failed cube relation, named by
+its cube's base and 1-based directions).  The verify suites draw their
 samples from --seed (default: the ZONOREC_SEED environment variable, else 0);
 tile and run accept --seed but their results do not depend on it.
 """
@@ -139,11 +140,8 @@ def cmd_run(args) -> int:
         result = engine.evaluate_path(labeling, path)
     else:
         result = engine.extend_to_lattice(labeling)
-        if args.check:
-            report = engine.verify_cube_relations(result)
-            if not report.ok:
-                raise CliError(f"relation check failed: {report.failures[0]}",
-                               EXIT_DOMAIN)
+        if args.check and (failures := engine.verify_cube_relations(result)):
+            raise engine.cube_error(*failures[0])
     with _write_out(args.out) as fh:
         fh.write(json.dumps(jsonio.labeling_to_json(result), indent=1) + "\n")
     return EXIT_OK
@@ -185,9 +183,8 @@ def _verify_laurent(args) -> str:
     t0 = zonogon.t_min(spec)
     moves = engine.extension_moves(t0)
     total = engine.extend_to_lattice(engine.symbolic_labeling(t0), moves)
-    report = engine.verify_cube_relations(total)
-    if not report.ok:
-        raise CliError(f"cube relation failed: {report.failures[0]}", EXIT_DOMAIN)
+    if failures := engine.verify_cube_relations(total):
+        raise engine.cube_error(*failures[0])
     rng = random.Random(args.seed)
     point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in t0.vertices}
     rat = engine.extend_to_lattice(engine.initial_labeling(t0, engine.RATIONAL, point),
@@ -222,10 +219,6 @@ def _verify_tropical(args) -> str:
         lab = engine.extend_to_lattice(
             engine.initial_labeling(t0, engine.TROPICAL, values), moves)
         report = tropical.check_propagation(lab, w, g)
-        if not report.recurrence_ok:
-            base, dirs, reason = report.hypothesis_witness
-            raise CliError(f"cube relation failed on the cube at {base} with directions "
-                           f"{tuple(d + 1 for d in dirs)}: {reason}", EXIT_DOMAIN)
         if not report.hypothesis_ok:
             continue
         met += 1
@@ -252,10 +245,8 @@ def _verify_grassmann(args) -> str:
     rng = random.Random(args.seed)
     for _ in range(args.samples):
         sub = spinor.random_isotropic_subspace(rng, n, n - 1)
-        point = spinor.spin_coordinates(sub)
-        for _, res in spinor.trbi_residuals(point):
-            if res != 0:
-                raise CliError(f"bilinear cube equation violated: {res}", EXIT_DOMAIN)
+        if violated := spinor.verify_trbi(spinor.spin_coordinates(sub)):
+            raise CliError(f"bilinear cube equation violated: {violated[0][1]}", EXIT_DOMAIN)
     return (f"grassmann: n={n}: {args.samples} samples, all bilinear residuals "
             "zero (max |residual| = 0)")
 

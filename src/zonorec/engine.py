@@ -132,6 +132,13 @@ def _cube_sum(d, o, j, l, jk, kl, jkl):
     return d.add3(d.mul(o, jkl), d.mul(jk, l), d.mul(kl, j))
 
 
+def cube_error(base, dirs, reason) -> DomainError:
+    """The error naming the cube at `base` with 0-based `dirs`, printed
+    1-based, and why its relation failed."""
+    return DomainError(f"cube relation failed on the cube at {base} with directions "
+                       f"{tuple(d + 1 for d in dirs)}: {reason}")
+
+
 def flip_value(labeling: Labeling, move: FlipMove):
     """Value at the vertex created by the move, per the cube relation."""
     x = labeling.values
@@ -142,10 +149,8 @@ def flip_value(labeling: Labeling, move: FlipMove):
         raise DomainError(f"unlabeled cube corner {exc.args[0]}") from None
     try:
         return labeling.domain.div(_cube_sum(labeling.domain, *hexagon), removed)
-    except (ZeroDivisionError, ArithmeticError) as exc:
-        raise DomainError(
-            f"{exc} at cube base={move.base} dirs={move.dirs}"
-        ) from exc
+    except ArithmeticError as exc:
+        raise cube_error(move.base, move.dirs, str(exc)) from exc
 
 
 def _derive(labeling: Labeling, move: FlipMove) -> None:
@@ -231,18 +236,9 @@ def extend_to_lattice(labeling: Labeling, moves: list | None = None) -> Labeling
     return out
 
 
-@dataclass
-class RelationReport:
-    failures: list
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
-def verify_cube_relations(labeling: Labeling) -> RelationReport:
-    """Check the cube relation on every unit 3-cube of the box; the report
-    lists every failing cube as (base, dirs, reason)."""
+def verify_cube_relations(labeling: Labeling) -> list:
+    """Check the cube relation on every unit 3-cube of the box; returns every
+    failing cube as (base, dirs, reason), so an empty list means all hold."""
     d, x = labeling.domain, labeling.values
     failures = []
     for base, dirs in labeling.spec.cubes():
@@ -253,4 +249,4 @@ def verify_cube_relations(labeling: Labeling) -> RelationReport:
             continue
         if d.mul(jl, k) != _cube_sum(d, *hexagon):
             failures.append((base, dirs, "relation violated"))
-    return RelationReport(failures)
+    return failures

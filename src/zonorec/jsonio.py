@@ -208,13 +208,9 @@ def propagation_report_to_json(report) -> dict:
         return {"base": list(base), "dir": i + 1}
 
     out = {
-        "recurrence_ok": report.recurrence_ok,
         "hypothesis_ok": report.hypothesis_ok,
         "violations": [enc_edge(e) for e in report.violations],
     }
     if report.hypothesis_witness is not None:
-        w = report.hypothesis_witness
-        out["hypothesis_witness"] = (
-            enc_edge(w) if isinstance(w, tuple) and len(w) == 2 else repr(w)
-        )
+        out["hypothesis_witness"] = enc_edge(report.hypothesis_witness)
     return out

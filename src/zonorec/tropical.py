@@ -1,10 +1,14 @@
-"""Walls, cutcurves, and max-plus inequality propagation."""
+"""Walls, cutcurves, and max-plus inequality propagation.
+
+A cutcurve is the tuple of its lattice points, from one end of the wall to
+the other.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Labeling, TropicalDomain, verify_cube_relations
+from .engine import Labeling, TropicalDomain, cube_error, verify_cube_relations
 from .zonogon import ZonogonSpec, shift
 
 
@@ -22,14 +26,6 @@ class Wall:
             raise ValueError(f"wall offset {self.c} not in 1..{spec.a[self.s] - 1}")
 
 
-@dataclass(frozen=True)
-class Cutcurve:
-    points: tuple
-
-    def __len__(self):
-        return len(self.points)
-
-
 def cutcurve_endpoints(spec: ZonogonSpec, w: Wall):
     start = tuple(
         spec.a[i] if i < w.s else (w.c if i == w.s else 0) for i in range(spec.n)
@@ -40,7 +36,7 @@ def cutcurve_endpoints(spec: ZonogonSpec, w: Wall):
     return start, end
 
 
-def canonical_cutcurve(spec: ZonogonSpec, w: Wall) -> Cutcurve:
+def canonical_cutcurve(spec: ZonogonSpec, w: Wall) -> tuple:
     """The cutcurve taking all descending steps first, then ascending ones."""
     w.validate(spec)
     start, end = cutcurve_endpoints(spec, w)
@@ -52,15 +48,14 @@ def canonical_cutcurve(spec: ZonogonSpec, w: Wall) -> Cutcurve:
         for _ in range(spec.a[d]):
             pts.append(shift(pts[-1], d, 1))
     assert pts[-1] == end
-    return Cutcurve(tuple(pts))
+    return tuple(pts)
 
 
-def validate_cutcurve(spec: ZonogonSpec, w: Wall, g: Cutcurve):
+def validate_cutcurve(spec: ZonogonSpec, w: Wall, pts: tuple):
     """List of violations (empty when the cutcurve is valid for the wall)."""
     w.validate(spec)
     start, end = cutcurve_endpoints(spec, w)
     violations = []
-    pts = g.points
     if not pts or pts[0] != start or pts[-1] != end:
         violations.append(f"endpoint: expected {start} .. {end}")
         return violations
@@ -85,9 +80,8 @@ def validate_cutcurve(spec: ZonogonSpec, w: Wall, g: Cutcurve):
     return violations
 
 
-def elementary_move(g: Cutcurve, t0: int) -> Cutcurve:
+def elementary_move(pts: tuple, t0: int) -> tuple:
     """Push the cutcurve across the square at position t0."""
-    pts = g.points
     if not 1 <= t0 <= len(pts) - 2:
         raise ValueError("move position out of range")
     a, b, c = pts[t0 - 1], pts[t0], pts[t0 + 1]
@@ -96,25 +90,23 @@ def elementary_move(g: Cutcurve, t0: int) -> Cutcurve:
     if s1 == s2:
         raise ValueError("collinear triple: no square to cross")
     new = tuple(x + z - y for x, y, z in zip(a, b, c))
-    return Cutcurve(pts[:t0] + (new,) + pts[t0 + 1:])
+    return pts[:t0] + (new,) + pts[t0 + 1:]
 
 
-def all_cutcurves(spec: ZonogonSpec, w: Wall, cap: int = 10**6):
+def all_cutcurves(spec: ZonogonSpec, w: Wall):
     """Every cutcurve for the wall, by breadth-first elementary moves."""
     seen = {canonical_cutcurve(spec, w)}
     frontier = list(seen)
     while frontier:
         nxt = []
         for g in frontier:
-            for t0 in range(1, len(g.points) - 1):
+            for t0 in range(1, len(g) - 1):
                 try:
                     g2 = elementary_move(g, t0)
                 except ValueError:
                     continue
                 if g2 not in seen:
                     seen.add(g2)
-                    if len(seen) > cap:
-                        raise RuntimeError("cutcurve cap exceeded")
                     nxt.append(g2)
         frontier = nxt
     return seen
@@ -153,9 +145,8 @@ def w_inequalities_hold(labeling: Labeling, w: Wall, edge) -> bool:
     return True
 
 
-def cutcurve_edges(g: Cutcurve):
-    for t in range(1, len(g.points)):
-        a, b = g.points[t - 1], g.points[t]
+def cutcurve_edges(pts: tuple):
+    for a, b in zip(pts, pts[1:]):
         delta = tuple(x - y for x, y in zip(b, a))
         i = next(k for k, d in enumerate(delta) if d)
         yield (a, i) if delta[i] == 1 else (b, i)
@@ -163,32 +154,31 @@ def cutcurve_edges(g: Cutcurve):
 
 @dataclass
 class PropagationReport:
-    recurrence_ok: bool
+    """Whether the wall inequalities hold on the cutcurve, else the first
+    cutcurve edge where they fail; with the hypothesis met, every wall edge
+    where they fail."""
+
     hypothesis_ok: bool
-    hypothesis_witness: object
+    hypothesis_witness: tuple | None
     violations: list
 
-    @property
-    def ok(self):
-        return self.recurrence_ok and self.hypothesis_ok and not self.violations
 
-
-def check_propagation(labeling: Labeling, w: Wall, g: Cutcurve) -> PropagationReport:
-    """Verify that wall inequalities on the cutcurve force them on the wall."""
+def check_propagation(labeling: Labeling, w: Wall, g: tuple) -> PropagationReport:
+    """Verify that wall inequalities on the cutcurve `g` force them on the
+    wall; a labeling that fails a cube relation raises the `DomainError`
+    naming the first failing cube."""
     if not isinstance(labeling.domain, TropicalDomain):
         raise ValueError("propagation checks run on tropical labelings")
-    w.validate(labeling.spec)
     bad = validate_cutcurve(labeling.spec, w, g)
     if bad:
         raise ValueError(f"invalid cutcurve: {bad[0]}")
-    rec = verify_cube_relations(labeling)
-    if not rec.ok:
-        return PropagationReport(False, False, rec.failures[0], [])
+    if failures := verify_cube_relations(labeling):
+        raise cube_error(*failures[0])
     for e in cutcurve_edges(g):
         if not w_inequalities_hold(labeling, w, e):
-            return PropagationReport(True, False, e, [])
+            return PropagationReport(False, e, [])
     violations = [
         e for e in wall_edges(labeling.spec, w)
         if not w_inequalities_hold(labeling, w, e)
     ]
-    return PropagationReport(True, True, None, violations)
+    return PropagationReport(True, None, violations)

@@ -10,6 +10,7 @@ from zonorec import (
     ConsistencyError,
     DomainError,
     LAURENT,
+    Labeling,
     RATIONAL,
     TROPICAL,
     ZonogonSpec,
@@ -88,6 +89,19 @@ def test_flip_value_matches_cube_relation():
     assert lhs == rhs
 
 
+def test_flip_value_names_the_cube_of_a_zero_divisor():
+    """A zero at the removed corner is a domain error naming the cube by its
+    base and 1-based directions."""
+    t = t_min(HEX)
+    move = move_at(t, (0, 1, 0))
+    values = {v: Fraction(1) for v in t.vertices}
+    values[move.removed] = Fraction(0)
+    with pytest.raises(DomainError) as info:
+        flip_value(Labeling(HEX, RATIONAL, values, t), move)
+    assert str(info.value) == ("cube relation failed on the cube at (0, 0, 0) with "
+                               "directions (1, 2, 3): division by zero")
+
+
 def test_evaluate_empty_path():
     t = t_min(HEX)
     lab = initial_labeling(t, RATIONAL, {v: 2 for v in t.vertices})
@@ -104,7 +118,7 @@ def test_extend_hexagon_symbolic():
         + L.var((0, 1, 1)) * L.var((1, 0, 0))
     ).exact_div(L.var((0, 1, 0)))
     assert total.values[(1, 0, 1)] == expected
-    assert verify_cube_relations(total).ok
+    assert verify_cube_relations(total) == []
 
 
 def test_extend_all_ones():
@@ -120,12 +134,12 @@ def test_verify_relations_detects_perturbation():
     t = t_min(spec)
     vals = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in t.vertices}
     total = extend_to_lattice(initial_labeling(t, RATIONAL, vals))
-    assert verify_cube_relations(total).ok
+    assert verify_cube_relations(total) == []
     broken = total.copy()
     broken.values[(1, 1, 1)] += 1
-    report = verify_cube_relations(broken)
-    assert not report.ok
-    base, dirs, _ = report.failures[0]
+    failures = verify_cube_relations(broken)
+    assert failures
+    base, dirs, _ = failures[0]
     corners = {shift(base, d) for d in dirs} | {base}
     assert any(sum(abs(a - b) for a, b in zip(c, (1, 1, 1))) <= 3 for c in corners)
 
@@ -138,13 +152,13 @@ def test_verify_relations_reports_every_failing_cube(point):
     vals = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in t.vertices}
     broken = extend_to_lattice(initial_labeling(t, RATIONAL, vals)).copy()
     broken.values[point] += 1
-    report = verify_cube_relations(broken)
+    failures = verify_cube_relations(broken)
     touching = {  # point - base is 0 or 1 along the cube's directions, 0 elsewhere
         (base, dirs) for base, dirs in spec.cubes()
         if all(point[w] - base[w] in ((0, 1) if w in dirs else (0,)) for w in range(3))
     }
-    assert {(base, dirs) for base, dirs, _ in report.failures} == touching
-    assert len(report.failures) == len(touching)
+    assert {(base, dirs) for base, dirs, _ in failures} == touching
+    assert len(failures) == len(touching)
 
 
 def test_extend_random_rational_relations():
@@ -153,7 +167,7 @@ def test_extend_random_rational_relations():
     t = t_min(spec)
     vals = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in t.vertices}
     total = extend_to_lattice(initial_labeling(t, RATIONAL, vals))
-    assert verify_cube_relations(total).ok
+    assert verify_cube_relations(total) == []
     assert all(p in total.values for p in spec.lattice_points())
 
 
@@ -266,7 +280,7 @@ def test_extend_to_lattice_evaluates_each_scheduled_move_once(monkeypatch, given
     monkeypatch.setattr(zonorec.engine, "flip_value", counting)
     total = extend_to_lattice(_random_rational(t0, 3), moves if given else None)
     assert evaluated == moves
-    assert verify_cube_relations(total).ok
+    assert verify_cube_relations(total) == []
 
 
 class _CorruptOneDivision(RationalDomain):

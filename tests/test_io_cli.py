@@ -672,18 +672,26 @@ def test_cli_verify_tropical_names_wall_direction_1_based(capsys, s):
     assert capsys.readouterr().err == f"error: --s must be a direction in 1..3, got {s}\n"
 
 
-def test_cli_verify_tropical_reports_a_failed_recurrence(monkeypatch, capsys):
-    """A sample whose extension breaks a cube relation is a domain error
-    naming the cube (1-based directions), not a sample that missed the
-    hypothesis."""
+@pytest.mark.parametrize("command", ["run", "laurent", "tropical"])
+def test_cli_verify_tropical_reports_a_failed_recurrence(monkeypatch, capsys, tmp_path,
+                                                         command):
+    """`run --check`, `verify laurent` and `verify tropical` each report an
+    extension that breaks a cube relation as a domain error naming the cube
+    (1-based directions); for verify tropical it is not a sample that missed
+    the hypothesis."""
+    import zonorec.engine
     import zonorec.tropical
-    from zonorec.engine import RelationReport
 
     def failing(labeling):
-        return RelationReport([((0, 1, 0), (0, 1, 2), "relation violated")])
+        return [((0, 1, 0), (0, 1, 2), "relation violated")]
 
+    monkeypatch.setattr(zonorec.engine, "verify_cube_relations", failing)
     monkeypatch.setattr(zonorec.tropical, "verify_cube_relations", failing)
-    assert main(["verify", "tropical", "--A", "2,1,1", "--samples", "3"]) == 4
+    if command == "run":
+        assert _run_111(tmp_path, _ONES_111["values"], "--check") == 4
+        assert not (tmp_path / "o.json").exists()
+    else:
+        assert main(["verify", command, "--A", "2,1,1", "--samples", "3"]) == 4
     assert capsys.readouterr().err == ("error: cube relation failed on the cube at "
                                        "(0, 1, 0) with directions (1, 2, 3): "
                                        "relation violated\n")
@@ -697,8 +705,10 @@ def test_cli_verify_tropical_json_is_always_a_report(capsys, a, met):
     assert main(["verify", "tropical", "--A", a, "--s", "1", "--c", "1",
                  "--samples", "5", "--seed", "1", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["recurrence_ok"] and report["violations"] == []
+    assert report["violations"] == []
     assert report["hypothesis_ok"] == met
+    keys = {"hypothesis_ok", "violations"}
+    assert set(report) == (keys if met else keys | {"hypothesis_witness"})
     if not met:
         base, d = report["hypothesis_witness"]["base"], report["hypothesis_witness"]["dir"]
         assert base[0] == 1 and d != 1  # an edge on the wall i_1 = 1

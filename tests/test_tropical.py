@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from zonorec import (
-    Cutcurve,
     TROPICAL,
+    DomainError,
     Wall,
     ZonogonSpec,
     all_cutcurves,
@@ -32,26 +32,26 @@ def tropical_extension(spec, values):
 
 
 def test_cutcurve_valid_example():
-    g = Cutcurve(((1, 0, 0), (1, 1, 0), (1, 1, 1)))
+    g = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
     assert validate_cutcurve(SPEC, WALL, g) == []
 
 
 def test_cutcurve_illegal_step():
-    g = Cutcurve(((1, 0, 0), (2, 0, 0), (2, 1, 0), (1, 1, 0), (1, 1, 1)))
+    g = ((1, 0, 0), (2, 0, 0), (2, 1, 0), (1, 1, 0), (1, 1, 1))
     bad = validate_cutcurve(SPEC, WALL, g)
     assert bad and "illegal step" in bad[0]
 
 
 def test_cutcurve_wrong_endpoint():
-    g = Cutcurve(((1, 0, 0), (1, 1, 0)))
+    g = ((1, 0, 0), (1, 1, 0))
     bad = validate_cutcurve(SPEC, WALL, g)
     assert bad and "endpoint" in bad[0]
 
 
 def test_elementary_move_example():
-    g = Cutcurve(((1, 0, 0), (1, 1, 0), (1, 1, 1)))
+    g = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
     g2 = elementary_move(g, 1)
-    assert g2.points == ((1, 0, 0), (1, 0, 1), (1, 1, 1))
+    assert g2 == ((1, 0, 0), (1, 0, 1), (1, 1, 1))
     assert validate_cutcurve(SPEC, WALL, g2) == []
     assert elementary_move(g2, 1) == g
 
@@ -60,8 +60,7 @@ def test_elementary_move_rejects_collinear():
     spec = ZonogonSpec((2, 2, 1))
     g = canonical_cutcurve(spec, Wall(0, 1))
     # first two steps are both +e2 here, so position 1 is collinear
-    steps = [tuple(a - b for a, b in zip(g.points[i + 1], g.points[i]))
-             for i in range(len(g.points) - 1)]
+    steps = [tuple(a - b for a, b in zip(q, p)) for p, q in zip(g, g[1:])]
     collinear_at = next(
         i + 1 for i in range(len(steps) - 1) if steps[i] == steps[i + 1]
     )
@@ -103,7 +102,7 @@ def test_check_propagation_zero():
     lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
     g = canonical_cutcurve(SPEC, WALL)
     report = check_propagation(lab, WALL, g)
-    assert report.ok
+    assert report.hypothesis_ok and report.violations == []
 
 
 def test_check_propagation_random_samples():
@@ -115,7 +114,6 @@ def test_check_propagation_random_samples():
         values = {v: Fraction(rng.randint(-5, 5)) for v in t.vertices}
         lab = tropical_extension(SPEC, values)
         report = check_propagation(lab, WALL, g)
-        assert report.recurrence_ok
         if report.hypothesis_ok:
             met += 1
             assert not report.violations
@@ -126,9 +124,9 @@ def test_check_propagation_rejects_corrupted():
     lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
     lab.values[(1, 1, 1)] = Fraction(5)
     g = canonical_cutcurve(SPEC, WALL)
-    report = check_propagation(lab, WALL, g)
-    assert not report.recurrence_ok
-    assert not report.ok
+    with pytest.raises(DomainError, match=r"^cube relation failed on the cube at \(0, 0, 0\) "
+                       r"with directions \(1, 2, 3\): relation violated$"):
+        check_propagation(lab, WALL, g)
 
 
 def test_shift_invariance_of_extension_and_inequalities():
