@@ -11,7 +11,6 @@ from .zonogon import (
 )
 from .flips import (
     FlipMove,
-    FlipPath,
     FlipError,
     CapExceeded,
     fundamental_forest,

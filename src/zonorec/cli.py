@@ -136,8 +136,8 @@ def cmd_run(args) -> int:
         )
     labeling = engine.initial_labeling(tiling, given.domain, given.values)
     if args.path:
-        path = _load(jsonio.flip_path_from_json, args.path, tiling)
-        result = engine.evaluate_path(labeling, path)
+        moves = _load(jsonio.flip_path_from_json, args.path, tiling)
+        result = engine.evaluate_path(labeling, moves)
     else:
         result = engine.extend_to_lattice(labeling)
         if args.check and (failures := engine.verify_cube_relations(result)):
@@ -166,10 +166,8 @@ def _verify_confluence(args) -> str:
         values = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9))
                   for v in t1.vertices}
         lab = engine.initial_labeling(t1, engine.RATIONAL, values)
-        path_a = flips.connect(t1, t2)
-        path_b = flips.connect(t1, t2, rng=rng)
-        out_a = engine.evaluate_path(lab, path_a)
-        out_b = engine.evaluate_path(lab, path_b)
+        out_a = engine.evaluate_path(lab, flips.connect(t1, t2))
+        out_b = engine.evaluate_path(lab, flips.connect(t1, t2, rng=rng))
         for v in t2.vertices:
             if out_a.values[v] != out_b.values[v]:
                 raise CliError(
@@ -224,9 +222,9 @@ def _verify_tropical(args) -> str:
         met += 1
         last_report = report
         if report.violations:
-            raise CliError(
-                f"wall inequality violated at {report.violations[0]}", EXIT_DOMAIN
-            )
+            base, i = report.violations[0]
+            raise CliError(f"wall inequality violated on the edge at {base} "
+                           f"in direction {i + 1}", EXIT_DOMAIN)
     if args.json:  # with no sample met, the last one's report and its witness
         return json.dumps(jsonio.propagation_report_to_json(
             last_report if last_report is not None else report))
@@ -246,7 +244,9 @@ def _verify_grassmann(args) -> str:
     for _ in range(args.samples):
         sub = spinor.random_isotropic_subspace(rng, n, n - 1)
         if violated := spinor.verify_trbi(spinor.spin_coordinates(sub)):
-            raise CliError(f"bilinear cube equation violated: {violated[0][1]}", EXIT_DOMAIN)
+            (mask, dirs), res = violated[0]
+            base = tuple(mask >> i & 1 for i in range(n))
+            raise engine.cube_error(base, dirs, f"bilinear residual {res}")
     return (f"grassmann: n={n}: {args.samples} samples, all bilinear residuals "
             "zero (max |residual| = 0)")
 

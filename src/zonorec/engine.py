@@ -17,7 +17,7 @@ from itertools import chain
 
 from .laurent import LaurentPoly
 from .zonogon import Tiling, ZonogonSpec, tiling_through_vertex
-from .flips import FlipMove, FlipPath, apply_move, normalize_to_min
+from .flips import FlipMove, apply_move, normalize_to_min
 
 
 class DomainError(ArithmeticError):
@@ -94,21 +94,25 @@ DOMAINS = {d.name: d for d in (RATIONAL, LAURENT, TROPICAL)}
 
 @dataclass
 class Labeling:
-    """Values on lattice points; `tiling` records the initial tiling T0."""
+    """Values on lattice points, among them every vertex of `tiling`: the
+    initial tiling T0, or the end tiling of an evaluated flip path."""
 
-    spec: ZonogonSpec
+    tiling: Tiling
     domain: object
     values: dict
-    tiling: Tiling | None = None
+
+    @property
+    def spec(self) -> ZonogonSpec:
+        return self.tiling.spec
 
     def copy(self) -> "Labeling":
-        return Labeling(self.spec, self.domain, dict(self.values), self.tiling)
+        return Labeling(self.tiling, self.domain, dict(self.values))
 
 
 def symbolic_labeling(t: Tiling) -> Labeling:
     """Each vertex of the tiling labelled by its own Laurent variable."""
     values = {v: LaurentPoly.var(v) for v in t.vertices}
-    return Labeling(t.spec, LAURENT, values, t)
+    return Labeling(t, LAURENT, values)
 
 
 def initial_labeling(t: Tiling, domain, values: dict) -> Labeling:
@@ -123,7 +127,7 @@ def initial_labeling(t: Tiling, domain, values: dict) -> Labeling:
         if not domain.valid_initial(val):
             raise DomainError(f"invalid initial value at {v}: {val!r}")
         vals[v] = val
-    return Labeling(t.spec, domain, vals, t)
+    return Labeling(t, domain, vals)
 
 
 def _cube_sum(d, o, j, l, jk, kl, jkl):
@@ -146,7 +150,8 @@ def flip_value(labeling: Labeling, move: FlipMove):
         hexagon = [x[p] for p in move.corners[:6]]
         removed = x[move.removed]
     except KeyError as exc:
-        raise DomainError(f"unlabeled cube corner {exc.args[0]}") from None
+        reason = f"unlabeled cube corner {exc.args[0]}"
+        raise cube_error(move.base, move.dirs, reason) from None
     try:
         return labeling.domain.div(_cube_sum(labeling.domain, *hexagon), removed)
     except ArithmeticError as exc:
@@ -166,22 +171,19 @@ def _derive(labeling: Labeling, move: FlipMove) -> None:
         raise ConsistencyError(f"re-derived value at {created} disagrees")
 
 
-def evaluate_path(labeling: Labeling, path: FlipPath) -> Labeling:
-    """Push values along a flip path; returns the labeling on the end tiling.
+def evaluate_path(labeling: Labeling, moves: list) -> Labeling:
+    """Push values along the flip path of `moves` from the labeling's tiling;
+    returns the labeling on the end tiling.
 
     Each move is applied before its value is computed, so a move that does
     not apply raises `FlipError`.  The returned labeling keeps every value
     computed along the way (values at vertices shared with earlier tilings
     never change).
     """
-    if labeling.tiling is not None and path.start != labeling.tiling:
-        raise DomainError("path does not start at the labeling's tiling")
     out = labeling.copy()
-    tiling = path.start
-    for move in path.moves:
-        tiling = apply_move(tiling, move)
+    for move in moves:
+        out.tiling = apply_move(out.tiling, move)
         _derive(out, move)
-    out.tiling = tiling
     return out
 
 
@@ -196,13 +198,13 @@ def extension_moves(t0: Tiling) -> list:
     only on T0 and serves every labeling of T0 in every domain.
     """
     spec = t0.spec
-    down0 = normalize_to_min(t0).moves
+    down0 = normalize_to_min(t0)
     schedule: dict = {}
     labelled = set(t0.vertices)
     for p in sorted(spec.lattice_points()):
         if p in labelled:
             continue
-        up = normalize_to_min(tiling_through_vertex(spec, p)).moves
+        up = normalize_to_min(tiling_through_vertex(spec, p))
         for move in chain(down0, [m.inverse() for m in reversed(up)]):
             if move not in schedule:
                 schedule[move] = None
@@ -222,11 +224,8 @@ def extend_to_lattice(labeling: Labeling, moves: list | None = None) -> Labeling
     point left unlabelled, as by a schedule built for another tiling, is a
     `DomainError`.
     """
-    t0 = labeling.tiling
-    if t0 is None:
-        raise DomainError("labeling has no initial tiling")
     if moves is None:
-        moves = extension_moves(t0)
+        moves = extension_moves(labeling.tiling)
     out = labeling.copy()
     for move in moves:
         _derive(out, move)
@@ -245,7 +244,7 @@ def verify_cube_relations(labeling: Labeling) -> list:
         try:
             *hexagon, k, jl = [x[p] for p in FlipMove(base, dirs, "up").corners]
         except KeyError as exc:
-            failures.append((base, dirs, f"unlabeled corner {exc}"))
+            failures.append((base, dirs, f"unlabeled cube corner {exc.args[0]}"))
             continue
         if d.mul(jl, k) != _cube_sum(d, *hexagon):
             failures.append((base, dirs, "relation violated"))

@@ -86,15 +86,6 @@ class FlipMove:
         return (bottom, top) if self.direction == "up" else (top, bottom)
 
 
-@dataclass
-class FlipPath:
-    start: Tiling
-    moves: list
-
-    def __len__(self):
-        return len(self.moves)
-
-
 def fundamental_forest(t: Tiling) -> frozenset:
     """The internal edges (I, I+e_j) that are the sole up-edge at I."""
     edges = set()
@@ -319,8 +310,9 @@ def random_tiling(spec: ZonogonSpec, rng: random.Random) -> Tiling:
     return t
 
 
-def normalize_to_min(t: Tiling, rng: random.Random | None = None) -> FlipPath:
-    """Downward flips to t_min, at the lowest leaf each step (or rng's choice)."""
+def normalize_to_min(t: Tiling, rng: random.Random | None = None) -> list:
+    """The downward flips from t to t_min, at the lowest leaf each step (or
+    rng's choice)."""
     moves = []
     cur = t
     while leaves := flippable_vertices(cur)[0]:
@@ -330,14 +322,13 @@ def normalize_to_min(t: Tiling, rng: random.Random | None = None) -> FlipPath:
             at = rng.choice(sorted(leaves))
         cur, move = apply_flip(cur, at)
         moves.append(move)
-    return FlipPath(t, moves)
+    return moves
 
 
-def connect(t: Tiling, t2: Tiling, rng: random.Random | None = None) -> FlipPath:
-    """A flip path from t to t2, routed through t_min."""
+def connect(t: Tiling, t2: Tiling, rng: random.Random | None = None) -> list:
+    """The moves of a flip path from t to t2, routed through t_min."""
     if t.spec != t2.spec:
         raise FlipError("tilings have different specs")
     down = normalize_to_min(t, rng)
     up = normalize_to_min(t2, rng)
-    moves = list(down.moves) + [m.inverse() for m in reversed(up.moves)]
-    return FlipPath(t, moves)
+    return down + [m.inverse() for m in reversed(up)]

@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 from .engine import DOMAINS, Labeling
-from .flips import FlipMove, FlipPath
+from .flips import FlipMove
 from .laurent import LaurentPoly
 from .zonogon import Tiling, ZonogonSpec, validate_tiling
 
@@ -62,12 +62,12 @@ def tilings_to_json(tilings, fh) -> None:
     fh.write("[]" if sep == "[\n" else "\n]")
 
 
-def tiling_from_json(data: dict, spec: ZonogonSpec | None = None) -> Tiling:
+def tiling_from_json(data: dict) -> Tiling:
     """Decode a tiling and validate it; `InvalidTiling` names the first violation."""
     a = data["A"]
-    if not _ints(a, len(a)) or (spec is not None and tuple(spec.a) != tuple(a)):
-        raise InvalidTiling(f"A {a!r} is not a list of integers matching the spec")
-    spec = spec or ZonogonSpec(a)
+    if not _ints(a, len(a)):
+        raise InvalidTiling(f"A {a!r} is not a list of integers")
+    spec = ZonogonSpec(a)
     n = spec.n
     rhombi = []
     for i, r in enumerate(data["rhombi"]):
@@ -86,14 +86,13 @@ def tiling_from_json(data: dict, spec: ZonogonSpec | None = None) -> Tiling:
     return t
 
 
-def flip_path_from_json(data: dict, tiling: Tiling | None = None) -> FlipPath:
-    """Decode a flip path, which must start at `tiling` when one is given, and
+def flip_path_from_json(data: dict, tiling: Tiling) -> list:
+    """Decode the moves of a flip path, which must start at `tiling`, and
     check each move's fields (`ValueError`); whether a move applies is checked
-    when the path is replayed."""
-    start = tiling_from_json(data["start"], tiling and tiling.spec)
-    if tiling is not None and start != tiling:
+    when the path is evaluated."""
+    if tiling_from_json(data["start"]) != tiling:
         raise ValueError("flip path does not start at the tiling")
-    spec, moves = start.spec, []
+    spec, moves = tiling.spec, []
     for i, m in enumerate(data["moves"]):
         base, dirs, direction = m["base"], m["dirs"], m["dir"]
         move = None
@@ -105,7 +104,7 @@ def flip_path_from_json(data: dict, tiling: Tiling | None = None) -> FlipPath:
             raise ValueError(f"move {i}: {m!r} needs dirs three increasing integers in "
                              f"1..{spec.n}, its cube in the box and dir up or down")
         moves.append(move)
-    return FlipPath(start, moves)
+    return moves
 
 
 def _fraction_to_json(x: Fraction) -> str:
@@ -173,11 +172,11 @@ def labeling_to_json(labeling: Labeling) -> dict:
     return {"A": list(labeling.spec.a), "domain": dom, "values": values}
 
 
-def labeling_from_json(data: dict, tiling: Tiling | None = None) -> Labeling:
-    """Decode a labeling; each vertex must be n JSON integers and each value
-    a Laurent polynomial or a rational, and given a tiling, the vertices must
-    be exactly its vertices (`ValueError`)."""
-    spec = tiling.spec if tiling is not None else ZonogonSpec(data["A"])
+def labeling_from_json(data: dict, tiling: Tiling) -> Labeling:
+    """Decode a labeling of `tiling`; each vertex must be n JSON integers and
+    each value a Laurent polynomial or a rational, and the vertices must be
+    exactly the tiling's vertices (`ValueError`)."""
+    spec = tiling.spec
     if tuple(spec.a) != tuple(data["A"]):
         raise ValueError("labeling multiplicities disagree with the spec")
     domain = DOMAINS[data["domain"]]
@@ -192,14 +191,13 @@ def labeling_from_json(data: dict, tiling: Tiling | None = None) -> Labeling:
             values[vertex] = laurent_from_json(item["value"])
         else:
             values[vertex] = _fraction_from_json(item["value"])
-    if tiling is not None:
-        extra = [v for v in values if v not in tiling.vertices]
-        if extra:
-            raise ValueError(f"labeling has values at {extra}, which are not tiling vertices")
-        missing = [v for v in tiling.vertices if v not in values]
-        if missing:
-            raise ValueError(f"labeling misses tiling vertices {missing}")
-    return Labeling(spec, domain, values, tiling)
+    extra = [v for v in values if v not in tiling.vertices]
+    if extra:
+        raise ValueError(f"labeling has values at {extra}, which are not tiling vertices")
+    missing = [v for v in tiling.vertices if v not in values]
+    if missing:
+        raise ValueError(f"labeling misses tiling vertices {missing}")
+    return Labeling(tiling, domain, values)
 
 
 def propagation_report_to_json(report) -> dict:

@@ -281,6 +281,54 @@ def macmahon_rank_counts(a: int, b: int, c: int) -> list:
     return poly_exact_div(num, den)
 
 
+def _nonadjacent_subsets(gaps: list):
+    """Every set of pairwise non-adjacent gaps of the sorted list `gaps`, the
+    empty set included."""
+    if not gaps:
+        yield ()
+        return
+    first, rest = gaps[0], gaps[1:]
+    yield from _nonadjacent_subsets(rest)
+    for s in _nonadjacent_subsets([g for g in rest if g > first + 1]):
+        yield (first, *s)
+
+
+def wiring_rank_counts(a) -> list:
+    """The rhombus tilings of the zonogon with multiplicities `a` counted by
+    flip rank, as commutation classes of wiring diagrams (Elnitsky, JCTA 77,
+    1997).
+
+    A diagram sweeps the word 1^a1 2^a2 ... n^an to its reverse by swapping
+    adjacent ascending letters; a swap at gap i (between positions i and
+    i + 1) lays one rhombus and one vertex with coordinate sum i + 1, so with
+    each swap weighted q^(i+1) the degree is phi up to a constant.  Classes
+    are counted by the Cartier-Foata Moebius recurrence (LNM 85, 1969):
+    f(w) is the sum, over nonempty sets S of pairwise non-adjacent ascending
+    gaps of w, of (-1)^(|S|+1) times the weight of S times f(w after S), and
+    f of the descending word is 1.  Returns the coefficients from the lowest
+    degree up, like `macmahon_rank_counts`."""
+
+    @lru_cache(maxsize=None)
+    def f(w: tuple) -> dict:
+        gaps = [i for i in range(len(w) - 1) if w[i] < w[i + 1]]
+        if not gaps:
+            return {0: 1}
+        out: dict = {}
+        for s in _nonadjacent_subsets(gaps):
+            if not s:
+                continue
+            v = list(w)
+            for i in s:
+                v[i], v[i + 1] = v[i + 1], v[i]
+            sign, weight = (-1) ** (len(s) + 1), sum(i + 1 for i in s)
+            for d, c in f(tuple(v)).items():
+                out[d + weight] = out.get(d + weight, 0) + sign * c
+        return out
+
+    poly = {d: c for d, c in f(tuple(i for i, m in enumerate(a) for _ in range(m))).items() if c}
+    return [poly.get(d, 0) for d in range(min(poly), max(poly) + 1)]
+
+
 def tilings_json_by_dumps(tilings) -> str:
     """The `tile --enumerate` document by json's own encoder: one dict per
     tiling, dumped with indent=1."""
@@ -431,10 +479,11 @@ def walk_keeping(t, marked, rng, steps):
     return t
 
 
-def replay(path) -> list:
-    """All tilings along a flip path, starting with its start."""
-    out = [path.start]
-    for m in path.moves:
+def replay(start, moves) -> list:
+    """All tilings along the flip path of `moves` from `start`, starting with
+    `start`."""
+    out = [start]
+    for m in moves:
         out.append(apply_move(out[-1], m))
     return out
 

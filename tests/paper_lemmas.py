@@ -18,7 +18,6 @@ from itertools import combinations, product
 from zonorec.flips import (
     FlipError,
     FlipMove,
-    FlipPath,
     apply_flip,
     apply_move,
     enumerate_tilings,
@@ -250,8 +249,9 @@ def _descend_keeping(t: Tiling, keep: Point):
     return cur, moves
 
 
-def connect_through(t: Tiling, t2: Tiling, marked: Point) -> FlipPath:
-    """A flip path from t to t2 whose intermediate tilings all contain `marked`.
+def connect_through(t: Tiling, t2: Tiling, marked: Point) -> list:
+    """The moves of a flip path from t to t2 whose intermediate tilings all
+    contain `marked`.
 
     Both tilings are first descended (never flipping at the marked vertex)
     until their forests are single paths rooted at the common top vertex; the
@@ -263,7 +263,7 @@ def connect_through(t: Tiling, t2: Tiling, marked: Point) -> FlipPath:
     if marked not in t.vertices or marked not in t2.vertices:
         raise FlipError(f"{marked} must be a vertex of both tilings")
     if t == t2:
-        return FlipPath(t, [])
+        return []
 
     cur, moves = _descend_keeping(t, marked)
     cur2, moves2 = _descend_keeping(t2, marked)
@@ -289,7 +289,7 @@ def connect_through(t: Tiling, t2: Tiling, marked: Point) -> FlipPath:
         raise FlipError("transposition phase did not reach the target tiling")
 
     moves.extend(m.inverse() for m in reversed(moves2))
-    return FlipPath(t, moves)
+    return moves
 
 
 # ---------------------------------------------------------------------------

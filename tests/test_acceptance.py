@@ -265,8 +265,7 @@ def test_acceptance_07_marked_vertex_paths():
         t0 = tiling_through_vertex(spec, marked)
         t1, t2 = walk_keeping(t0, marked, rng, 12), walk_keeping(t0, marked, rng, 13)
         assert t1 != t2
-        path = connect_through(t1, t2, marked)
-        tilings = replay(path)
+        tilings = replay(t1, connect_through(t1, t2, marked))
         assert tilings[0] == t1 and tilings[-1] == t2
         for s in tilings:
             assert marked in s.vertices

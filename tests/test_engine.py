@@ -30,7 +30,6 @@ from zonorec import (
     verify_cube_relations,
 )
 from zonorec.engine import RationalDomain
-from zonorec.flips import FlipPath
 from zonorec.jsonio import labeling_to_json
 
 from oracles import neighbors
@@ -90,22 +89,28 @@ def test_flip_value_matches_cube_relation():
 
 
 def test_flip_value_names_the_cube_of_a_zero_divisor():
-    """A zero at the removed corner is a domain error naming the cube by its
-    base and 1-based directions."""
+    """A zero at the removed corner, or a hexagon corner with no value, is a
+    domain error naming the cube by its base and 1-based directions; the cube
+    check gives a missing corner the same reason."""
     t = t_min(HEX)
     move = move_at(t, (0, 1, 0))
-    values = {v: Fraction(1) for v in t.vertices}
-    values[move.removed] = Fraction(0)
-    with pytest.raises(DomainError) as info:
-        flip_value(Labeling(HEX, RATIONAL, values, t), move)
-    assert str(info.value) == ("cube relation failed on the cube at (0, 0, 0) with "
-                               "directions (1, 2, 3): division by zero")
+    zero = {v: Fraction(1) for v in t.vertices}
+    zero[move.removed] = Fraction(0)
+    missing = {v: Fraction(1) for v in t.vertices if v != (0, 0, 0)}
+    unlabeled = "unlabeled cube corner (0, 0, 0)"
+    for values, reason in [(zero, "division by zero"), (missing, unlabeled)]:
+        with pytest.raises(DomainError) as info:
+            flip_value(Labeling(t, RATIONAL, values), move)
+        assert str(info.value) == ("cube relation failed on the cube at (0, 0, 0) with "
+                                   f"directions (1, 2, 3): {reason}")
+    assert verify_cube_relations(Labeling(t, RATIONAL, missing)) == [
+        (move.base, move.dirs, unlabeled)]
 
 
 def test_evaluate_empty_path():
     t = t_min(HEX)
     lab = initial_labeling(t, RATIONAL, {v: 2 for v in t.vertices})
-    out = evaluate_path(lab, FlipPath(t, []))
+    out = evaluate_path(lab, [])
     assert out.values == lab.values
 
 
@@ -216,11 +221,11 @@ def test_consistency_check_fires_on_corruption():
     up = move_at(t, (0, 1, 0))
     t2, _ = apply_flip(t, (0, 1, 0))
     down = move_at(t2, (1, 0, 1))
-    walked = evaluate_path(lab, FlipPath(t, [up]))
+    walked = evaluate_path(lab, [up])
+    assert walked.tiling == t2
     walked.values[(0, 1, 0)] = Fraction(99)  # corrupt the shared value
-    walked.tiling = t2
     with pytest.raises(ConsistencyError):
-        evaluate_path(walked, FlipPath(t2, [down]))
+        evaluate_path(walked, [down])
 
 
 # -- the flip schedule of an extension ----------------------------------------

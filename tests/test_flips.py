@@ -188,10 +188,10 @@ def test_normalize_to_min():
     assert len(normalize_to_min(tm)) == 0
     for _ in range(5):
         t = random_tiling(spec, rng)
-        path = normalize_to_min(t)
-        assert replay(path)[-1] == tm
-        assert len(path) == phi(t) - phi(tm)
-        assert all(m.direction == "down" for m in path.moves)
+        moves = normalize_to_min(t)
+        assert replay(t, moves)[-1] == tm
+        assert len(moves) == phi(t) - phi(tm)
+        assert all(m.direction == "down" for m in moves)
 
 
 def test_normalize_endpoint_independent_of_leaf_policy():
@@ -200,29 +200,27 @@ def test_normalize_endpoint_independent_of_leaf_policy():
     tm = t_min(spec)
     for _ in range(6):
         t = random_tiling(spec, rng)
-        assert replay(normalize_to_min(t, rng=rng))[-1] == tm
+        assert replay(t, normalize_to_min(t, rng=rng))[-1] == tm
 
 
 def test_phi_strictly_decreases_downward():
     rng = random.Random(9)
     t = random_tiling(ZonogonSpec((2, 2, 2)), rng)
-    path = normalize_to_min(t)
-    values = [phi(s) for s in replay(path)]
+    moves = normalize_to_min(t)
+    values = [phi(s) for s in replay(t, moves)]
     assert all(a - b == 1 for a, b in zip(values, values[1:]))
-    assert len(set(replay(path))) == len(path) + 1
+    assert len(set(replay(t, moves))) == len(moves) + 1
 
 
 def test_connect_endpoints_octagon():
     ts = sorted(enumerate_tilings(OCT), key=lambda t: t.canonical_rhombi())
     for t1, t2 in itertools.product(ts, ts):
-        path = connect(t1, t2)
-        assert replay(path)[-1] == t2
+        assert replay(t1, connect(t1, t2))[-1] == t2
 
 
 def test_connect_same_tiling():
     tm = t_min(HEX)
-    path = connect(tm, tm)
-    assert replay(path)[-1] == tm
+    assert replay(tm, connect(tm, tm))[-1] == tm
 
 
 def test_connect_hexagon_short():
@@ -309,9 +307,9 @@ def test_connect_through_trivial_and_boundary():
     ts = sorted(enumerate_tilings(OCT), key=lambda t: t.canonical_rhombi())
     for t1, t2 in itertools.combinations(ts, 2):
         for marked in sorted(OCT.boundary_vertices)[:3]:
-            path = connect_through(t1, t2, marked)
-            assert replay(path)[-1] == t2
-            assert all(marked in s.vertices for s in replay(path))
+            tilings = replay(t1, connect_through(t1, t2, marked))
+            assert tilings[-1] == t2
+            assert all(marked in s.vertices for s in tilings)
 
 
 def test_connect_through_matches_restricted_bfs_reachability():
@@ -323,8 +321,7 @@ def test_connect_through_matches_restricted_bfs_reachability():
         ts = sorted(enumerate_tilings(spec), key=lambda t: t.canonical_rhombi())
         for t1, t2 in itertools.product(ts, ts):
             for marked in sorted(t1.vertices & t2.vertices):
-                path = connect_through(t1, t2, marked)
-                tilings = replay(path)
+                tilings = replay(t1, connect_through(t1, t2, marked))
                 assert tilings[-1] == t2
                 assert all(marked in s.vertices for s in tilings)
                 oracle = restricted_bfs_connect(t1, t2, marked)
@@ -345,8 +342,7 @@ def test_connect_through_interior_marked():
         t0 = tiling_through_vertex(spec, marked)
         t1, t2 = walk_keeping(t0, marked, rng, 12), walk_keeping(t0, marked, rng, 13)
         assert t1 != t2
-        path = connect_through(t1, t2, marked)
-        tilings = replay(path)
+        tilings = replay(t1, connect_through(t1, t2, marked))
         assert tilings[-1] == t2
         assert all(marked in s.vertices for s in tilings)
 
@@ -501,6 +497,38 @@ def test_enumerated_ranks_count_plane_partitions(a):
     for t in enumerate_tilings(spec):
         ranks[phi(t) - low] += 1
     assert ranks == macmahon_rank_counts(*a)
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2), (3, 2, 2), (3, 3, 3), (4, 3, 2)], ids=_spec_id)
+def test_wiring_rank_counts_are_plane_partition_counts(a):
+    from oracles import macmahon_rank_counts, wiring_rank_counts
+
+    assert wiring_rank_counts(a) == macmahon_rank_counts(*a)
+
+
+def test_wiring_rank_counts_total_a006245():
+    """Tilings of the all-ones zonogon with n directions (OEIS A006245)."""
+    from oracles import wiring_rank_counts
+
+    totals = {3: 2, 4: 8, 5: 62, 6: 908, 7: 24698}
+    assert {n: sum(wiring_rank_counts((1,) * n)) for n in totals} == totals
+
+
+@pytest.mark.parametrize("a", [(2, 2, 1, 1), (3, 2, 2, 1), (2, 1, 2, 1, 1), (1,) * 6],
+                         ids=_spec_id)
+def test_enumerated_ranks_count_wiring_diagram_classes(a):
+    """For n >= 4, where MacMahon's product does not apply, the tilings of
+    each rank are the commutation classes of wiring diagrams of that
+    weight."""
+    from oracles import wiring_rank_counts
+
+    spec = ZonogonSpec(a)
+    low = phi(t_min(spec))
+    counts = wiring_rank_counts(a)
+    ranks = [0] * len(counts)
+    for t in enumerate_tilings(spec):
+        ranks[phi(t) - low] += 1
+    assert ranks == counts
 
 
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)

@@ -15,14 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonorec import (
+    Labeling,
     RATIONAL,
     TROPICAL,
     Tiling,
     ZonogonSpec,
     connect,
     enumerate_tilings,
-    extend_to_lattice,
+    evaluate_path,
     initial_labeling,
+    move_at,
     random_tiling,
     render_svg,
     symbolic_labeling,
@@ -46,44 +48,53 @@ def test_tiling_json_round_trip():
     assert jsonio.tiling_from_json(json.loads(json.dumps(data))) == t
 
 
-def _flip_path_json(path) -> dict:
+def _flip_path_json(start, moves) -> dict:
     """A flip path document: the start tiling and each move with 1-based
     directions."""
-    return {"start": jsonio.tiling_to_json(path.start),
+    return {"start": jsonio.tiling_to_json(start),
             "moves": [{"base": list(m.base), "dirs": [d + 1 for d in m.dirs],
-                       "dir": m.direction} for m in path.moves]}
+                       "dir": m.direction} for m in moves]}
 
 
 def test_flip_path_json_round_trip():
     spec = ZonogonSpec((2, 2, 1))
     rng = random.Random(0)
     t1, t2 = random_tiling(spec, rng), random_tiling(spec, rng)
-    path = connect(t1, t2)
-    data = json.loads(json.dumps(_flip_path_json(path)))
-    back = jsonio.flip_path_from_json(data)
-    assert back.start == path.start and back.moves == path.moves
-    assert replay(back)[-1] == t2
+    assert t1 != t2
+    moves = connect(t1, t2)
+    data = json.loads(json.dumps(_flip_path_json(t1, moves)))
+    back = jsonio.flip_path_from_json(data, t1)
+    assert back == moves
+    assert replay(t1, back)[-1] == t2
+    with pytest.raises(ValueError, match="flip path does not start at the tiling"):
+        jsonio.flip_path_from_json(data, t2)
 
 
 @pytest.mark.parametrize("domain", ["rational", "laurent", "tropical"])
 def test_labeling_json_round_trip(domain):
+    """The labeling of the flipped hexagon, whose value at (1, 0, 1) is
+    derived, decodes against its tiling to the same values."""
     spec = ZonogonSpec((1, 1, 1))
     t = t_min(spec)
     rng = random.Random(1)
     if domain == "laurent":
-        lab = extend_to_lattice(symbolic_labeling(t))
+        lab = symbolic_labeling(t)
     elif domain == "rational":
-        lab = extend_to_lattice(initial_labeling(
+        lab = initial_labeling(
             t, RATIONAL,
             {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in t.vertices},
-        ))
+        )
     else:
-        lab = extend_to_lattice(initial_labeling(
+        lab = initial_labeling(
             t, TROPICAL, {v: Fraction(rng.randint(-5, 5)) for v in t.vertices}
-        ))
+        )
+    flipped = evaluate_path(lab, [move_at(t, (0, 1, 0))])
+    lab = Labeling(flipped.tiling, lab.domain,
+                   {v: flipped.values[v] for v in flipped.tiling.vertices})
     data = json.loads(json.dumps(jsonio.labeling_to_json(lab)))
-    back = jsonio.labeling_from_json(data)
+    back = jsonio.labeling_from_json(data, lab.tiling)
     assert back.domain.name == domain
+    assert back.tiling == lab.tiling
     assert back.values == lab.values
 
 
@@ -473,6 +484,17 @@ def test_cli_run_rejects_documents_that_disagree(tmp_path, capsys, flags, messag
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("a", [(1, 1, 2), (1, 1, 1, 1)])
+def test_cli_run_rejects_a_path_from_another_zonogon(tmp_path, capsys, a):
+    """A path whose start is a tiling of other multiplicities does not start
+    at --tiling either."""
+    start = jsonio.tiling_to_json(t_min(ZonogonSpec(a)))
+    assert _run_path_111(tmp_path, {"start": start, "moves": []}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "flip path does not start at the tiling" in err
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("move", [
     {"base": [0, 0, 0], "dirs": [1, 2], "dir": "up"},
     {"base": [0, 0, 0], "dirs": [1, 2, 9], "dir": "up"},
@@ -695,6 +717,61 @@ def test_cli_verify_tropical_reports_a_failed_recurrence(monkeypatch, capsys, tm
     assert capsys.readouterr().err == ("error: cube relation failed on the cube at "
                                        "(0, 1, 0) with directions (1, 2, 3): "
                                        "relation violated\n")
+
+
+def _violate_a_wall(monkeypatch):
+    import zonorec.tropical
+
+    def report(labeling, w, g):
+        return zonorec.tropical.PropagationReport(True, None, [((1, 0, 0), 1)])
+
+    monkeypatch.setattr(zonorec.tropical, "check_propagation", report)
+    return "wall inequality violated on the edge at (1, 0, 0) in direction 2"
+
+
+def _violate_a_bilinear_equation(monkeypatch):
+    import zonorec.spinor
+
+    # bit i of the mask is coordinate i of the cube's base
+    violated = [((0b0010, (0, 2, 3)), Fraction(-3, 2))]
+    monkeypatch.setattr(zonorec.spinor, "verify_trbi", lambda p: violated)
+    return ("cube relation failed on the cube at (0, 1, 0, 0) with directions "
+            "(1, 3, 4): bilinear residual -3/2")
+
+
+def _break_confluence(monkeypatch):
+    import zonorec.engine
+
+    evaluate, calls = zonorec.engine.evaluate_path, []
+
+    def second_path_differs(labeling, moves):
+        out = evaluate(labeling, moves)
+        calls.append(moves)
+        if len(calls) == 2:  # the origin is a vertex of every tiling
+            out.values[(0, 0, 0)] += 1
+        return out
+
+    monkeypatch.setattr(zonorec.engine, "evaluate_path", second_path_differs)
+    return "confluence violated at (0, 0, 0) on trial 0"
+
+
+@pytest.mark.parametrize("suite, violate", [
+    ("tropical", _violate_a_wall),
+    ("grassmann", _violate_a_bilinear_equation),
+    ("confluence", _break_confluence),
+], ids=["tropical-wall", "grassmann", "confluence"])
+def test_cli_verify_names_the_witness_of_a_failure(monkeypatch, capsys, suite, violate):
+    """Each verify suite exits 4 on one failure, with a line naming where it
+    failed: a wall edge by its base and 1-based direction, a bilinear equation
+    by its cube, a confluence failure by its vertex and trial."""
+    message = violate(monkeypatch)
+    argv = ["verify", suite, "--samples", "3", "--trials", "2"]
+    if suite == "grassmann":
+        argv += ["--n", "4"]
+    else:
+        argv += ["--A", "2,1,1"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("a, met", [("2,2,2", False), ("2,1,1", True)])

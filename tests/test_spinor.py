@@ -7,6 +7,7 @@ import pytest
 from zonorec import (
     RATIONAL,
     IsotropicSubspace,
+    Labeling,
     Spinor,
     SpinorError,
     Vector2n,
@@ -27,6 +28,7 @@ from zonorec import (
     sign_twist,
     spin_coordinates,
     t_min,
+    verify_cube_relations,
     verify_trbi,
 )
 from zonorec.spinor import nullspace, rank
@@ -502,6 +504,27 @@ def test_twisted_recurrence_point_is_spinor_point():
             [v.flat() for v in ann_e.basis], [v.flat() for v in ann_o.basis]
         )
         assert rank(inter) == n - 1
+
+
+def test_trbi_witness_is_the_failing_cube_of_the_twisted_labeling():
+    """A violated bilinear equation at (mask, dirs) is the unit cube whose
+    base has coordinate i equal to bit i of the mask: on random coordinates,
+    the violated equations are exactly the cubes where the sign-twisted
+    labeling of the (1^n) box fails the cube relation."""
+    rng = random.Random(15)
+    for n in range(3, 7):
+        spec = ZonogonSpec((1,) * n)
+        for _ in range(3):
+            pt = Spinor(n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                            for _ in range(1 << n)])
+            tw = sign_twist(pt).coords
+            lab = Labeling(t_min(spec), RATIONAL,
+                           {p: tw[sum(b << i for i, b in enumerate(p))]
+                            for p in spec.lattice_points()})
+            violated = {(tuple(m >> i & 1 for i in range(n)), dirs)
+                        for (m, dirs), _ in verify_trbi(pt)}
+            assert violated
+            assert violated == {(base, dirs) for base, dirs, _ in verify_cube_relations(lab)}
 
 
 def test_projection_examples():
