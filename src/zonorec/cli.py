@@ -34,6 +34,17 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every parse error is one `error:` line and exit 2, in subparsers too; a
+    flag is never abbreviated, so a flag a command lacks is never one it has."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise CliError(message, EXIT_BAD_INPUT)
+
+
 def _parse(text: str, what: str, make):
     """`make(text)`, where a `ValueError` is invalid input naming `what`."""
     try:
@@ -47,7 +58,17 @@ def _ints(text: str) -> tuple:
 
 
 def _parse_a(text: str):
+    """The argparse type of --A; argparse passes its `CliError` through."""
     return _parse(text, "multiplicities", lambda t: zonogon.ZonogonSpec(_ints(t)))
+
+
+def _count(least: int):
+    """The argparse type of a count of at least `least`."""
+    def count(text: str) -> int:
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return count
 
 
 def _cube_tiling(spec, text: str):
@@ -58,11 +79,6 @@ def _cube_tiling(spec, text: str):
     base = tuple(int(x) for x in bits[:spec.n])
     dirs = tuple(int(x) - 1 for x in bits[spec.n:spec.n + 3])
     return zonogon.tiling_with_cube_faces(spec, base, dirs, bits[-1])
-
-
-def _require_at_least(value: int, least: int, flag: str):
-    if value < least:
-        raise CliError(f"{flag} must be at least {least}, got {value}", EXIT_BAD_INPUT)
 
 
 @contextlib.contextmanager
@@ -84,17 +100,13 @@ def _write_out(path):
                        EXIT_BAD_INPUT)
 
 
-def _read_json(path):
+def _load(decode, path, *args):
+    """Read a JSON file and decode it; an unreadable or malformed one is bad input."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_BAD_INPUT)
-
-
-def _load(decode, path, *args):
-    """Read a JSON file and decode it; a malformed document is bad input."""
-    data = _read_json(path)
     try:
         return decode(data, *args)
     except (KeyError, TypeError, ValueError) as exc:
@@ -103,21 +115,19 @@ def _load(decode, path, *args):
 
 
 def cmd_tile(args) -> int:
-    spec = _parse_a(args.A)
     if args.enumerate:
-        _require_at_least(args.cap, 0, "--cap")
-        tilings = flips.enumerate_tilings(spec, cap=args.cap)
+        tilings = flips.enumerate_tilings(args.A, cap=args.cap)
         with _write_out(args.out) as fh:
             jsonio.tilings_to_json(tilings, fh)
             fh.write("\n")
         return EXIT_OK
     if args.through:
         t = _parse(args.through, "--through",
-                   lambda text: zonogon.tiling_through_vertex(spec, _ints(text)))
+                   lambda text: zonogon.tiling_through_vertex(args.A, _ints(text)))
     elif args.cube:
-        t = _parse(args.cube, "--cube", lambda text: _cube_tiling(spec, text))
+        t = _parse(args.cube, "--cube", lambda text: _cube_tiling(args.A, text))
     else:
-        t = zonogon.t_min(spec)
+        t = zonogon.t_min(args.A)
     with _write_out(args.out) as fh:
         fh.write(json.dumps(jsonio.tiling_to_json(t), indent=1) + "\n")
     return EXIT_OK
@@ -128,13 +138,10 @@ def cmd_run(args) -> int:
         raise CliError("--check applies only to extensions, not to --path",
                        EXIT_BAD_INPUT)
     tiling = _load(jsonio.tiling_from_json, args.tiling)
-    given = _load(jsonio.labeling_from_json, args.labeling, tiling)
-    if args.domain and given.domain.name != args.domain:
-        raise CliError(
-            f"labeling domain {given.domain.name!r} != --domain {args.domain!r}",
-            EXIT_BAD_INPUT,
-        )
-    labeling = engine.initial_labeling(tiling, given.domain, given.values)
+    labeling = _load(jsonio.labeling_from_json, args.labeling, tiling)
+    if args.domain and labeling.domain.name != args.domain:
+        raise CliError(f"labeling domain {labeling.domain.name!r} != --domain "
+                       f"{args.domain!r}", EXIT_BAD_INPUT)
     if args.path:
         moves = _load(jsonio.flip_path_from_json, args.path, tiling)
         result = engine.evaluate_path(labeling, moves)
@@ -148,7 +155,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_render(args) -> int:
-    _require_at_least(args.scale, 1, "--scale")
     tiling = _load(jsonio.tiling_from_json, args.tiling)
     svg = render_svg(tiling, scale=args.scale, labels=args.labels, forest=args.forest)
     with _write_out(args.out) as fh:
@@ -157,8 +163,7 @@ def cmd_render(args) -> int:
 
 
 def _verify_confluence(args) -> str:
-    spec = _parse_a(args.A)
-    _require_at_least(args.trials, 1, "--trials")
+    spec = args.A
     rng = random.Random(args.seed)
     for trial in range(args.trials):
         t1 = flips.random_tiling(spec, rng)
@@ -170,14 +175,13 @@ def _verify_confluence(args) -> str:
         out_b = engine.evaluate_path(lab, flips.connect(t1, t2, rng=rng))
         for v in t2.vertices:
             if out_a.values[v] != out_b.values[v]:
-                raise CliError(
-                    f"confluence violated at {v} on trial {trial}", EXIT_DOMAIN
-                )
+                raise CliError(f"confluence violated at {v} on trial {trial}",
+                               EXIT_DOMAIN)
     return f"confluence: {args.trials} trials on A={spec.a}: all labelings equal"
 
 
 def _verify_laurent(args) -> str:
-    spec = _parse_a(args.A)
+    spec = args.A
     t0 = zonogon.t_min(spec)
     moves = engine.extension_moves(t0)
     total = engine.extend_to_lattice(engine.symbolic_labeling(t0), moves)
@@ -196,8 +200,7 @@ def _verify_laurent(args) -> str:
 
 
 def _verify_tropical(args) -> str:
-    spec = _parse_a(args.A)
-    _require_at_least(args.samples, 1, "--samples")
+    spec = args.A
     if not 1 <= args.s <= spec.n:
         raise CliError(f"--s must be a direction in 1..{spec.n}, got {args.s}",
                        EXIT_BAD_INPUT)
@@ -237,9 +240,6 @@ def _verify_tropical(args) -> str:
 
 def _verify_grassmann(args) -> str:
     n = args.n
-    if not 3 <= n <= spinor.MAX_N:
-        raise CliError(f"n must be in 3..{spinor.MAX_N}", EXIT_BAD_INPUT)
-    _require_at_least(args.samples, 1, "--samples")
     rng = random.Random(args.seed)
     for _ in range(args.samples):
         sub = spinor.random_isotropic_subspace(rng, n, n - 1)
@@ -252,15 +252,7 @@ def _verify_grassmann(args) -> str:
 
 
 def cmd_verify(args) -> int:
-    suites = {
-        "confluence": _verify_confluence,
-        "laurent": _verify_laurent,
-        "tropical": _verify_tropical,
-        "grassmann": _verify_grassmann,
-    }
-    if args.json and args.suite != "tropical":
-        raise CliError("--json applies only to verify tropical", EXIT_BAD_INPUT)
-    print(suites[args.suite](args))
+    print(args.check(args))
     return EXIT_OK
 
 
@@ -277,17 +269,21 @@ def _env_seed() -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; --seed defaults to None,
     which `main` replaces by `_env_seed()`."""
-    parser = argparse.ArgumentParser(prog="zonorec", description=__doc__)
+    parser = _Parser(prog="zonorec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_a(p):
+        p.add_argument("--A", required=True, type=_parse_a,
+                       help="comma separated multiplicities")
+
     p_tile = sub.add_parser("tile", help="construct tilings")
-    p_tile.add_argument("--A", required=True, help="comma separated multiplicities")
+    add_a(p_tile)
     mode = p_tile.add_mutually_exclusive_group()
     mode.add_argument("--min", action="store_true", help="minimal tiling (default)")
     mode.add_argument("--through", help="vertex the tiling must contain, e.g. 1,0,2")
     mode.add_argument("--cube", help="base,j,k,l,side with 1-based directions")
     mode.add_argument("--enumerate", action="store_true", help="all tilings")
-    p_tile.add_argument("--cap", type=int, default=10000)
+    p_tile.add_argument("--cap", type=_count(0), default=10000)
     p_tile.add_argument("--seed", type=int, default=None,
                         help="accepted; tilings do not depend on it")
     p_tile.add_argument("--out", default="-")
@@ -306,24 +302,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="-")
     p_run.set_defaults(func=cmd_run)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite",
-                          choices=("confluence", "laurent", "tropical", "grassmann"))
-    p_verify.add_argument("--A", help="comma separated multiplicities")
-    p_verify.add_argument("--trials", type=int, default=20)
-    p_verify.add_argument("--samples", type=int, default=25)
-    p_verify.add_argument("--s", type=int, default=1, help="wall direction (1-based)")
-    p_verify.add_argument("--c", type=int, default=1, help="wall offset")
-    p_verify.add_argument("--n", type=int, default=3)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--json", action="store_true",
-                          help="print the report as JSON (verify tropical only)")
-    p_verify.set_defaults(func=cmd_verify)
+    suites = sub.add_parser("verify", help="run a verification suite").add_subparsers(
+        dest="suite", required=True)
+
+    def add_suite(name, check, about, takes_a=True):
+        p = suites.add_parser(name, help=about)
+        if takes_a:
+            add_a(p)
+        p.add_argument("--seed", type=int, default=None,
+                       help="sample seed (default: ZONOREC_SEED, else 0)")
+        p.set_defaults(func=cmd_verify, check=check)
+        return p
+
+    add_suite("confluence", _verify_confluence, "flip order does not matter").add_argument(
+        "--trials", type=_count(1), default=20)
+    add_suite("laurent", _verify_laurent, "every value is a Laurent polynomial")
+    p_trop = add_suite("tropical", _verify_tropical, "wall inequalities propagate")
+    p_trop.add_argument("--samples", type=_count(1), default=25)
+    p_trop.add_argument("--s", type=int, default=1, help="wall direction (1-based)")
+    p_trop.add_argument("--c", type=int, default=1, help="wall offset")
+    p_trop.add_argument("--json", action="store_true", help="print the report as JSON")
+    p_grass = add_suite("grassmann", _verify_grassmann, "the IG(n-1, 2n) equations",
+                        takes_a=False)
+    p_grass.add_argument("--n", type=int, choices=range(3, spinor.MAX_N + 1), default=3)
+    p_grass.add_argument("--samples", type=_count(1), default=25)
 
     p_render = sub.add_parser("render", help="render a tiling to SVG")
     p_render.add_argument("--tiling", required=True)
     p_render.add_argument("--out", required=True)
-    p_render.add_argument("--scale", type=int, default=40)
+    p_render.add_argument("--scale", type=_count(1), default=40)
     p_render.add_argument("--labels", action="store_true")
     p_render.add_argument("--forest", action="store_true")
     p_render.set_defaults(func=cmd_render)
@@ -347,12 +354,10 @@ def main(argv=None) -> int:
         seed = _env_seed()
         try:
             args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
+        except SystemExit:  # --help, which has printed the help
+            return EXIT_OK
         if getattr(args, "seed", 0) is None:
             args.seed = seed
-        if args.command == "verify" and args.suite != "grassmann" and not args.A:
-            raise CliError("--A is required", EXIT_BAD_INPUT)
         return args.func(args)
     except (CliError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ import json
 import re
 from fractions import Fraction
 
-from .engine import DOMAINS, Labeling
+from .engine import DOMAINS, Labeling, initial_labeling
 from .flips import FlipMove
 from .laurent import LaurentPoly
 from .zonogon import Tiling, ZonogonSpec, validate_tiling
@@ -173,9 +173,11 @@ def labeling_to_json(labeling: Labeling) -> dict:
 
 
 def labeling_from_json(data: dict, tiling: Tiling) -> Labeling:
-    """Decode a labeling of `tiling`; each vertex must be n JSON integers and
-    each value a Laurent polynomial or a rational, and the vertices must be
-    exactly the tiling's vertices (`ValueError`)."""
+    """Decode the initial labeling of `tiling`; each vertex must be n JSON
+    integers and each value a Laurent polynomial or a rational, and the
+    vertices must be exactly the tiling's vertices (`ValueError`).  A value
+    the domain does not take as initial is `engine.initial_labeling`'s
+    `DomainError`."""
     spec = tiling.spec
     if tuple(spec.a) != tuple(data["A"]):
         raise ValueError("labeling multiplicities disagree with the spec")
@@ -197,7 +199,7 @@ def labeling_from_json(data: dict, tiling: Tiling) -> Labeling:
     missing = [v for v in tiling.vertices if v not in values]
     if missing:
         raise ValueError(f"labeling misses tiling vertices {missing}")
-    return Labeling(tiling, domain, values)
+    return initial_labeling(tiling, domain, values)
 
 
 def propagation_report_to_json(report) -> dict:

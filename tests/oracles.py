@@ -488,6 +488,37 @@ def replay(start, moves) -> list:
     return out
 
 
+def _fm_row(a, b, strict) -> tuple:
+    """The row a.x + b > 0 (or >= 0) scaled by a positive factor, so that
+    rows that are positive multiples of one another are one tuple."""
+    scale = max(map(abs, (*a, b))) or 1
+    return tuple(Fraction(c) / scale for c in a), Fraction(b) / scale, strict
+
+
+def fourier_motzkin_feasible(rows) -> bool:
+    """Whether some rational x satisfies every row (a, b, strict), which
+    reads a.x + b > 0 when strict and a.x + b >= 0 otherwise.
+
+    Exact Fourier-Motzkin elimination over `Fraction`s (Schrijver, Theory of
+    Linear and Integer Programming, 1986, section 12.2): each variable is
+    eliminated by adding every row where it is positive to every row where it
+    is negative, with positive weights that cancel it; a sum is strict when
+    either summand is.  The system is infeasible exactly when a row with no
+    variable left is false.
+    """
+    rows = {_fm_row(*row) for row in rows}
+    for i in range(len(next(iter(rows))[0]) if rows else 0):
+        pos = [r for r in rows if r[0][i] > 0]
+        neg = [r for r in rows if r[0][i] < 0]
+        rows = {r for r in rows if r[0][i] == 0}
+        for a1, b1, s1 in pos:
+            for a2, b2, s2 in neg:
+                w1, w2 = -a2[i], a1[i]
+                rows.add(_fm_row(tuple(w1 * x + w2 * y for x, y in zip(a1, a2)),
+                                 w1 * b1 + w2 * b2, s1 or s2))
+    return all(b > 0 if strict else b >= 0 for _, b, strict in rows)
+
+
 def det(matrix) -> Fraction:
     """Exact determinant by cofactor recursion with column-mask memoisation."""
     n = len(matrix)

@@ -549,6 +549,16 @@ def substitute(p: LaurentPoly, v, value: LaurentPoly) -> LaurentPoly:
 # the one-square lemma of tropical propagation
 
 
+# The lemma as linear forms in the letters of one elementary-move square: a
+# letter string stands for the sum of its letters' values; a relation
+# (left, terms) reads left = max(terms), an inequality (greater, lesser)
+# reads greater >= lesser.
+LEMMA_LETTERS = "abcdpqrsvwyz"
+LEMMA_RELATIONS = (("ws", ("vr", "zq", "yp")), ("qd", ("pc", "sb", "ra")))
+LEMMA_HYPOTHESES = (("pq", "aw"), ("pq", "bv"), ("qr", "cw"), ("qr", "by"))  # (A)-(D)
+LEMMA_CONCLUSIONS = (("ps", "az"), ("ps", "dv"), ("sr", "cz"), ("sr", "dy"))  # (E)-(H)
+
+
 def local_step_check(values: dict) -> bool:
     """One elementary-move square: do the four source inequalities force the
     four target ones?
@@ -558,17 +568,14 @@ def local_step_check(values: dict) -> bool:
         q + d = max(p + c, s + b, r + a)
     already satisfied.  Returns whether (A)-(D) imply (E)-(H) here.
     """
-    a, b, c, d = (Fraction(values[k]) for k in "abcd")
-    p, q, r, s = (Fraction(values[k]) for k in "pqrs")
-    v, w, y, z = (Fraction(values[k]) for k in "vwyz")
-    if w + s != max(v + r, z + q, y + p) or q + d != max(p + c, s + b, r + a):
+    x = {k: Fraction(values[k]) for k in LEMMA_LETTERS}
+
+    def total(letters):
+        return sum(x[k] for k in letters)
+
+    def hold(inequalities):
+        return all(total(greater) >= total(lesser) for greater, lesser in inequalities)
+
+    if any(total(left) != max(map(total, terms)) for left, terms in LEMMA_RELATIONS):
         raise ValueError("the two max-plus cube relations are not satisfied")
-    hyp = (p + q >= a + w) and (p + q >= b + v) and (q + r >= c + w) and (q + r >= b + y)
-    if not hyp:
-        return True
-    return (
-        p + s >= a + z
-        and p + s >= d + v
-        and s + r >= c + z
-        and s + r >= d + y
-    )
+    return not hold(LEMMA_HYPOTHESES) or hold(LEMMA_CONCLUSIONS)

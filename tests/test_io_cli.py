@@ -32,7 +32,7 @@ from zonorec import (
     tiling_through_vertex,
 )
 from zonorec import jsonio
-from zonorec.cli import main
+from zonorec.cli import build_parser, main
 from zonorec.flips import fundamental_forest
 from zonorec.laurent import LaurentPoly
 
@@ -639,12 +639,61 @@ def test_package_runs_as_module():
     ["verify", "tropical", "--A", "2,1,1", "--samples", "-1"],
     ["verify", "confluence", "--A", "1,1,1", "--trials", "-3"],
     ["tile", "--A", "1,1,1", "--enumerate", "--cap", "-1"],
-], ids=["grassmann-samples", "tropical-samples", "confluence-trials", "enumerate-cap"])
+    ["tile", "--A", "1,1,1", "--cap", "-1"],
+], ids=["grassmann-samples", "tropical-samples", "confluence-trials", "enumerate-cap",
+        "tile-cap"])
 def test_cli_rejects_bad_counts(capsys, argv):
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and argv[-2] in out.err
-    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("verify laurent --A 2,1,1 --samples 0", "unrecognized arguments: --samples 0"),
+    ("verify grassmann --n 3 --samples 1 --A 1,1", "unrecognized arguments: --A 1,1"),
+    ("verify confluence --A 1,1,1 --trials 1 --s 9", "unrecognized arguments: --s 9"),
+    ("verify tropical --A 2,2,1 --samples 5 --trials 3", "unrecognized arguments: --trials 3"),
+    ("bogus", "argument command: invalid choice: 'bogus'"),
+    ("verify laurent", "the following arguments are required: --A"),
+    ("run --tiling t.json --labeling l.json --domain bogus",
+     "argument --domain: invalid choice: 'bogus'"),
+    ("verify tropical --A 2,1,1 --samples x", "argument --samples: invalid count value: 'x'"),
+    ("verify grassmann --n 9", "argument --n: invalid choice: 9"),
+], ids=["laurent-samples", "grassmann-A", "confluence-s", "tropical-trials", "unknown-command",
+        "missing-A", "run-domain", "samples-not-int", "grassmann-n"])
+def test_cli_bad_flags_are_one_error_line(capsys, argv, message):
+    """A flag the command does not take, an unknown command, a missing flag
+    and a value the flag's type or choices reject are each one `error:` line
+    and exit 2, with nothing on stdout; no suite ignores a flag (a long flag
+    is not abbreviated either: confluence's --seed does not take --s)."""
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {message}"), err
+
+
+@pytest.mark.parametrize("suite, flags", [
+    ("confluence", {"--A", "--trials", "--seed"}),
+    ("laurent", {"--A", "--seed"}),
+    ("tropical", {"--A", "--samples", "--s", "--c", "--json", "--seed"}),
+    ("grassmann", {"--n", "--samples", "--seed"}),
+])
+def test_cli_verify_help_lists_only_the_suites_flags(capsys, suite, flags):
+    assert main(["verify", suite, "--help"]) == 0
+    assert set(re.findall(r"--\w+", capsys.readouterr().out)) == flags | {"--help"}
+
+
+def test_readme_command_lines_parse(tmp_path):
+    """Every `zonorec ...` line of the README's command-line block parses,
+    with its file names replaced by files under tmp_path."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("zonorec ")]
+    assert len(lines) >= 11
+    for argv in lines:
+        argv = [str(tmp_path / a) if a.endswith((".json", ".svg")) else a for a in argv]
+        assert callable(build_parser().parse_args(argv).func), argv
 
 
 def test_cli_rejects_non_integer_seed_variable(monkeypatch, capsys):
@@ -684,7 +733,7 @@ def test_cli_render_rejects_scale_below_1(tmp_path, capsys, scale):
     out = tmp_path / "t.svg"
     argv = ["render", "--tiling", str(tmp_path / "t.json"), "--out", str(out), "--scale", scale]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: --scale must be at least 1, got {scale}\n"
+    assert capsys.readouterr().err == f"error: argument --scale: must be at least 1, got {scale}\n"
     assert not out.exists()
 
 
@@ -713,7 +762,8 @@ def test_cli_verify_tropical_reports_a_failed_recurrence(monkeypatch, capsys, tm
         assert _run_111(tmp_path, _ONES_111["values"], "--check") == 4
         assert not (tmp_path / "o.json").exists()
     else:
-        assert main(["verify", command, "--A", "2,1,1", "--samples", "3"]) == 4
+        argv = ["verify", command, "--A", "2,1,1"]
+        assert main(argv + (["--samples", "3"] if command == "tropical" else [])) == 4
     assert capsys.readouterr().err == ("error: cube relation failed on the cube at "
                                        "(0, 1, 0) with directions (1, 2, 3): "
                                        "relation violated\n")
@@ -765,11 +815,11 @@ def test_cli_verify_names_the_witness_of_a_failure(monkeypatch, capsys, suite, v
     failed: a wall edge by its base and 1-based direction, a bilinear equation
     by its cube, a confluence failure by its vertex and trial."""
     message = violate(monkeypatch)
-    argv = ["verify", suite, "--samples", "3", "--trials", "2"]
-    if suite == "grassmann":
-        argv += ["--n", "4"]
-    else:
-        argv += ["--A", "2,1,1"]
+    argv = ["verify", suite] + {
+        "tropical": ["--A", "2,1,1", "--samples", "3"],
+        "grassmann": ["--n", "4", "--samples", "3"],
+        "confluence": ["--A", "2,1,1", "--trials", "2"],
+    }[suite]
     assert main(argv) == 4
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -797,11 +847,11 @@ def test_cli_verify_tropical_json_is_always_a_report(capsys, a, met):
     ["verify", "grassmann", "--n", "3", "--samples", "1"],
 ], ids=["confluence", "laurent", "grassmann"])
 def test_cli_verify_json_outside_tropical_exits_2(capsys, argv):
-    """Only verify tropical has a JSON report; elsewhere --json is rejected
-    before the suite runs, not ignored."""
+    """Only verify tropical has a JSON report; elsewhere --json is a flag the
+    suite does not take, rejected before the suite runs, not ignored."""
     assert main(argv + ["--json"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: --json applies only to verify tropical\n"
+    assert out == "" and err == "error: unrecognized arguments: --json\n"
 
 
 @pytest.mark.parametrize("command", ["tile", "run", "render"])
@@ -851,6 +901,20 @@ def test_cli_render_rejects_invalid_tiling(tmp_path, capsys):
     assert main(["render", "--tiling", str(tiling_file), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "rhombus 0:" in err and "[1, 9]" in err
+
+
+@pytest.mark.parametrize("content", [
+    b"1" * 5000,  # an integer over the int-to-str digit limit
+    b'{"A": "\xff\xfe"}',  # invalid UTF-8
+    b"[" * 100_000,  # deeper than the recursion limit
+], ids=["long-integer", "invalid-utf8", "deep-nesting"])
+def test_cli_unreadable_json_exits_2(tmp_path, capsys, content):
+    (tmp_path / "t.json").write_bytes(content)
+    assert main(["render", "--tiling", str(tmp_path / "t.json"),
+                 "--out", str(tmp_path / "o.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {tmp_path / 't.json'}: ") and err.count("\n") == 1
+    assert not (tmp_path / "o.svg").exists()
 
 
 def _json_paths(doc, prefix=()):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,14 @@ from zonorec import (
 )
 from zonorec.tropical import cutcurve_edges, wall_edges
 
-from paper_lemmas import local_step_check
+from oracles import fourier_motzkin_feasible
+from paper_lemmas import (
+    LEMMA_CONCLUSIONS,
+    LEMMA_HYPOTHESES,
+    LEMMA_LETTERS,
+    LEMMA_RELATIONS,
+    local_step_check,
+)
 
 SPEC = ZonogonSpec((2, 1, 1))
 WALL = Wall(0, 1)
@@ -170,6 +178,60 @@ def test_local_step_check_requires_relations():
     vals["d"] = Fraction(5)
     with pytest.raises(ValueError):
         local_step_check(vals)
+
+
+@pytest.mark.parametrize("rows, feasible", [
+    ([((1,), 0, True), ((-1,), 0, True)], False),  # x > 0 > x
+    ([((1,), 0, False), ((-1,), 0, False)], True),  # x = 0
+    ([((1,), -1, False), ((-1,), 0, False)], False),  # 1 <= x <= 0
+    ([((1,), -1, False), ((-1,), 2, True)], True),  # 1 <= x < 2
+    ([((1,), -1, True), ((-1,), 1, False)], False),  # 1 < x <= 1
+    ([((1, -1, 0), 0, True), ((0, 1, -1), 0, True), ((-1, 0, 1), 0, True)], False),
+    ([((1, -1, 0), 0, False), ((0, 1, -1), 0, False), ((-1, 0, 1), 0, False)], True),
+    ([((2, 1), -1, True), ((-1, 1), 0, False), ((0, -1), 0, False)], False),
+    ([((2, 1), -1, True), ((-1, 1), 0, False), ((0, -1), 1, False)], True),
+])
+def test_fourier_motzkin_small_systems(rows, feasible):
+    assert fourier_motzkin_feasible(rows) == feasible
+
+
+def _at_least(greater, lesser, strict=False):
+    """The row sum(greater) - sum(lesser) >= 0 (> 0 when strict) over the
+    letters of the one-square lemma."""
+    return tuple(greater.count(k) - lesser.count(k) for k in LEMMA_LETTERS), 0, strict
+
+
+def _max_cases():
+    """The two max-plus relations as 9 linear systems, one for each choice of
+    the term that attains each max."""
+    for picks in product(range(3), repeat=2):
+        rows = []
+        for (left, terms), k in zip(LEMMA_RELATIONS, picks):
+            rows += [_at_least(left, terms[k]), _at_least(terms[k], left)]
+            rows += [_at_least(terms[k], t) for j, t in enumerate(terms) if j != k]
+        yield rows
+
+
+def _refuted_cases(hypotheses) -> int:
+    """How many of the 36 systems (9 max-cases x 4 conclusions) have a point
+    where the relations and `hypotheses` hold and the conclusion fails."""
+    return sum(
+        fourier_motzkin_feasible(case + [_at_least(*h) for h in hypotheses]
+                                 + [_at_least(lesser, greater, strict=True)])
+        for case in _max_cases() for greater, lesser in LEMMA_CONCLUSIONS
+    )
+
+
+def test_one_square_lemma_holds_exactly():
+    """(A)-(D) and the two max-plus relations imply (E)-(H): in each of the 9
+    max-cases the negation of each conclusion is infeasible over the reals."""
+    assert _refuted_cases(LEMMA_HYPOTHESES) == 0
+
+
+def test_each_hypothesis_of_the_one_square_lemma_is_needed():
+    """Without any one of (A)-(D), some max-case admits a counterexample."""
+    assert [_refuted_cases(LEMMA_HYPOTHESES[:i] + LEMMA_HYPOTHESES[i + 1:])
+            for i in range(4)] == [10, 2, 10, 2]
 
 
 def test_cutcurve_edges_lie_on_wall():
