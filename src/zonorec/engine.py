@@ -6,7 +6,8 @@ eight corner values by
     x[B+jl] * x[B+k] = x[B] * x[B+jkl] + x[B+jk] * x[B+l] + x[B+kl] * x[B+j]
 
 and each flip solves this for the freshly created vertex.  The same engine
-runs over exact rationals, Laurent polynomials, and the max-plus semiring.
+runs over exact rationals, Laurent polynomials, and the max-plus semiring
+(on integers where the values are integral).
 """
 
 from __future__ import annotations
@@ -65,7 +66,11 @@ class LaurentDomain(RationalDomain):
 
 
 class TropicalDomain:
-    """Max-plus: multiplication is +, triple addition is max, division is -."""
+    """Max-plus: multiplication is +, triple addition is max, division is -.
+
+    The recurrence never divides, so an integral value is kept as an `int`
+    and only a non-integral one as a `Fraction`; the two mix exactly.
+    """
 
     name = "tropical"
 
@@ -82,7 +87,10 @@ class TropicalDomain:
         return True
 
     def coerce(self, a):
-        return Fraction(a)
+        if type(a) is int:
+            return a
+        a = Fraction(a)
+        return a.numerator if a.denominator == 1 else a
 
 
 RATIONAL = RationalDomain()

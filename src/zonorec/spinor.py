@@ -10,8 +10,11 @@ A span, and the spinor line a subspace annihilates, do not change when a
 vector is rescaled.  So the kernel behind pure spinors, spin coordinates,
 the random isotropic subspaces and the row elimination computes on the
 primitive integer vector of each line: denominators cleared and the gcd
-divided out.  Fractions appear only at the API edge, in `Vector2n`,
-`Spinor` and the kernel vectors of `nullspace`.
+divided out.  Fractions appear only at the API edge, in `Vector2n`, the
+kernel vectors of `nullspace` and the non-integral coordinates of a
+`Spinor`, which keeps an integral coordinate as an `int`: pure spinors and
+spin coordinates are integer Clifford products, so the bilinear cube
+equations on them compute in integers.
 """
 
 from __future__ import annotations
@@ -144,15 +147,15 @@ class Spinor:
             raise SpinorError(f"n = {n} exceeds the supported bound {MAX_N}")
         self.n = n
         if coords is None:
-            coords = [Fraction(0)] * (1 << n)
-        self.coords = [Fraction(c) for c in coords]
+            coords = [0] * (1 << n)
+        self.coords = [_exact(c) for c in coords]
         if len(self.coords) != 1 << n:
             raise SpinorError("coordinate vector has wrong length")
 
     @classmethod
     def basis(cls, n: int, mask: int) -> "Spinor":
         s = cls(n)
-        s.coords[mask] = Fraction(1)
+        s.coords[mask] = 1
         return s
 
     def __eq__(self, other):
@@ -176,6 +179,14 @@ class Spinor:
             if c
         ]
         return " + ".join(bits) if bits else "0"
+
+
+def _exact(c):
+    """A coordinate as an `int` when it is integral, else as a `Fraction`."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _parity(coords):
@@ -217,11 +228,12 @@ def _merge_sign(m1: int, m2: int) -> int:
     return -1 if inv & 1 else 1
 
 
-def bilinear_form_B(s1: Spinor, s2: Spinor) -> Fraction:
-    """Sum over degrees k of (-1)^(k(k-1)/2) Vol(s1_k wedge s2_{n-k})."""
+def bilinear_form_B(s1: Spinor, s2: Spinor):
+    """Sum over degrees k of (-1)^(k(k-1)/2) Vol(s1_k wedge s2_{n-k}): an
+    `int` on integer coordinates."""
     n = s1.n
     full = (1 << n) - 1
-    total = Fraction(0)
+    total = 0
     for m1, c1 in enumerate(s1.coords):
         if not c1:
             continue

@@ -405,6 +405,57 @@ def test_cli_run_check_output_is_pinned(tmp_path, a, seed, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("a, seed, digest", [
+    ((2, 2, 2), 4, "3de2c18937ba12f4aaef3298116c9f51afcaf326301041c3e41e7626917ae395"),
+    ((3, 2, 2, 1), 5, "91b1c1a3ab2c07a909c0a0c1ecb6545b5a046c7fdb4c1ce3ba20ee28d7d8fceb"),
+], ids=["2,2,2", "3,2,2,1"])
+def test_cli_run_tropical_mixed_output_is_pinned(tmp_path, a, seed, digest):
+    """`run --check` on a tropical labeling of integers with "1/2", "-7/3" and
+    "8/4" among them, byte for byte as when every max-plus value was a
+    `Fraction`: integral values kept as `int`s mix exactly with the others."""
+    rng = random.Random(seed)
+    t = random_tiling(ZonogonSpec(a), rng)
+    values = [{"vertex": list(v), "value": str(rng.randint(-5, 5))} for v in sorted(t.vertices)]
+    values[1]["value"] = "1/2"
+    values[-2]["value"] = "-7/3"
+    values[len(values) // 2]["value"] = "8/4"
+    (tmp_path / "t.json").write_text(json.dumps(jsonio.tiling_to_json(t)))
+    (tmp_path / "lab.json").write_text(json.dumps(
+        {"A": list(a), "domain": "tropical", "values": values}))
+    out = tmp_path / "out.json"
+    assert main(["run", "--tiling", str(tmp_path / "t.json"), "--labeling",
+                 str(tmp_path / "lab.json"), "--check", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["tropical", "--A", "2,2,1", "--seed", "5", "--samples", "150"],
+     "tropical: 19/150 samples met the cutcurve hypothesis; wall inequalities held on "
+     "every edge"),
+    (["tropical", "--A", "2,2,1", "--seed", "7", "--samples", "40"],
+     "tropical: 2/40 samples met the cutcurve hypothesis; wall inequalities held on "
+     "every edge"),
+    (["tropical", "--A", "3,2,2", "--seed", "2", "--s", "1", "--c", "2", "--samples", "60"],
+     "tropical: 2/60 samples met the cutcurve hypothesis; wall inequalities held on "
+     "every edge"),
+    (["tropical", "--A", "2,2,1", "--seed", "1"],
+     "tropical: hypothesis not met on any of 25 samples (wall s=1, c=1)"),
+    (["tropical", "--A", "2,1,2", "--seed", "11", "--samples", "3", "--json"],
+     '{"hypothesis_ok": false, "violations": [], "hypothesis_witness": '
+     '{"base": [1, 0, 0], "dir": 2}}'),
+    (["grassmann", "--n", "4", "--seed", "2", "--samples", "10"],
+     "grassmann: n=4: 10 samples, all bilinear residuals zero (max |residual| = 0)"),
+    (["grassmann", "--n", "5", "--seed", "9", "--samples", "5"],
+     "grassmann: n=5: 5 samples, all bilinear residuals zero (max |residual| = 0)"),
+], ids=["tropical-5", "tropical-7", "tropical-wall-c2", "tropical-none-met",
+        "tropical-json", "grassmann-4", "grassmann-5"])
+def test_cli_verify_lines_are_pinned(capsys, argv, line):
+    """The verify suites print the same lines for pinned seeds whether the
+    max-plus values and spin coordinates are `int`s or `Fraction`s."""
+    assert main(["verify", *argv]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "tropical", "--A", "2,2,2", "--samples", "20"],
     ["verify", "laurent", "--A", "2,2,1"],
@@ -702,6 +753,24 @@ def test_cli_rejects_non_integer_seed_variable(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.err.startswith("error: ZONOREC_SEED must be an integer")
     assert out.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "laurent", "--A", "1,1,1", "--seed", "3"],
+    ["render", "--tiling", "t.json", "--out", "t.svg"],
+    ["verify", "laurent", "--help"],
+], ids=["explicit-seed", "render", "help"])
+def test_cli_reads_seed_variable_only_when_it_is_the_default(tmp_path, monkeypatch, capsys,
+                                                             argv):
+    """A run that is given --seed, takes none, or only prints help never reads
+    ZONOREC_SEED, so a non-integer value does not fail it."""
+    monkeypatch.setenv("ZONOREC_SEED", "x")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.json").write_text(json.dumps(_T_MIN_111))
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["verify", "laurent", "--A", "1,1,1"]) == 2
+    assert capsys.readouterr().err == "error: ZONOREC_SEED must be an integer, got 'x'\n"
 
 
 def test_cli_reads_seed_variable_on_every_call(monkeypatch):

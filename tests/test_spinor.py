@@ -31,7 +31,7 @@ from zonorec import (
     verify_cube_relations,
     verify_trbi,
 )
-from zonorec.spinor import nullspace, rank
+from zonorec.spinor import nullspace, rank, trbi_residuals
 
 from oracles import (
     canonical_spinor,
@@ -338,6 +338,36 @@ def test_integer_kernel_matches_fraction_oracle(n):
             assert pure_spinor(sub) == pure_spinor_by_fractions(ref)
         else:
             assert spin_coordinates(sub).coords == spin_coordinates_by_fractions(ref).coords
+
+
+@pytest.mark.parametrize("n, seed, coords", [
+    (3, 4, [444155320, 974470155, 68674228, -666686661, 470431185, -579213405, 307250587,
+            57532497]),
+    (4, 2, [57876987, 2192425427, -1539681282, -164459781, 589612350, 184363590,
+            -107769366, -853234596, 4128229146, 1764779846, -906084342, 894111576,
+            132710934, 199007934, -1986811452, -776921130]),
+], ids=["n=3", "n=4"])
+def test_spin_coordinates_are_ints(n, seed, coords):
+    """Spin coordinates, pure spinors and their sign twists hold `int`s, and
+    the residuals of the bilinear cube equations are `int` zeros; the pinned
+    coordinates of a seeded sample are those the Fraction coordinates had."""
+    rng = random.Random(seed)
+    point = spin_coordinates(random_isotropic_subspace(rng, n, n - 1))
+    assert point.coords == coords
+    pure = pure_spinor(random_isotropic_subspace(rng, n, n))
+    for s in (point, pure, sign_twist(point)):
+        assert all(type(c) is int for c in s.coords)
+    assert all(type(res) is int and res == 0 for _, res in trbi_residuals(point))
+    assert type(bilinear_form_B(point, pure)) is int
+
+
+def test_spinor_keeps_integral_coordinates_as_ints():
+    s = Spinor(2, [Fraction(4, 2), Fraction(1, 3), 0, -5])
+    assert s.coords == [2, Fraction(1, 3), 0, -5]
+    assert [type(c) for c in s.coords] == [int, Fraction, int, int]
+    assert all(type(c) is int for c in Spinor(3).coords + Spinor.basis(3, 5).coords)
+    wedged = clifford_act(eps(0, 2), Spinor.basis(2, 2))  # e_0 wedge e_1, from Fractions
+    assert wedged.coords == [0, 0, 0, 1] and all(type(c) is int for c in wedged.coords)
 
 
 def test_rational_rescaling_keeps_spinor():

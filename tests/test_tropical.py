@@ -17,6 +17,7 @@ from zonorec import (
     initial_labeling,
     t_min,
     validate_cutcurve,
+    verify_cube_relations,
     w_inequalities_hold,
 )
 from zonorec.tropical import cutcurve_edges, wall_edges
@@ -126,6 +127,25 @@ def test_check_propagation_random_samples():
             met += 1
             assert not report.violations
     assert met >= 10
+
+
+def test_integral_max_plus_values_are_ints():
+    """Integral initial values, given as `int`s or `Fraction`s, extend to
+    `int`s; a non-integral one stays an exact `Fraction` and mixes with
+    them."""
+    t = t_min(SPEC)
+    rng = random.Random(3)
+    values = {v: rng.randint(-5, 5) for v in t.vertices}
+    lab = tropical_extension(SPEC, {v: Fraction(x) for v, x in values.items()})
+    assert all(type(x) is int for x in lab.values.values())
+    assert tropical_extension(SPEC, values).values == lab.values
+    half = (0, 0, 0)
+    mixed = tropical_extension(SPEC, {**values, half: Fraction(1, 2)})
+    assert type(mixed.values[half]) is Fraction
+    shifted = tropical_extension(SPEC, {v: x + Fraction(1, 2) for v, x in values.items()})
+    assert all(x.denominator == 2 for x in shifted.values.values())
+    assert verify_cube_relations(mixed) == verify_cube_relations(shifted) == []
+    assert TROPICAL.coerce("6/3") == 2 and type(TROPICAL.coerce("6/3")) is int
 
 
 def test_check_propagation_rejects_corrupted():
