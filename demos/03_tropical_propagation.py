@@ -25,16 +25,16 @@ from zonorec import (
 )
 
 spec = ZonogonSpec((2, 2, 1))
-wall = Wall(0, 1)
+wall = Wall(spec, 0, 1)
 print("wall: first coordinate fixed to", wall.c)
 
-g = canonical_cutcurve(spec, wall)
+g = canonical_cutcurve(wall)
 print("a cutcurve:", " -> ".join(map(str, g)))
 steps = [tuple(a - b for a, b in zip(q, p)) for p, q in zip(g, g[1:])]
 corner = next(i + 1 for i in range(len(steps) - 1) if steps[i] != steps[i + 1])
 g2 = elementary_move(g, corner)
 print("after one elementary move:", " -> ".join(map(str, g2)))
-curves = all_cutcurves(spec, wall)
+curves = all_cutcurves(wall)
 print("elementary moves reach all", len(curves), "cutcurves of this wall")
 
 print()

@@ -31,7 +31,6 @@ from .engine import (
     DOMAINS,
     Labeling,
     DomainError,
-    ConsistencyError,
     initial_labeling,
     symbolic_labeling,
     flip_value,

@@ -203,15 +203,14 @@ def _verify_tropical(args) -> str:
     if not 1 <= args.s <= spec.n:
         raise CliError(f"--s must be a direction in 1..{spec.n}, got {args.s}",
                        EXIT_BAD_INPUT)
-    w = tropical.Wall(args.s - 1, args.c)
     try:
-        w.validate(spec)
+        w = tropical.Wall(spec, args.s - 1, args.c)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT)
     rng = random.Random(args.seed)
     t0 = zonogon.t_min(spec)
     moves = engine.extension_moves(t0)
-    g = tropical.canonical_cutcurve(spec, w)
+    g = tropical.canonical_cutcurve(w)
     met = 0
     last_report = None
     for _ in range(args.samples):
@@ -344,7 +343,6 @@ _EXIT_CODES = {
     flips.CapExceeded: EXIT_CAP,
     flips.FlipError: EXIT_BAD_INPUT,
     engine.DomainError: EXIT_DOMAIN,
-    engine.ConsistencyError: EXIT_DOMAIN,
 }
 
 

@@ -25,10 +25,6 @@ class DomainError(ArithmeticError):
     pass
 
 
-class ConsistencyError(AssertionError):
-    pass
-
-
 class RationalDomain:
     name = "rational"
 
@@ -168,15 +164,15 @@ def flip_value(labeling: Labeling, move: FlipMove):
 
 def _derive(labeling: Labeling, move: FlipMove) -> None:
     """Write the value of the move's created point into `labeling.values`; a
-    re-derived value that disagrees with the one already there raises
-    `ConsistencyError`."""
+    re-derived value that disagrees with the one already there raises the
+    `DomainError` of the move's cube."""
     values = labeling.values
     val = flip_value(labeling, move)
     created = move.created
     if created not in values:
         values[created] = val
     elif values[created] != val:
-        raise ConsistencyError(f"re-derived value at {created} disagrees")
+        raise cube_error(move.base, move.dirs, f"re-derived value at {created} disagrees")
 
 
 def evaluate_path(labeling: Labeling, moves: list) -> Labeling:

@@ -7,6 +7,7 @@ the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .engine import Labeling, TropicalDomain, cube_error, verify_cube_relations
 from .zonogon import ZonogonSpec, shift
@@ -14,51 +15,52 @@ from .zonogon import ZonogonSpec, shift
 
 @dataclass(frozen=True)
 class Wall:
-    """The slice {i_s = c} of the box, with 1 <= c <= a_s - 1."""
+    """The slice {i_s = c} of the box of `spec`, with 1 <= c <= a_s - 1."""
 
+    spec: ZonogonSpec
     s: int
     c: int
 
-    def validate(self, spec: ZonogonSpec):
-        if not 0 <= self.s < spec.n:
+    def __post_init__(self):
+        if not 0 <= self.s < self.spec.n:
             raise ValueError(f"wall direction {self.s} out of range")
-        if not 1 <= self.c <= spec.a[self.s] - 1:
-            raise ValueError(f"wall offset {self.c} not in 1..{spec.a[self.s] - 1}")
+        if not 1 <= self.c <= self.spec.a[self.s] - 1:
+            raise ValueError(f"wall offset {self.c} not in 1..{self.spec.a[self.s] - 1}")
+
+    @cached_property
+    def ends(self) -> tuple:
+        """The first and the last point of every cutcurve of the wall."""
+        a, s, c = self.spec.a, self.s, self.c
+        return a[:s] + (c,) + (0,) * (len(a) - s - 1), (0,) * s + (c,) + a[s + 1:]
+
+    @cached_property
+    def edges(self) -> tuple:
+        """Every edge (p, i) of the wall, in lattice order."""
+        spec, s = self.spec, self.s
+        return tuple((p, i) for p in spec.lattice_points() if p[s] == self.c
+                     for i in range(spec.n) if i != s and p[i] < spec.a[i])
 
 
-def cutcurve_endpoints(spec: ZonogonSpec, w: Wall):
-    start = tuple(
-        spec.a[i] if i < w.s else (w.c if i == w.s else 0) for i in range(spec.n)
-    )
-    end = tuple(
-        0 if i < w.s else (w.c if i == w.s else spec.a[i]) for i in range(spec.n)
-    )
-    return start, end
-
-
-def canonical_cutcurve(spec: ZonogonSpec, w: Wall) -> tuple:
+def canonical_cutcurve(w: Wall) -> tuple:
     """The cutcurve taking all descending steps first, then ascending ones."""
-    w.validate(spec)
-    start, end = cutcurve_endpoints(spec, w)
-    pts = [start]
+    a = w.spec.a
+    pts = [w.ends[0]]
     for d in range(w.s):
-        for _ in range(spec.a[d]):
+        for _ in range(a[d]):
             pts.append(shift(pts[-1], d, -1))
-    for d in range(w.s + 1, spec.n):
-        for _ in range(spec.a[d]):
+    for d in range(w.s + 1, len(a)):
+        for _ in range(a[d]):
             pts.append(shift(pts[-1], d, 1))
-    assert pts[-1] == end
+    assert pts[-1] == w.ends[1]
     return tuple(pts)
 
 
-def validate_cutcurve(spec: ZonogonSpec, w: Wall, pts: tuple):
-    """List of violations (empty when the cutcurve is valid for the wall)."""
-    w.validate(spec)
-    start, end = cutcurve_endpoints(spec, w)
-    violations = []
+def validate_cutcurve(w: Wall, pts: tuple) -> None:
+    """Raise `ValueError` naming the first way `pts` fails to be a cutcurve
+    of the wall."""
+    start, end = w.ends
     if not pts or pts[0] != start or pts[-1] != end:
-        violations.append(f"endpoint: expected {start} .. {end}")
-        return violations
+        raise ValueError(f"invalid cutcurve: endpoint: expected {start} .. {end}")
     for t in range(1, len(pts)):
         delta = tuple(a - b for a, b in zip(pts[t], pts[t - 1]))
         ups = [i for i, d in enumerate(delta) if d == 1]
@@ -69,15 +71,11 @@ def validate_cutcurve(spec: ZonogonSpec, w: Wall, pts: tuple):
             and (not downs or downs[0] < w.s)
         )
         if not legal:
-            violations.append(f"illegal step at position {t}: {delta}")
-            return violations
-        if not spec.contains(pts[t]):
-            violations.append(f"point {pts[t]} outside the box")
-            return violations
+            raise ValueError(f"invalid cutcurve: illegal step at position {t}: {delta}")
+        if not w.spec.contains(pts[t]):
+            raise ValueError(f"invalid cutcurve: point {pts[t]} outside the box")
         if pts[t][w.s] != w.c:
-            violations.append(f"point {pts[t]} leaves the wall")
-            return violations
-    return violations
+            raise ValueError(f"invalid cutcurve: point {pts[t]} leaves the wall")
 
 
 def elementary_move(pts: tuple, t0: int) -> tuple:
@@ -93,9 +91,9 @@ def elementary_move(pts: tuple, t0: int) -> tuple:
     return pts[:t0] + (new,) + pts[t0 + 1:]
 
 
-def all_cutcurves(spec: ZonogonSpec, w: Wall):
+def all_cutcurves(w: Wall):
     """Every cutcurve for the wall, by breadth-first elementary moves."""
-    seen = {canonical_cutcurve(spec, w)}
+    seen = {canonical_cutcurve(w)}
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -110,16 +108,6 @@ def all_cutcurves(spec: ZonogonSpec, w: Wall):
                     nxt.append(g2)
         frontier = nxt
     return seen
-
-
-def wall_edges(spec: ZonogonSpec, w: Wall):
-    for p in spec.lattice_points():
-        if p[w.s] != w.c:
-            continue
-        for i in range(spec.n):
-            if i == w.s or p[i] >= spec.a[i]:
-                continue
-            yield (p, i)
 
 
 def w_inequalities_hold(labeling: Labeling, w: Wall, edge) -> bool:
@@ -169,16 +157,14 @@ def check_propagation(labeling: Labeling, w: Wall, g: tuple) -> PropagationRepor
     naming the first failing cube."""
     if not isinstance(labeling.domain, TropicalDomain):
         raise ValueError("propagation checks run on tropical labelings")
-    bad = validate_cutcurve(labeling.spec, w, g)
-    if bad:
-        raise ValueError(f"invalid cutcurve: {bad[0]}")
+    if labeling.spec != w.spec:
+        raise ValueError(f"the labeling's box {labeling.spec.a} is not the wall's box "
+                         f"{w.spec.a}")
+    validate_cutcurve(w, g)
     if failures := verify_cube_relations(labeling):
         raise cube_error(*failures[0])
     for e in cutcurve_edges(g):
         if not w_inequalities_hold(labeling, w, e):
             return PropagationReport(False, e, [])
-    violations = [
-        e for e in wall_edges(labeling.spec, w)
-        if not w_inequalities_hold(labeling, w, e)
-    ]
+    violations = [e for e in w.edges if not w_inequalities_hold(labeling, w, e)]
     return PropagationReport(True, None, violations)

@@ -269,6 +269,11 @@ def validate_tiling(t: Tiling) -> TilingReport:
     violations = []
     if len(t.rhombi) != spec.rhombus_count:
         violations.append(f"rhombus count {len(t.rhombi)} != {spec.rhombus_count}")
+        # A tiling has at least a_d rhombi with a side in direction d; fewer
+        # rhombi than that cannot be one, and the sweep line, of sum(a)
+        # lines, would cost time and memory linear in a huge a_d.
+        if max(spec.a) > len(t.rhombi):
+            return TilingReport(violations)
 
     line = _SweepLine(spec)
     laid = line.sweep(t.rhombi)

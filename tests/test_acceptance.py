@@ -279,7 +279,7 @@ def test_acceptance_08_tropical_propagation():
     for a in [(2, 1, 1), (2, 2, 1), (3, 1, 1)]:
         spec = ZonogonSpec(a)
         tm = t_min(spec)
-        walls = [Wall(s, c) for s in range(spec.n)
+        walls = [Wall(spec, s, c) for s in range(spec.n)
                  for c in range(1, spec.a[s])]
         met = 0
         tries = 0
@@ -298,7 +298,7 @@ def test_acceptance_08_tropical_propagation():
                 vals = {v: Fraction(rng.randint(-5, 5)) for v in tm.vertices}
             lab = extend_to_lattice(initial_labeling(tm, TROPICAL, vals))
             w = walls[tries % len(walls)]
-            g = canonical_cutcurve(spec, w)
+            g = canonical_cutcurve(w)
             report = check_propagation(lab, w, g)
             if report.hypothesis_ok:
                 met += 1

@@ -6,8 +6,10 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -662,6 +664,48 @@ def test_cli_render(tmp_path):
     assert main(["render", "--tiling", str(tiling_file), "--out", str(out)]) == 0
     svg = out.read_text()
     assert svg.startswith("<svg") and svg.count("<path") == 3
+
+
+def _limit_address_space():
+    """Cap the child's address space at 1 GiB, so that a decoder that
+    allocates in proportion to a huge multiplicity raises `MemoryError`
+    there instead of exhausting the machine's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("exponent", [5, 6, 30])
+@pytest.mark.parametrize("command", ["run", "render"])
+def test_cli_huge_multiplicity_is_a_rhombus_count_error(tmp_path, capsys, command, exponent):
+    """A tiling document of A = (2, 1, 10**k) with the 5 rhombi of (2, 1, 1)
+    has fewer rhombi than a_3, so it is exit 2 at once, in memory
+    independent of a_3: the sweep line of sum(a) lines is never built."""
+    t = t_min(ZonogonSpec((2, 1, 1)))
+    tiling = jsonio.tiling_to_json(t)
+    labeling = jsonio.labeling_to_json(initial_labeling(t, RATIONAL, {v: 1 for v in t.vertices}))
+    tiling["A"] = labeling["A"] = [2, 1, 10**exponent]
+    (tmp_path / "t.json").write_text(json.dumps(tiling))
+    (tmp_path / "lab.json").write_text(json.dumps(labeling))
+    argv = [command, "--tiling", str(tmp_path / "t.json"), "--out", str(tmp_path / "o")]
+    if command == "run":
+        argv += ["--labeling", str(tmp_path / "lab.json")]
+    if exponent < 30:
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert peak < 2**20
+    else:
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "zonorec", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                              preexec_fn=_limit_address_space, timeout=60)
+        code, err = proc.returncode, proc.stderr
+    assert code == 2
+    assert re.fullmatch(r"error: .*: rhombus count 5 != \d+\n", err), err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_entry_point_subprocess():

@@ -20,7 +20,7 @@ from zonorec import (
     verify_cube_relations,
     w_inequalities_hold,
 )
-from zonorec.tropical import cutcurve_edges, wall_edges
+from zonorec.tropical import cutcurve_edges
 
 from oracles import fourier_motzkin_feasible
 from paper_lemmas import (
@@ -32,7 +32,7 @@ from paper_lemmas import (
 )
 
 SPEC = ZonogonSpec((2, 1, 1))
-WALL = Wall(0, 1)
+WALL = Wall(SPEC, 0, 1)
 
 
 def tropical_extension(spec, values):
@@ -42,32 +42,32 @@ def tropical_extension(spec, values):
 
 def test_cutcurve_valid_example():
     g = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
-    assert validate_cutcurve(SPEC, WALL, g) == []
+    validate_cutcurve(WALL, g)
 
 
 def test_cutcurve_illegal_step():
     g = ((1, 0, 0), (2, 0, 0), (2, 1, 0), (1, 1, 0), (1, 1, 1))
-    bad = validate_cutcurve(SPEC, WALL, g)
-    assert bad and "illegal step" in bad[0]
+    with pytest.raises(ValueError, match=r"^invalid cutcurve: illegal step at position 1"):
+        validate_cutcurve(WALL, g)
 
 
 def test_cutcurve_wrong_endpoint():
     g = ((1, 0, 0), (1, 1, 0))
-    bad = validate_cutcurve(SPEC, WALL, g)
-    assert bad and "endpoint" in bad[0]
+    with pytest.raises(ValueError, match=r"^invalid cutcurve: endpoint"):
+        validate_cutcurve(WALL, g)
 
 
 def test_elementary_move_example():
     g = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
     g2 = elementary_move(g, 1)
     assert g2 == ((1, 0, 0), (1, 0, 1), (1, 1, 1))
-    assert validate_cutcurve(SPEC, WALL, g2) == []
+    validate_cutcurve(WALL, g2)
     assert elementary_move(g2, 1) == g
 
 
 def test_elementary_move_rejects_collinear():
     spec = ZonogonSpec((2, 2, 1))
-    g = canonical_cutcurve(spec, Wall(0, 1))
+    g = canonical_cutcurve(Wall(spec, 0, 1))
     # first two steps are both +e2 here, so position 1 is collinear
     steps = [tuple(a - b for a, b in zip(q, p)) for p, q in zip(g, g[1:])]
     collinear_at = next(
@@ -79,12 +79,12 @@ def test_elementary_move_rejects_collinear():
 
 def test_moves_generate_all_cutcurves():
     spec = ZonogonSpec((2, 2, 2))
-    w = Wall(0, 1)
-    curves = all_cutcurves(spec, w)
+    w = Wall(spec, 0, 1)
+    curves = all_cutcurves(w)
     # steps are two +e2 and two +e3 in any order
     assert len(curves) == 6
     for g in curves:
-        assert validate_cutcurve(spec, w, g) == []
+        validate_cutcurve(w, g)
 
 
 def test_w_inequalities_zero_and_affine():
@@ -96,20 +96,20 @@ def test_w_inequalities_zero_and_affine():
          for v in t_min(SPEC).vertices},
     )
     for lab in (zero, affine):
-        for e in wall_edges(SPEC, WALL):
+        for e in WALL.edges:
             assert w_inequalities_hold(lab, WALL, e)
 
 
 def test_w_inequalities_detect_bump():
     lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
     lab.values[(2, 1, 0)] += 10  # bump a point just above the wall
-    bad = [e for e in wall_edges(SPEC, WALL) if not w_inequalities_hold(lab, WALL, e)]
+    bad = [e for e in WALL.edges if not w_inequalities_hold(lab, WALL, e)]
     assert bad
 
 
 def test_check_propagation_zero():
     lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
-    g = canonical_cutcurve(SPEC, WALL)
+    g = canonical_cutcurve(WALL)
     report = check_propagation(lab, WALL, g)
     assert report.hypothesis_ok and report.violations == []
 
@@ -117,7 +117,7 @@ def test_check_propagation_zero():
 def test_check_propagation_random_samples():
     rng = random.Random(0)
     t = t_min(SPEC)
-    g = canonical_cutcurve(SPEC, WALL)
+    g = canonical_cutcurve(WALL)
     met = 0
     for _ in range(120):
         values = {v: Fraction(rng.randint(-5, 5)) for v in t.vertices}
@@ -151,7 +151,7 @@ def test_integral_max_plus_values_are_ints():
 def test_check_propagation_rejects_corrupted():
     lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
     lab.values[(1, 1, 1)] = Fraction(5)
-    g = canonical_cutcurve(SPEC, WALL)
+    g = canonical_cutcurve(WALL)
     with pytest.raises(DomainError, match=r"^cube relation failed on the cube at \(0, 0, 0\) "
                        r"with directions \(1, 2, 3\): relation violated$"):
         check_propagation(lab, WALL, g)
@@ -165,7 +165,7 @@ def test_shift_invariance_of_extension_and_inequalities():
     shifted = tropical_extension(SPEC, {v: x + 7 for v, x in values.items()})
     for p in SPEC.lattice_points():
         assert shifted.values[p] == lab.values[p] + 7
-    for e in wall_edges(SPEC, WALL):
+    for e in WALL.edges:
         assert w_inequalities_hold(lab, WALL, e) == w_inequalities_hold(
             shifted, WALL, e
         )
@@ -255,7 +255,34 @@ def test_each_hypothesis_of_the_one_square_lemma_is_needed():
 
 
 def test_cutcurve_edges_lie_on_wall():
-    g = canonical_cutcurve(SPEC, WALL)
+    g = canonical_cutcurve(WALL)
     for base, i in cutcurve_edges(g):
         assert base[WALL.s] == WALL.c
         assert i != WALL.s
+
+
+@pytest.mark.parametrize("a", [(2, 2, 1), (2, 2, 2), (3, 2, 2), (2, 2, 1, 1)])
+def test_elementary_moves_sweep_every_wall_edge(a):
+    """The cutcurves that elementary moves reach from the canonical one cover
+    the wall: each wall edge lies on one of them, the combinatorial half of
+    the sweep in the propagation proof."""
+    spec = ZonogonSpec(a)
+    for s in range(spec.n):
+        for c in range(1, spec.a[s]):
+            w = Wall(spec, s, c)
+            swept = {e for g in all_cutcurves(w) for e in cutcurve_edges(g)}
+            assert swept == set(w.edges), (a, s, c)
+
+
+@pytest.mark.parametrize("s, c", [(-1, 1), (3, 1), (0, 0), (0, 2), (1, 1)])
+def test_wall_outside_its_box_is_rejected(s, c):
+    with pytest.raises(ValueError, match=r"^wall (direction|offset) "):
+        Wall(SPEC, s, c)
+
+
+def test_check_propagation_rejects_a_labeling_of_another_box():
+    other = ZonogonSpec((2, 1, 2))
+    lab = tropical_extension(other, {v: 0 for v in t_min(other).vertices})
+    with pytest.raises(ValueError, match=r"^the labeling's box \(2, 1, 2\) is not the wall's "
+                       r"box \(2, 1, 1\)$"):
+        check_propagation(lab, WALL, canonical_cutcurve(WALL))
