@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from zonorec import (
+    IsotropicSubspace,
     RATIONAL,
     Spinor,
     ZonogonSpec,
@@ -20,7 +21,6 @@ from zonorec import (
     extend_to_lattice,
     initial_labeling,
     isotropic_from_skew,
-    make_isotropic,
     pfaffian,
     pure_spinor,
     purity_check,
@@ -82,6 +82,6 @@ print("== the invariant pairing on spinors ==")
 v000 = Spinor.basis(3, 0b000)
 v111 = Spinor.basis(3, 0b111)
 print("B(v_000, v_111) =", bilinear_form_B(v000, v111))
-K3 = make_isotropic([eps(0, 3), eps(1, 3)])
+K3 = IsotropicSubspace([eps(0, 3), eps(1, 3)])
 print("spin point of span(e1, e2):",
       {m: c for m, c in enumerate(spin_coordinates(K3).coords) if c})

@@ -57,7 +57,6 @@ from .spinor import (
     eps_dual,
     clifford_act,
     bilinear_form_B,
-    make_isotropic,
     pure_spinor,
     purity_check,
     complete_isotropic_pair,

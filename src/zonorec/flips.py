@@ -132,22 +132,14 @@ def _pivot_move(at: Point, up, down) -> FlipMove | None:
     return FlipMove(base, (j, k, l), direction)
 
 
-def _flip_at(t: Tiling, at: Point) -> FlipMove | None:
-    """The flip move pivoting at `at`, or None unless `at` is a trivalent
-    internal vertex."""
-    if at not in t.vertices or not t.is_internal(at):
-        return None
-    return _pivot_move(at, *t.edges_at(at))
-
-
 def move_at(t: Tiling, at: Point) -> FlipMove:
     """The flip move pivoting at the given trivalent internal vertex."""
-    move = _flip_at(t, at)
+    if at not in t.vertices or not t.is_internal(at):
+        raise FlipError(f"{at} is not an internal vertex")
+    up, down = t.edges_at(at)
+    move = _pivot_move(at, up, down)
     if move is None:
-        if at not in t.vertices or not t.is_internal(at):
-            raise FlipError(f"{at} is not an internal vertex")
-        u, d = t.edges_at(at)
-        raise FlipError(f"not flippable at {at}: {len(u)} up / {len(d)} down edges")
+        raise FlipError(f"not flippable at {at}: {len(up)} up / {len(down)} down edges")
     return move
 
 

@@ -19,7 +19,7 @@ equations on them compute in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -253,7 +253,25 @@ def bilinear_form_B(s1: Spinor, s2: Spinor):
 
 @dataclass(frozen=True)
 class IsotropicSubspace:
+    """The span of a basis of `Vector2n`s, checked at construction to share
+    one n and to be independent and isotropic; `flats` holds the primitive
+    integer vector of each basis line."""
+
     basis: tuple
+    flats: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        basis = tuple(self.basis)
+        if len({len(h) for v in basis for h in (v.w, v.wv)}) > 1:
+            raise SpinorError("basis vectors do not share one n")
+        flats = tuple(tuple(_primitive(v.flat())) for v in basis)
+        if rank(flats) != len(flats):
+            raise SpinorError("basis vectors are linearly dependent")
+        for i, a in enumerate(flats):
+            if any(_twice_inner(a, b) for b in flats[i:]):
+                raise SpinorError("subspace is not isotropic")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "flats", flats)
 
     @property
     def dim(self):
@@ -262,24 +280,6 @@ class IsotropicSubspace:
     @property
     def n(self):
         return self.basis[0].n if self.basis else 0
-
-
-def _isotropic_flats(vecs) -> list:
-    """Primitive integer flats of a basis, checked to be independent and
-    to span an isotropic subspace."""
-    flats = [_primitive(v.flat()) for v in vecs]
-    if rank(flats) != len(flats):
-        raise SpinorError("basis vectors are linearly dependent")
-    for i, a in enumerate(flats):
-        if any(_twice_inner(a, b) for b in flats[i:]):
-            raise SpinorError("subspace is not isotropic")
-    return flats
-
-
-def make_isotropic(vectors) -> IsotropicSubspace:
-    vecs = tuple(vectors)
-    _isotropic_flats(vecs)
-    return IsotropicSubspace(vecs)
 
 
 def _clifford_products(flats, n: int):
@@ -331,7 +331,7 @@ def pure_spinor(sub: IsotropicSubspace) -> Spinor:
     n = sub.n
     if sub.dim != n:
         raise SpinorError("pure spinors come from maximal isotropic subspaces")
-    found = _pure_spinors([_primitive(v.flat()) for v in sub.basis], n, 1)
+    found = _pure_spinors(sub.flats, n, 1)
     if not found:
         raise SpinorError("Clifford product of the basis is zero")
     return Spinor(n, *found.values())
@@ -350,7 +350,7 @@ def annihilator(s: Spinor) -> list:
 
 def purity_check(s: Spinor):
     """(is_pure, annihilator subspace); pure means the kernel has dimension n."""
-    sub = make_isotropic(annihilator(s))
+    sub = IsotropicSubspace(annihilator(s))
     return sub.dim == s.n, sub
 
 
@@ -360,7 +360,7 @@ def _spinor_pair(sub: IsotropicSubspace):
     n = sub.n
     if sub.dim != n - 1:
         raise SpinorError("expected an isotropic subspace of dimension n-1")
-    found = _pure_spinors(_isotropic_flats(sub.basis), n, 2)
+    found = _pure_spinors(sub.flats, n, 2)
     if len(found) < 2:
         raise SpinorError("Clifford products of K do not reach both parities")
     return found[0], found[1]
@@ -369,7 +369,7 @@ def _spinor_pair(sub: IsotropicSubspace):
 def complete_isotropic_pair(sub: IsotropicSubspace):
     """The two maximal isotropic subspaces containing a given (n-1)-dim one,
     the first with an even-parity pure spinor."""
-    return tuple(make_isotropic(annihilator(Spinor(sub.n, s))) for s in _spinor_pair(sub))
+    return tuple(IsotropicSubspace(annihilator(Spinor(sub.n, s))) for s in _spinor_pair(sub))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +460,7 @@ def isotropic_from_skew(a) -> IsotropicSubspace:
         w = tuple(Fraction(a[i][j]) for j in range(n))
         wv = tuple(Fraction(i == j) for j in range(n))
         vecs.append(Vector2n(w, wv))
-    return make_isotropic(vecs)
+    return IsotropicSubspace(vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +487,9 @@ def random_isotropic_subspace(rng, n: int, dim: int) -> IsotropicSubspace:
     """Image of a coordinate isotropic subspace under 8 random exact reflections.
 
     Reflections in anisotropic rational vectors preserve rank and the pairing
-    exactly, so the image is isotropic of the same dimension and is returned
-    unchecked (pure spinors and spin coordinates check their input); 8 of
-    them move the standard subspace to a generic position.  Each basis
-    vector is kept as the primitive integer vector of its line: with
+    exactly, so the image is isotropic of the same dimension; 8 of them move
+    the standard subspace to a generic position.  Each basis vector is kept
+    as the primitive integer vector of its line: with
     B = 2<.,.> and q = B(m, m) for a primitive integer mirror m,
     q x - 2 B(x, m) m is q times the reflection of x, and dividing by its
     content times the sign of q keeps every vector a positive multiple of

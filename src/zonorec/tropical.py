@@ -121,7 +121,12 @@ def w_inequalities_hold(labeling: Labeling, w: Wall, edge) -> bool:
         raise ValueError("edge endpoints must lie on the wall")
     spec = labeling.spec
     vals = labeling.values
-    lhs = vals[p] + vals[q]
+    try:
+        lhs = vals[p] + vals[q]
+    except KeyError:
+        if w.spec.contains(p) and w.spec.contains(q):
+            raise
+        raise ValueError(f"edge {edge} leaves the wall's box {w.spec.a}") from None
     for a, b in (
         (shift(p, w.s), shift(q, w.s, -1)),
         (shift(p, w.s, -1), shift(q, w.s)),

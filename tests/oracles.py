@@ -25,7 +25,6 @@ from zonorec.spinor import (
     clifford_act,
     eps,
     eps_dual,
-    make_isotropic,
     nullspace,
     rank,
 )
@@ -677,7 +676,7 @@ def spin_coordinates_by_extensions(sub) -> Spinor:
         lines = [along((-q12 + r) / q11) for r in (root, -root)]
     spinors = {}
     for line in lines:
-        s = pure_spinor_by_kernel(make_isotropic(sub.basis + (line,)))
+        s = pure_spinor_by_kernel(IsotropicSubspace(sub.basis + (line,)))
         spinors[s.parity()] = s
     if set(spinors) != {0, 1}:
         raise SpinorError("extensions do not have opposite parities")

@@ -754,7 +754,7 @@ def test_cli_rejects_bad_counts(capsys, argv):
     ("run --tiling t.json --labeling l.json --domain bogus",
      "argument --domain: invalid choice: 'bogus'"),
     ("verify tropical --A 2,1,1 --samples x", "argument --samples: invalid count value: 'x'"),
-    ("verify grassmann --n 9", "argument --n: invalid choice: 9"),
+    ("verify grassmann --n 9", "argument --n: invalid choice: '?9'?"),  # quoted on 3.13
 ], ids=["laurent-samples", "grassmann-A", "confluence-s", "tropical-trials", "unknown-command",
         "missing-A", "run-domain", "samples-not-int", "grassmann-n"])
 def test_cli_bad_flags_are_one_error_line(capsys, argv, message):
@@ -765,7 +765,7 @@ def test_cli_bad_flags_are_one_error_line(capsys, argv, message):
     assert main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith(f"error: {message}"), err
+    assert re.match(f"error: {message}", err), err
 
 
 @pytest.mark.parametrize("suite, flags", [

@@ -20,7 +20,6 @@ from zonorec import (
     extend_to_lattice,
     initial_labeling,
     isotropic_from_skew,
-    make_isotropic,
     pfaffian,
     pure_spinor,
     purity_check,
@@ -114,23 +113,22 @@ def test_b_invariance_under_units():
 
 def test_pure_spinor_coordinate_subspaces():
     n = 4
-    dual = make_isotropic([eps_dual(i, n) for i in range(n)])
+    dual = IsotropicSubspace([eps_dual(i, n) for i in range(n)])
     assert pure_spinor(dual) == Spinor.basis(n, 0)
-    whole = make_isotropic([eps(i, n) for i in range(n)])
+    whole = IsotropicSubspace([eps(i, n) for i in range(n)])
     assert pure_spinor(whole) == Spinor.basis(n, (1 << n) - 1)
 
 
 def test_pure_spinor_requires_maximal():
-    sub = make_isotropic([eps(0, 3), eps(1, 3)])
+    sub = IsotropicSubspace([eps(0, 3), eps(1, 3)])
     with pytest.raises(SpinorError):
         pure_spinor(sub)
 
 
 def test_pure_spinor_rejects_non_isotropic():
-    # eps_0 and eps_0* pair to 1/2, so no spinor is annihilated by all three
-    sub = IsotropicSubspace((eps(0, 3), eps(1, 3), eps_dual(0, 3)))
-    with pytest.raises(SpinorError):
-        pure_spinor(sub)
+    # eps_0 and eps_0* pair to 1/2, so the subspace is refused when it is made
+    with pytest.raises(SpinorError, match="not isotropic"):
+        pure_spinor(IsotropicSubspace((eps(0, 3), eps(1, 3), eps_dual(0, 3))))
 
 
 def _random_skew(rng, n):
@@ -174,8 +172,8 @@ def test_pure_spinor_matches_kernel_oracle():
     from oracles import pure_spinor_by_kernel
 
     subs = [
-        make_isotropic([eps(i, n) if m >> i & 1 else eps_dual(i, n)
-                        for i in range(n)])
+        IsotropicSubspace([eps(i, n) if m >> i & 1 else eps_dual(i, n)
+                           for i in range(n)])
         for n in (3, 4)
         for m in range(1 << n)
     ]
@@ -190,7 +188,7 @@ def test_pure_spinor_matches_kernel_oracle():
 
 def test_complete_isotropic_pair_coordinate_case():
     n = 4
-    sub = make_isotropic([eps(i, n) for i in range(n - 1)])
+    sub = IsotropicSubspace([eps(i, n) for i in range(n - 1)])
     plus, minus = complete_isotropic_pair(sub)
     spans = []
     for ext in (plus, minus):
@@ -199,8 +197,8 @@ def test_complete_isotropic_pair_coordinate_case():
         spans.append(flats)
     joined = {tuple(map(tuple, sorted(map(tuple, s)))) for s in spans}
     # extensions are K + <eps_n> and K + <eps_n*>
-    expect1 = make_isotropic([eps(i, n) for i in range(n)])
-    expect2 = make_isotropic([eps(i, n) for i in range(n - 1)] + [eps_dual(n - 1, n)])
+    expect1 = IsotropicSubspace([eps(i, n) for i in range(n)])
+    expect2 = IsotropicSubspace([eps(i, n) for i in range(n - 1)] + [eps_dual(n - 1, n)])
     got = {frozenset(v.flat() for v in plus.basis),
            frozenset(v.flat() for v in minus.basis)}
     def spanned(sub1, basis2):
@@ -229,7 +227,7 @@ def test_complete_isotropic_pair_random():
 
 
 def test_spin_coordinates_special_point():
-    sub = make_isotropic([eps(0, 3), eps(1, 3)])
+    sub = IsotropicSubspace([eps(0, 3), eps(1, 3)])
     pt = spin_coordinates(sub)
     nonzero = {m for m, c in enumerate(pt.coords) if c}
     assert nonzero == {mask(0, 1), mask(0, 1, 2)}
@@ -248,8 +246,8 @@ def test_spin_coordinates_matches_extensions_oracle():
     from oracles import spin_coordinates_by_extensions
 
     subs = [
-        make_isotropic([eps(i, n) if m >> i & 1 else eps_dual(i, n)
-                        for i in range(n) if i != skip])
+        IsotropicSubspace([eps(i, n) if m >> i & 1 else eps_dual(i, n)
+                           for i in range(n) if i != skip])
         for n in (3, 4)
         for skip in range(n)
         for m in range(1 << n)
@@ -289,6 +287,45 @@ def test_pure_spinors_of_the_extensions_are_the_spin_coordinate_halves():
 def test_spin_coordinates_rejects_bad_subspace(basis):
     with pytest.raises(SpinorError):
         spin_coordinates(IsotropicSubspace(basis))
+
+
+@pytest.mark.parametrize("basis", [
+    (eps(0, 2), eps(1, 3)),
+    (eps(0, 4), eps(1, 4), eps(0, 3)),
+    (eps_dual(0, 3), eps(1, 4)),
+    (Vector2n((Fraction(1), Fraction(0)), (Fraction(0),) * 3),),
+    (eps(0, 3), Vector2n((Fraction(0), Fraction(1), Fraction(0)), (Fraction(0),) * 2)),
+], ids=["n2-n3", "n4-n4-n3", "dual-n3-n4", "halves-2-3", "halves-3-2"])
+def test_isotropic_subspace_rejects_mixed_lengths(basis):
+    with pytest.raises(SpinorError, match="do not share one n"):
+        IsotropicSubspace(basis)
+
+
+def test_isotropic_subspace_holds_its_flats():
+    half = Fraction(1, 2)
+    sub = IsotropicSubspace(_scaled(eps(i, 3), half) for i in range(2))
+    assert sub.basis == (_scaled(eps(0, 3), half), _scaled(eps(1, 3), half))
+    assert sub.flats == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+    assert all(type(x) is int for f in sub.flats for x in f)
+    same = IsotropicSubspace(list(sub.basis))
+    assert same == sub and hash(same) == hash(sub) and "flats" not in repr(sub)
+    empty = IsotropicSubspace(())
+    assert (empty.dim, empty.n, empty.flats) == (0, 0, ())
+
+
+def test_every_builder_checks_its_subspace(monkeypatch):
+    from zonorec import spinor
+
+    rng = random.Random(27)
+    k = random_isotropic_subspace(rng, 4, 3)
+    pure = pure_spinor(random_isotropic_subspace(rng, 4, 4))
+    monkeypatch.setattr(spinor, "_twice_inner", lambda a, b: 1)
+    for build in (lambda: random_isotropic_subspace(rng, 4, 3),
+                  lambda: isotropic_from_skew([[0, 1], [-1, 0]]),
+                  lambda: purity_check(pure),
+                  lambda: complete_isotropic_pair(k)):
+        with pytest.raises(SpinorError, match="not isotropic"):
+            build()
 
 
 def _scaled(v, c):
@@ -378,7 +415,7 @@ def test_rational_rescaling_keeps_spinor():
             # vector i is scaled by a factor with denominator (2, 3, 5, ...)[i]
             factors = [Fraction(rng.choice((-1, 1)) * (d * rng.randint(1, 5) + 1), d)
                        for d in (2, 3, 5, 7, 4, 9)[:dim]]
-            scaled = make_isotropic(_scaled(v, c) for v, c in zip(sub.basis, factors))
+            scaled = IsotropicSubspace(_scaled(v, c) for v, c in zip(sub.basis, factors))
             assert len({x.denominator for v in scaled.basis for x in v.flat()}) > 2
             if dim == n:
                 assert pure_spinor(scaled) == pure_spinor(sub)
@@ -398,13 +435,13 @@ def _bad_basis(kind, size, n=4):
 
 
 BAD_SUBSPACES = [
-    (make_isotropic, "dependent", 3, "linearly dependent"),
-    (make_isotropic, "non-isotropic", 3, "not isotropic"),
-    (make_isotropic, "anisotropic", 3, "not isotropic"),
-    (make_isotropic, "wrong-dimension", 5, "not isotropic"),
-    (pure_spinor, "dependent", 4, "Clifford product of the basis is zero"),
-    (pure_spinor, "non-isotropic", 4, "does not annihilate"),
-    (pure_spinor, "anisotropic", 4, "does not annihilate"),
+    (IsotropicSubspace, "dependent", 3, "linearly dependent"),
+    (IsotropicSubspace, "non-isotropic", 3, "not isotropic"),
+    (IsotropicSubspace, "anisotropic", 3, "not isotropic"),
+    (IsotropicSubspace, "wrong-dimension", 5, "not isotropic"),
+    (pure_spinor, "dependent", 4, "linearly dependent"),
+    (pure_spinor, "non-isotropic", 4, "not isotropic"),
+    (pure_spinor, "anisotropic", 4, "not isotropic"),
     (pure_spinor, "wrong-dimension", 3, "maximal isotropic"),
     (spin_coordinates, "dependent", 3, "linearly dependent"),
     (spin_coordinates, "non-isotropic", 3, "not isotropic"),
@@ -419,7 +456,7 @@ def test_rational_bad_subspace_raises(fn, kind, size, message):
     basis = _bad_basis(kind, size)
     assert len(basis) == size
     with pytest.raises(SpinorError, match=message):
-        fn(basis if fn is make_isotropic else IsotropicSubspace(tuple(basis)))
+        fn(basis if fn is IsotropicSubspace else IsotropicSubspace(basis))
 
 
 def _elimination_cases():

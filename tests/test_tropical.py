@@ -107,6 +107,14 @@ def test_w_inequalities_detect_bump():
     assert bad
 
 
+@pytest.mark.parametrize("edge", [((1, 0, 1), 2), ((1, 5, 0), 1)],
+                         ids=["head-outside", "tail-outside"])
+def test_w_inequalities_reject_edge_outside_the_box(edge):
+    lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
+    with pytest.raises(ValueError, match=r"edge .* leaves the wall's box \(2, 1, 1\)"):
+        w_inequalities_hold(lab, WALL, edge)
+
+
 def test_check_propagation_zero():
     lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
     g = canonical_cutcurve(WALL)
