@@ -22,6 +22,7 @@ from zonorec import (
     extension_moves,
     initial_labeling,
     t_min,
+    w_inequalities_hold,
 )
 
 spec = ZonogonSpec((2, 2, 1))
@@ -52,6 +53,9 @@ while met < 25:
         assert not report.violations
 print(f"sampled labelings until {met} met the cutcurve hypothesis "
       f"({tried} tries); the wall inequalities then held on every wall edge")
+held = sum(w_inequalities_hold(lab, wall, e) for e in wall.edges)
+print(f"checked edge by edge on the last of them, they hold on {held} of the "
+      f"{len(wall.edges)} wall edges")
 
 print()
 print("corrupting one value breaks the recurrence and the checker notices:")

@@ -244,9 +244,9 @@ def verify_cube_relations(labeling: Labeling) -> list:
     failing cube as (base, dirs, reason), so an empty list means all hold."""
     d, x = labeling.domain, labeling.values
     failures = []
-    for base, dirs in labeling.spec.cubes():
+    for base, dirs, corners in labeling.spec.cubes:
         try:
-            *hexagon, k, jl = [x[p] for p in FlipMove(base, dirs, "up").corners]
+            *hexagon, k, jl = [x[p] for p in corners]
         except KeyError as exc:
             failures.append((base, dirs, f"unlabeled cube corner {exc.args[0]}"))
             continue

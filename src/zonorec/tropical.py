@@ -40,6 +40,25 @@ class Wall:
         return tuple((p, i) for p in spec.lattice_points() if p[s] == self.c
                      for i in range(spec.n) if i != s and p[i] < spec.a[i])
 
+    @cached_property
+    def comparisons(self) -> dict:
+        """For each edge (p, i), in the order of `edges`: its head q = p + e_i
+        and the pairs (p + e_s, q - e_s) and (p - e_s, q + e_s) that the wall
+        inequalities compare the edge against.  As 1 <= c <= a_s - 1, both
+        pairs lie in the box."""
+        s = self.s
+        table = {}
+        for p, i in self.edges:
+            q = shift(p, i)
+            table[p, i] = q, (shift(p, s), shift(q, s, -1)), (shift(p, s, -1), shift(q, s))
+        return table
+
+    @cached_property
+    def _cutcurve_edges(self) -> dict:
+        """Each cutcurve that `check_propagation` has validated on this wall,
+        mapped to its edges."""
+        return {}
+
 
 def canonical_cutcurve(w: Wall) -> tuple:
     """The cutcurve taking all descending steps first, then ascending ones."""
@@ -110,32 +129,33 @@ def all_cutcurves(w: Wall):
     return seen
 
 
+def _check_box(labeling: Labeling, w: Wall) -> None:
+    """Refuse a labeling whose box is not the wall's."""
+    if labeling.spec != w.spec:
+        raise ValueError(f"the labeling's box {labeling.spec.a} is not the wall's box "
+                         f"{w.spec.a}")
+
+
+def _holds(x: dict, p, q, up, down) -> bool:
+    """Both wall inequalities at the edge from p to q, whose pairs are `up`
+    and `down`, on the values `x`."""
+    lhs = x[p] + x[q]
+    return lhs >= x[up[0]] + x[up[1]] and lhs >= x[down[0]] + x[down[1]]
+
+
 def w_inequalities_hold(labeling: Labeling, w: Wall, edge) -> bool:
-    """Both wall inequalities at the edge (I, I+e_i); out-of-box comparisons
-    are vacuously true."""
+    """Both wall inequalities at the edge (p, i): x(p) + x(p + e_i) is at
+    least the sum over each of the edge's `Wall.comparisons` pairs."""
+    _check_box(labeling, w)
     p, i = edge
-    if i == w.s:
-        raise ValueError("edge must not point along the wall direction")
-    q = shift(p, i)
-    if p[w.s] != w.c or q[w.s] != w.c:
-        raise ValueError("edge endpoints must lie on the wall")
-    spec = labeling.spec
-    vals = labeling.values
-    try:
-        lhs = vals[p] + vals[q]
-    except KeyError:
-        if w.spec.contains(p) and w.spec.contains(q):
-            raise
-        raise ValueError(f"edge {edge} leaves the wall's box {w.spec.a}") from None
-    for a, b in (
-        (shift(p, w.s), shift(q, w.s, -1)),
-        (shift(p, w.s, -1), shift(q, w.s)),
-    ):
-        if not (spec.contains(a) and spec.contains(b)):
-            continue
-        if lhs < vals[a] + vals[b]:
-            return False
-    return True
+    row = w.comparisons.get((p, i))
+    if row is None:
+        if i == w.s:
+            raise ValueError("edge must not point along the wall direction")
+        if p[w.s] != w.c:
+            raise ValueError("edge endpoints must lie on the wall")
+        raise ValueError(f"edge {edge} leaves the wall's box {w.spec.a}")
+    return _holds(labeling.values, p, *row)
 
 
 def cutcurve_edges(pts: tuple):
@@ -159,17 +179,21 @@ class PropagationReport:
 def check_propagation(labeling: Labeling, w: Wall, g: tuple) -> PropagationReport:
     """Verify that wall inequalities on the cutcurve `g` force them on the
     wall; a labeling that fails a cube relation raises the `DomainError`
-    naming the first failing cube."""
+    naming the first failing cube.  Each cutcurve, a sequence of points, is
+    validated once per wall."""
     if not isinstance(labeling.domain, TropicalDomain):
         raise ValueError("propagation checks run on tropical labelings")
-    if labeling.spec != w.spec:
-        raise ValueError(f"the labeling's box {labeling.spec.a} is not the wall's box "
-                         f"{w.spec.a}")
-    validate_cutcurve(w, g)
+    _check_box(labeling, w)
+    g = tuple(map(tuple, g))
+    g_edges = w._cutcurve_edges.get(g)
+    if g_edges is None:
+        validate_cutcurve(w, g)
+        g_edges = w._cutcurve_edges[g] = tuple(cutcurve_edges(g))
     if failures := verify_cube_relations(labeling):
         raise cube_error(*failures[0])
-    for e in cutcurve_edges(g):
-        if not w_inequalities_hold(labeling, w, e):
+    x, table = labeling.values, w.comparisons
+    for e in g_edges:
+        if not _holds(x, e[0], *table[e]):
             return PropagationReport(False, e, [])
-    violations = [e for e in w.edges if not w_inequalities_hold(labeling, w, e)]
+    violations = [e for e, row in table.items() if not _holds(x, e[0], *row)]
     return PropagationReport(True, None, violations)

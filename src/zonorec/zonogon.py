@@ -126,15 +126,24 @@ class ZonogonSpec:
         )
         return right or left
 
-    def cubes(self):
-        """All (base, (j,k,l)) unit 3-cubes contained in the box."""
+    @cached_property
+    def cubes(self) -> tuple:
+        """Every unit 3-cube of the box as (base, (j, k, l), corners), by
+        direction triple and then base in lattice order.  The corners are in
+        `FlipMove.corners` order: the hexagon o, j, l, jk, kl, jkl, then k and
+        jl.  Each lattice point is one tuple shared by all its cubes."""
+        points = list(self.lattice_points())
+        stride = [1] * self.n  # lattice_points() runs the last coordinate fastest
+        for i in range(self.n - 2, -1, -1):
+            stride[i] = stride[i + 1] * (self.a[i + 1] + 1)
+        out = []
         for dirs in combinations(range(self.n), 3):
-            ranges = [
-                range(m) if i in dirs else range(m + 1)
-                for i, m in enumerate(self.a)
-            ]
-            for base in product(*ranges):
-                yield tuple(base), dirs
+            j, k, l = (stride[d] for d in dirs)
+            offsets = (0, j, l, j + k, k + l, j + k + l, k, j + l)
+            for at, p in enumerate(points):
+                if all(p[d] < self.a[d] for d in dirs):
+                    out.append((p, dirs, tuple(points[at + o] for o in offsets)))
+        return tuple(out)
 
 
 def rhombus_corners(rh: Rhombus) -> tuple[Point, Point, Point, Point]:

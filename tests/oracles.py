@@ -202,10 +202,20 @@ def _cube_face_sets(base, dirs) -> tuple:
     return frozenset(cube_bottom_faces(base, dirs)), frozenset(cube_top_faces(base, dirs))
 
 
+def cube_list(spec: ZonogonSpec) -> list:
+    """Every (base, (j, k, l)) unit 3-cube of the box, by direction triple
+    and then base in lattice order, from the ranges of the base coordinates."""
+    out = []
+    for dirs in combinations(range(spec.n), 3):
+        ranges = [range(m) if i in dirs else range(m + 1) for i, m in enumerate(spec.a)]
+        out += [(tuple(base), dirs) for base in product(*ranges)]
+    return out
+
+
 @lru_cache(maxsize=None)
 def cube_moves(spec: ZonogonSpec) -> tuple:
     """The up and the down move on every unit 3-cube of the box."""
-    return tuple(FlipMove(base, dirs, direction) for base, dirs in spec.cubes()
+    return tuple(FlipMove(base, dirs, direction) for base, dirs, _ in spec.cubes
                  for direction in ("up", "down"))
 
 
@@ -877,3 +887,18 @@ def random_isotropic_subspace_by_reflections(rng, n: int, dim: int,
         mirror = random_anisotropic_vector(rng, n)
         vecs = [reflect(mirror, v) for v in vecs]
     return IsotropicSubspace(tuple(vecs))
+
+
+def wall_inequalities_by_shifts(labeling, w, edge) -> tuple:
+    """The wall inequalities at the edge (p, i) by shifting points in the
+    labeling's box: the head q = p + e_i, the pairs (p + e_s, q - e_s) and
+    (p - e_s, q + e_s) that lie in that box, and whether x(p) + x(q) is at
+    least the sum over each of them (a pair outside the box holds
+    vacuously)."""
+    p, i = edge
+    s, spec, x = w.s, labeling.spec, labeling.values
+    q = shift(p, i)
+    pairs = tuple((a, b) for a, b in ((shift(p, s), shift(q, s, -1)),
+                                      (shift(p, s, -1), shift(q, s)))
+                  if spec.contains(a) and spec.contains(b))
+    return q, pairs, all(x[p] + x[q] >= x[a] + x[b] for a, b in pairs)

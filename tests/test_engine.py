@@ -158,7 +158,7 @@ def test_verify_relations_reports_every_failing_cube(point):
     broken.values[point] += 1
     failures = verify_cube_relations(broken)
     touching = {  # point - base is 0 or 1 along the cube's directions, 0 elsewhere
-        (base, dirs) for base, dirs in spec.cubes()
+        (base, dirs) for base, dirs, _ in spec.cubes
         if all(point[w] - base[w] in ((0, 1) if w in dirs else (0,)) for w in range(3))
     }
     assert {(base, dirs) for base, dirs, _ in failures} == touching

@@ -20,9 +20,10 @@ from zonorec import (
     verify_cube_relations,
     w_inequalities_hold,
 )
+from zonorec import tropical
 from zonorec.tropical import cutcurve_edges
 
-from oracles import fourier_motzkin_feasible
+from oracles import fourier_motzkin_feasible, wall_inequalities_by_shifts
 from paper_lemmas import (
     LEMMA_CONCLUSIONS,
     LEMMA_HYPOTHESES,
@@ -113,6 +114,51 @@ def test_w_inequalities_reject_edge_outside_the_box(edge):
     lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
     with pytest.raises(ValueError, match=r"edge .* leaves the wall's box \(2, 1, 1\)"):
         w_inequalities_hold(lab, WALL, edge)
+
+
+@pytest.mark.parametrize("edge, message", [
+    (((1, 0, 0), 0), "edge must not point along the wall direction"),
+    (((0, 0, 0), 1), "edge endpoints must lie on the wall"),
+    (((2, 0, 0), 2), "edge endpoints must lie on the wall"),
+])
+def test_w_inequalities_reject_an_edge_off_the_wall(edge, message):
+    lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        w_inequalities_hold(lab, WALL, edge)
+
+
+def test_w_inequalities_reject_a_labeling_of_another_box():
+    other = ZonogonSpec((2, 2, 1))
+    lab = tropical_extension(other, {v: 0 for v in t_min(other).vertices})
+    for e in WALL.edges:
+        with pytest.raises(ValueError, match=r"^the labeling's box \(2, 2, 1\) is not the "
+                           r"wall's box \(2, 1, 1\)$"):
+            w_inequalities_hold(lab, WALL, e)
+
+
+@pytest.mark.parametrize("a", [(2, 2, 1), (2, 2, 2), (3, 2, 2), (2, 2, 1, 1)])
+def test_wall_table_matches_the_inequalities_by_shifts(a):
+    """On every edge of every wall, the table holds the head and the in-box
+    pairs found by shifting points, and its verdict on random max-plus
+    extensions is theirs."""
+    spec = ZonogonSpec(a)
+    t = t_min(spec)
+    rng = random.Random(sum(a))
+    labs = [tropical_extension(spec, {v: rng.randint(-5, 5) for v in t.vertices})
+            for _ in range(6)]
+    verdicts = []
+    for s in range(spec.n):
+        for c in range(1, spec.a[s]):
+            w = Wall(spec, s, c)
+            assert tuple(w.comparisons) == w.edges
+            for e in w.edges:
+                q, up, down = w.comparisons[e]
+                for lab in labs:
+                    head, pairs, holds = wall_inequalities_by_shifts(lab, w, e)
+                    assert (q, (up, down)) == (head, pairs)
+                    assert w_inequalities_hold(lab, w, e) == holds
+                    verdicts.append(holds)
+    assert set(verdicts) == {True, False}
 
 
 def test_check_propagation_zero():
@@ -294,3 +340,35 @@ def test_check_propagation_rejects_a_labeling_of_another_box():
     with pytest.raises(ValueError, match=r"^the labeling's box \(2, 1, 2\) is not the wall's "
                        r"box \(2, 1, 1\)$"):
         check_propagation(lab, WALL, canonical_cutcurve(WALL))
+
+
+def test_check_propagation_refuses_an_invalid_cutcurve_after_a_valid_one():
+    lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
+    w = Wall(SPEC, 0, 1)
+    bad = ((1, 0, 0), (2, 0, 0), (2, 1, 0), (1, 1, 0), (1, 1, 1))
+    for _ in range(2):
+        assert check_propagation(lab, w, canonical_cutcurve(w)).hypothesis_ok
+        with pytest.raises(ValueError, match=r"^invalid cutcurve: illegal step at position 1"):
+            check_propagation(lab, w, bad)
+
+
+def test_a_cutcurve_is_validated_once_per_wall(monkeypatch):
+    """`check_propagation` validates each cutcurve once on a wall; a list
+    of its points, as lists, is the same cutcurve, and a new wall validates
+    anew."""
+    checked = []
+
+    def recording(w, g):
+        checked.append(g)
+        validate_cutcurve(w, g)
+
+    monkeypatch.setattr(tropical, "validate_cutcurve", recording)
+    lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
+    w = Wall(SPEC, 0, 1)
+    g = canonical_cutcurve(w)
+    g2 = elementary_move(g, 1)
+    for curve in (g, g, [list(p) for p in g], g2, g):
+        check_propagation(lab, w, curve)
+    assert checked == [g, g2]
+    check_propagation(lab, Wall(SPEC, 0, 1), g)
+    assert checked == [g, g2, g]

@@ -10,10 +10,10 @@ from zonorec import (
     tiling_with_cube_faces,
     validate_tiling,
 )
-from zonorec.flips import flippable_vertices
+from zonorec.flips import FlipMove, flippable_vertices
 from zonorec.zonogon import rhombus_corners
 
-from oracles import cross, cube_bottom_faces, cube_top_faces, t_min_vertices
+from oracles import cross, cube_bottom_faces, cube_list, cube_top_faces, t_min_vertices
 from paper_lemmas import LiftError, lift_decomposition
 
 HEX = ZonogonSpec((1, 1, 1))
@@ -128,10 +128,27 @@ def test_cube_faces_contains_requested(side):
     faces_of = cube_bottom_faces if side == "bottom" else cube_top_faces
     for a in [(2, 2, 2), (2, 1, 3, 1)]:
         spec = ZonogonSpec(a)
-        for base, dirs in spec.cubes():
+        for base, dirs, _ in spec.cubes:
             t = tiling_with_cube_faces(spec, base, dirs, side)
             assert set(faces_of(base, dirs)) <= t.rhombi, (a, base, dirs)
             assert validate_tiling(t).ok
+
+
+@pytest.mark.parametrize("a", [(2, 2, 1), (3, 2, 2), (2, 2, 1, 1), (1, 1, 1, 1, 1),
+                               (2, 2, 2, 2, 2)])
+def test_cube_table_lists_every_cube_with_its_shared_corners(a):
+    """The table lists the cubes in the order of the base ranges, each with
+    the corners of its up move, and a lattice point is one object in it."""
+    spec = ZonogonSpec(a)
+    assert [(base, dirs) for base, dirs, _ in spec.cubes] == cube_list(spec)
+    points = {}
+    for base, dirs, corners in spec.cubes:
+        assert corners == FlipMove(base, dirs, "up").corners
+        assert corners[0] is base
+        for p in corners:
+            assert points.setdefault(p, p) is p
+    assert set(points) == set(spec.lattice_points())
+    assert spec.cubes is spec.cubes
 
 
 def test_cube_faces_validates_cube():
