@@ -164,9 +164,10 @@ def cmd_render(args) -> int:
 def _verify_confluence(args) -> str:
     spec = args.A
     rng = random.Random(args.seed)
+    census = flips.FlipCensus(spec)
     for trial in range(args.trials):
-        t1 = flips.random_tiling(spec, rng)
-        t2 = flips.random_tiling(spec, rng)
+        t1 = flips.random_tiling(spec, rng, census)
+        t2 = flips.random_tiling(spec, rng, census)
         values = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9))
                   for v in t1.vertices}
         lab = engine.initial_labeling(t1, engine.RATIONAL, values)

@@ -22,7 +22,20 @@ from .flips import FlipMove, apply_move, normalize_to_min
 
 
 class DomainError(ArithmeticError):
-    pass
+    """A value the recurrence cannot compute or a relation it breaks.  When a
+    cube is at fault, `base`, `dirs` (1-based, as the messages print them)
+    and `reason` name it, and the message is built from them only when it is
+    read; otherwise `base` and `dirs` are None and `reason` is the message."""
+
+    def __init__(self, reason: str, base: tuple | None = None, dirs: tuple | None = None):
+        super().__init__(reason)
+        self.reason, self.base, self.dirs = reason, base, dirs
+
+    def __str__(self):
+        if self.base is None:
+            return self.reason
+        return (f"cube relation failed on the cube at {self.base} with directions "
+                f"{self.dirs}: {self.reason}")
 
 
 class RationalDomain:
@@ -141,10 +154,9 @@ def _cube_sum(d, o, j, l, jk, kl, jkl):
 
 
 def cube_error(base, dirs, reason) -> DomainError:
-    """The error naming the cube at `base` with 0-based `dirs`, printed
-    1-based, and why its relation failed."""
-    return DomainError(f"cube relation failed on the cube at {base} with directions "
-                       f"{tuple(d + 1 for d in dirs)}: {reason}")
+    """The error naming the cube at `base` with 0-based `dirs`, held 1-based,
+    and why its relation failed."""
+    return DomainError(reason, base, tuple(d + 1 for d in dirs))
 
 
 def flip_value(labeling: Labeling, move: FlipMove):

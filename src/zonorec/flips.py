@@ -171,12 +171,13 @@ def _rhombi_after(rhombi: tuple, move: FlipMove) -> tuple:
 
 
 @dataclass(frozen=True, slots=True)
-class _UpFlip:
-    """An up move on vertex sets held as bitmasks: it applies to a mask that
-    holds the bits of `need` (the hexagon corners and the removed point) and
-    not the created point's, and XORs `swap` (those two points' bits) into
-    it.  `recheck` lists the internal points among the created point and the
-    hexagon corners, the only points whose flips the move can change."""
+class _Flip:
+    """A move on vertex sets held as bitmasks: it applies to a mask that
+    holds the bits of `need` (the hexagon corners and the removed point, its
+    pivot) and not the created point's, and XORs `swap` (those two points'
+    bits) into it.  `recheck` lists the internal points among the created
+    point and the hexagon corners, the only points whose flips the move can
+    change."""
 
     move: FlipMove
     pivot: int
@@ -185,14 +186,22 @@ class _UpFlip:
     swap: int
     recheck: tuple
 
+    def apply(self, mask: int) -> int:
+        """The tiling `mask` after the move; `FlipError` unless it applies."""
+        if mask & self.test != self.need:
+            raise FlipError("not applicable", self.move)
+        return mask ^ self.swap
 
-class _UpFlips:
-    """The up moves of a spec's tilings, each tiling a bitmask over the
-    sorted lattice points (bit i for point i).  A pivot's move depends only
-    on which of its lattice neighbours are vertices, so it is built once per
-    (pivot, neighbour bits)."""
 
-    def __init__(self, spec: ZonogonSpec):
+class FlipCensus:
+    """The moves of a spec's tilings, up and down, or only the up moves with
+    `up_only`; each tiling is a bitmask over the sorted lattice points (bit i
+    for point i).  A pivot's move depends only on which of its lattice
+    neighbours are vertices, so it is built once per (pivot, neighbour bits),
+    and one census serves every walk on the spec that a command makes."""
+
+    def __init__(self, spec: ZonogonSpec, up_only: bool = False):
+        self.up_only = up_only
         self.points = list(spec.lattice_points())  # product order: sorted
         self.index = {p: i for i, p in enumerate(self.points)}
         self.internal = [p not in spec.boundary_vertices for p in self.points]
@@ -211,39 +220,40 @@ class _UpFlips:
     def mask(self, vertices) -> int:
         return sum(map(self.bit, vertices))
 
-    def at(self, mask: int, i: int) -> _UpFlip | None:
-        """The up move pivoting at internal vertex i of the tiling `mask`, or
-        None unless i has two edges up and one down."""
+    def at(self, mask: int, i: int) -> _Flip | None:
+        """The move pivoting at internal vertex i of the tiling `mask`: None
+        unless i has two edges up and one down, or, unless `up_only`, one up
+        and two down."""
         key = (i, mask & self.around[i])
         try:
             return self._memo[key]
         except KeyError:
-            up = self._memo[key] = self._build(*key)
-            return up
+            flip = self._memo[key] = self._build(*key)
+            return flip
 
-    def _build(self, i: int, near: int) -> _UpFlip | None:
+    def _build(self, i: int, near: int) -> _Flip | None:
         p, bit = self.points[i], self.bit
         move = _pivot_move(p, *([d for d, b in steps if near & b] for steps in self.steps[i]))
-        if move is None or move.direction == "down":
+        if move is None or self.up_only and move.direction == "down":
             return None
         need = bit(p) + sum(map(bit, move.corners[:6]))
         swap = bit(p) | bit(move.created)
         recheck = tuple(self.index[q] for q in move.corners[:6] + (move.created,)
                         if self.internal[self.index[q]])
-        return _UpFlip(move, i, need, need | swap, swap, recheck)
+        return _Flip(move, i, need, need | swap, swap, recheck)
 
     def all(self, mask: int) -> dict:
-        """Every up move of the tiling `mask`, keyed by pivot."""
+        """Every move of the tiling `mask`, keyed by pivot."""
         found = ((i, self.at(mask, i)) for i in range(len(self.points))
                  if mask >> i & 1 and self.internal[i])
-        return {i: up for i, up in found if up is not None}
+        return {i: flip for i, flip in found if flip is not None}
 
-    def after(self, moves: dict, up: _UpFlip, mask: int) -> dict:
-        """The up moves of the tiling `mask`, reached by `up` from the tiling
-        whose up moves are `moves`: only `up.recheck` is re-examined."""
+    def after(self, moves: dict, flip: _Flip, mask: int) -> dict:
+        """The moves of the tiling `mask`, reached by `flip` from the tiling
+        whose moves are `moves`: only `flip.recheck` is re-examined."""
         out = dict(moves)
-        del out[up.pivot]
-        for i in up.recheck:
+        del out[flip.pivot]
+        for i in flip.recheck:
             nxt = self.at(mask, i)
             if nxt is None:
                 out.pop(i, None)
@@ -265,23 +275,21 @@ def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> list:
     derived from the vertex set.  `apply_move` builds each tiling found once.
     A tiling found keeps only its sorted rhombi, so memory follows the number
     of tilings and not their vertex sets."""
-    up_flips = _UpFlips(spec)
+    census = FlipCensus(spec, up_only=True)
     start = t_min(spec)
-    mask = up_flips.mask(start.vertices)
+    mask = census.mask(start.vertices)
     found = [start.canonical_rhombi()]
-    rank = {mask: (start, up_flips.all(mask))}
+    rank = {mask: (start, census.all(mask))}
     while rank:
         nxt: dict = {}
         for mask, (t, moves) in rank.items():
             for up in moves.values():
-                if mask & up.test != up.need:
-                    raise FlipError("not applicable", up.move)
-                mask2 = mask ^ up.swap
+                mask2 = up.apply(mask)
                 if mask2 in nxt:
                     continue
                 t2 = Tiling.from_vertices(spec, apply_move(t, up.move).vertices,
                                           _rhombi_after(t.canonical_rhombi(), up.move))
-                nxt[mask2] = (t2, up_flips.after(moves, up, mask2))
+                nxt[mask2] = (t2, census.after(moves, up, mask2))
                 if len(found) + len(nxt) > cap:
                     raise CapExceeded(f"more than {cap} tilings")
         rank = nxt
@@ -290,16 +298,26 @@ def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> list:
     return [Tiling.from_sorted_rhombi(spec, rhombi) for rhombi in found]
 
 
-def random_tiling(spec: ZonogonSpec, rng: random.Random) -> Tiling:
+def random_tiling(spec: ZonogonSpec, rng: random.Random,
+                  census: FlipCensus | None = None) -> Tiling:
     """Random walk in the flip graph from t_min, of 3R to 4R flips for R
-    rhombi."""
-    t = t_min(spec)
+    rhombi, each drawn from the flippable vertices in sorted order.  The walk
+    finds its moves on vertex bitmasks and carries them from step to step, so
+    a caller that draws many tilings of one spec passes them one `census`."""
+    if census is None:
+        census = FlipCensus(spec)
+    vertices = t_min(spec).vertices
+    mask = census.mask(vertices)
+    moves = census.all(mask)
     steps = 3 * spec.rhombus_count + rng.randrange(spec.rhombus_count + 1)
     for _ in range(steps):
-        down, up = flippable_vertices(t)
-        options = sorted(down | up)
-        t, _ = apply_flip(t, rng.choice(options))
-    return t
+        flip = moves[rng.choice(sorted(moves))]
+        mask = flip.apply(mask)
+        moves = census.after(moves, flip, mask)
+        # built as `apply_move` builds it: a set's iteration order, which
+        # callers' draws follow, depends on how the set was made
+        vertices = vertices - {flip.move.removed} | {flip.move.created}
+    return Tiling.from_vertices(spec, vertices)
 
 
 def normalize_to_min(t: Tiling, rng: random.Random | None = None) -> list:

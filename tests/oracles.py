@@ -488,6 +488,18 @@ def walk_keeping(t, marked, rng, steps):
     return t
 
 
+def random_tiling_by_census(spec: ZonogonSpec, rng) -> Tiling:
+    """The random walk of `flips.random_tiling` with a full flippable-vertex
+    census and a new tiling at every step: 3R to 4R flips from t_min for R
+    rhombi, each at a flippable vertex drawn in sorted order."""
+    t = t_min(spec)
+    steps = 3 * spec.rhombus_count + rng.randrange(spec.rhombus_count + 1)
+    for _ in range(steps):
+        down, up = flippable_vertices(t)
+        t, _ = apply_flip(t, rng.choice(sorted(down | up)))
+    return t
+
+
 def replay(start, moves) -> list:
     """All tilings along the flip path of `moves` from `start`, starting with
     `start`."""

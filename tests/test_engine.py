@@ -106,6 +106,36 @@ def test_flip_value_names_the_cube_of_a_zero_divisor():
         (move.base, move.dirs, unlabeled)]
 
 
+def test_cube_errors_carry_their_witness():
+    """A zero divisor, a missing corner and a re-derived value that disagrees
+    each raise a `DomainError` holding the cube's base, its 1-based
+    directions and the reason as fields; a fault of no cube holds only its
+    reason."""
+    t = t_min(HEX)
+    up = move_at(t, (0, 1, 0))
+    ones = {v: Fraction(1) for v in t.vertices}
+    missing = {v: x for v, x in ones.items() if v != (0, 0, 0)}
+    walked = evaluate_path(initial_labeling(t, RATIONAL, ones), [up])
+    walked.values[(0, 1, 0)] = Fraction(99)
+    down = move_at(walked.tiling, (1, 0, 1))
+    cases = [
+        (lambda: flip_value(Labeling(t, RATIONAL, {**ones, up.removed: Fraction(0)}), up),
+         "division by zero"),
+        (lambda: flip_value(Labeling(t, RATIONAL, missing), up),
+         "unlabeled cube corner (0, 0, 0)"),
+        (lambda: evaluate_path(walked, [down]), "re-derived value at (0, 1, 0) disagrees"),
+    ]
+    for fail, reason in cases:
+        with pytest.raises(DomainError) as info:
+            fail()
+        assert (info.value.base, info.value.dirs, info.value.reason) == (
+            (0, 0, 0), (1, 2, 3), reason)
+    with pytest.raises(DomainError) as info:
+        initial_labeling(t, RATIONAL, missing)
+    assert (info.value.base, info.value.dirs) == (None, None)
+    assert str(info.value) == info.value.reason == "initial labeling misses vertex (0, 0, 0)"
+
+
 def test_evaluate_empty_path():
     t = t_min(HEX)
     lab = initial_labeling(t, RATIONAL, {v: 2 for v in t.vertices})

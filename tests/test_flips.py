@@ -24,7 +24,7 @@ from zonorec import (
     tiling_through_vertex,
     validate_tiling,
 )
-from zonorec.flips import _UpFlips
+from zonorec.flips import FlipCensus
 from zonorec.zonogon import shift
 
 from oracles import replay
@@ -464,25 +464,56 @@ def _census_up_moves(t):
 
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
 def test_carried_moves_match_census(a):
-    """After every up flip out of every tiling, the up moves the search
-    carries to the new tiling equal a full census of it.  Comparing only the
+    """After every flip, up or down, out of every tiling, the moves the census
+    carries to the new tiling equal a full census of it; so do the up moves
+    alone that the search carries after an up flip.  Comparing only the
     tilings found would miss a carried census that drops flips yet reaches
     them all."""
-    up_flips = _UpFlips(ZonogonSpec(a))
+    spec = ZonogonSpec(a)
+    census, up_census = FlipCensus(spec), FlipCensus(spec, up_only=True)
 
     def by_point(moves):
-        return {up_flips.points[i]: up.move for i, up in moves.items()}
+        return {census.points[i]: flip.move for i, flip in moves.items()}
 
     for _, t in _face_flip_tilings(a):
-        mask = up_flips.mask(t.vertices)
-        moves = up_flips.all(mask)
-        assert by_point(moves) == _census_up_moves(t), a
-        for up in moves.values():
-            t2 = apply_move(t, up.move)
-            mask2 = mask ^ up.swap
-            assert mask2 == up_flips.mask(t2.vertices)
-            carried = up_flips.after(moves, up, mask2)
-            assert by_point(carried) == _census_up_moves(t2), (a, up.move)
+        mask = census.mask(t.vertices)
+        moves, ups = census.all(mask), up_census.all(mask)
+        assert by_point(moves) == _census_moves(t), a
+        assert by_point(ups) == _census_up_moves(t), a
+        for flip in moves.values():
+            t2 = apply_move(t, flip.move)
+            mask2 = flip.apply(mask)
+            assert mask2 == census.mask(t2.vertices)
+            carried = census.after(moves, flip, mask2)
+            assert by_point(carried) == _census_moves(t2), (a, flip.move)
+            if flip.move.direction == "up":
+                carried = up_census.after(ups, ups[flip.pivot], mask2)
+                assert by_point(carried) == _census_up_moves(t2), (a, flip.move)
+    with pytest.raises(FlipError, match="not applicable"):
+        flip.apply(mask2)
+
+
+WALK_SPECS = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 2, 2), (1, 1, 1, 1), (2, 1, 1, 1),
+              (2, 2, 2, 2), (1, 1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("a", WALK_SPECS, ids=_spec_id)
+def test_random_walk_matches_the_census_walk(a):
+    """The walk on bitmasks returns the tiling of the walk that takes a full
+    census and builds a tiling at every step, its vertices in the same
+    iteration order (callers draw values in that order), and leaves its rng
+    in the same state, with a census of its own or one shared by every
+    walk."""
+    from oracles import random_tiling_by_census
+
+    spec = ZonogonSpec(a)
+    census = FlipCensus(spec)
+    for seed in range(25):
+        rng, shared, oracle = (random.Random(seed) for _ in range(3))
+        want = list(random_tiling_by_census(spec, oracle).vertices)
+        assert list(random_tiling(spec, rng).vertices) == want, seed
+        assert list(random_tiling(spec, shared, census).vertices) == want, seed
+        assert rng.random() == shared.random() == oracle.random()
 
 
 @pytest.mark.parametrize("a", [(2, 2, 2), (3, 2, 2), (3, 3, 3), (4, 3, 2)], ids=_spec_id)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonorec import (
+    DomainError,
     Labeling,
     RATIONAL,
     TROPICAL,
@@ -229,7 +230,8 @@ def test_cli_tile_enumerate_to_a_closed_pipe_is_bad_output():
     )
     assert proc.stdout.read(10) == b"[\n {\n  \"A\""
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 2
     assert err.startswith("error: cannot write stdout: ") and "Traceback" not in err, err
 
@@ -880,6 +882,38 @@ def test_cli_verify_tropical_reports_a_failed_recurrence(monkeypatch, capsys, tm
     assert capsys.readouterr().err == ("error: cube relation failed on the cube at "
                                        "(0, 1, 0) with directions (1, 2, 3): "
                                        "relation violated\n")
+
+
+@pytest.mark.parametrize("command", ["run", "laurent", "tropical", "grassmann"])
+def test_cli_cube_errors_carry_their_witness(monkeypatch, tmp_path, command):
+    """The `DomainError` that `run --check` and the laurent, tropical and
+    grassmann suites raise on a failed cube holds the cube's base, its
+    1-based directions and the reason as fields."""
+    import zonorec.engine
+    import zonorec.tropical
+
+    def failing(labeling):
+        return [((0, 1, 0), (0, 1, 2), "relation violated")]
+
+    monkeypatch.setattr(zonorec.engine, "verify_cube_relations", failing)
+    monkeypatch.setattr(zonorec.tropical, "verify_cube_relations", failing)
+    witness = ((0, 1, 0), (1, 2, 3), "relation violated")
+    if command == "run":
+        (tmp_path / "t.json").write_text(json.dumps(_T_MIN_111))
+        (tmp_path / "lab.json").write_text(json.dumps(_ONES_111))
+        argv = ["run", "--tiling", str(tmp_path / "t.json"), "--labeling",
+                str(tmp_path / "lab.json"), "--check", "--out", str(tmp_path / "o.json")]
+    elif command == "grassmann":
+        _violate_a_bilinear_equation(monkeypatch)
+        argv = ["verify", "grassmann", "--n", "4", "--samples", "3"]
+        witness = ((0, 1, 0, 0), (1, 3, 4), "bilinear residual -3/2")
+    else:
+        argv = ["verify", command, "--A", "2,1,1"]
+    args = build_parser().parse_args(argv)
+    args.seed = 0
+    with pytest.raises(DomainError) as info:
+        args.func(args)
+    assert (info.value.base, info.value.dirs, info.value.reason) == witness
 
 
 def _violate_a_wall(monkeypatch):
