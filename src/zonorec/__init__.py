@@ -49,7 +49,6 @@ from .tropical import (
     check_propagation,
 )
 from .spinor import (
-    Vector2n,
     Spinor,
     IsotropicSubspace,
     SpinorError,

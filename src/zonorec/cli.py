@@ -169,11 +169,11 @@ def _verify_confluence(args) -> str:
         t1 = flips.random_tiling(spec, rng, census)
         t2 = flips.random_tiling(spec, rng, census)
         values = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                  for v in t1.vertices}
+                  for v in sorted(t1.vertices)}
         lab = engine.initial_labeling(t1, engine.RATIONAL, values)
         out_a = engine.evaluate_path(lab, flips.connect(t1, t2))
         out_b = engine.evaluate_path(lab, flips.connect(t1, t2, rng=rng))
-        for v in t2.vertices:
+        for v in sorted(t2.vertices):
             if out_a.values[v] != out_b.values[v]:
                 raise CliError(f"confluence violated at {v} on trial {trial}",
                                EXIT_DOMAIN)

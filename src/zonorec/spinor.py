@@ -6,20 +6,23 @@ wedging (for W) and contraction (for W*).  Spinor coordinates are indexed by
 subsets of {0..n-1} as bitmasks, bit i meaning the i-th basis vector of W is
 present.
 
-A span, and the spinor line a subspace annihilates, do not change when a
-vector is rescaled.  So the kernel behind pure spinors, spin coordinates,
-the random isotropic subspaces and the row elimination computes on the
-primitive integer vector of each line: denominators cleared and the gcd
-divided out.  Fractions appear only at the API edge, in `Vector2n`, the
-kernel vectors of `nullspace` and the non-integral coordinates of a
-`Spinor`, which keeps an integral coordinate as an `int`: pure spinors and
-spin coordinates are integer Clifford products, so the bilinear cube
-equations on them compute in integers.
+A vector of V is the tuple of its 2n coordinates, the W coordinates first,
+with `int` or `Fraction` entries.  A span, and the spinor line a subspace
+annihilates, do not change when a vector is rescaled, so an
+`IsotropicSubspace` keeps each basis line once, as its canonical integer
+vector (denominators cleared, the gcd divided out and the first nonzero
+entry positive), and pure spinors, spin
+coordinates, the random isotropic subspaces and the row elimination compute
+on those.  Fractions appear only in the kernel vectors of `nullspace` and
+in the non-integral coordinates of a `Spinor`, which keeps an integral
+coordinate as an `int`: pure spinors and spin coordinates are integer
+Clifford products, so the bilinear cube equations on them compute in
+integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -105,36 +108,16 @@ def _canonical(values) -> list:
 # vectors, spinors, and the module action
 
 
-@dataclass(frozen=True)
-class Vector2n:
-    """Coefficients on the W basis and on the dual basis."""
-
-    w: tuple
-    wv: tuple
-
-    @property
-    def n(self):
-        return len(self.w)
-
-    def flat(self):
-        return tuple(self.w) + tuple(self.wv)
-
-    @classmethod
-    def from_flat(cls, flat):
-        n = len(flat) // 2
-        return cls(tuple(map(Fraction, flat[:n])), tuple(map(Fraction, flat[n:])))
+def eps(i: int, n: int) -> tuple:
+    return tuple(int(j == i) for j in range(2 * n))
 
 
-def eps(i: int, n: int) -> Vector2n:
-    return Vector2n(tuple(Fraction(j == i) for j in range(n)), (Fraction(0),) * n)
-
-
-def eps_dual(i: int, n: int) -> Vector2n:
-    return Vector2n((Fraction(0),) * n, tuple(Fraction(j == i) for j in range(n)))
+def eps_dual(i: int, n: int) -> tuple:
+    return tuple(int(j == n + i) for j in range(2 * n))
 
 
 def _twice_inner(a, b) -> int:
-    """2<a, b> on flat coordinate vectors; an integer on integer vectors."""
+    """2<a, b> on vectors of V; an integer on integer vectors."""
     n = len(a) // 2
     return sum(x * y for x, y in zip(a[n:], b)) + sum(x * y for x, y in zip(a, b[n:]))
 
@@ -214,9 +197,14 @@ def _act(w, wv, coords) -> list:
     return out
 
 
-def clifford_act(v: Vector2n, s: Spinor) -> Spinor:
-    """Module action: W components wedge, dual components contract."""
-    return Spinor(s.n, _act(v.w, v.wv, s.coords))
+def clifford_act(v, s: Spinor) -> Spinor:
+    """Module action of a vector of V: W components wedge, dual components
+    contract."""
+    n = s.n
+    if len(v) != 2 * n:
+        raise SpinorError(f"a vector of {len(v)} coordinates does not act on "
+                          f"a spinor of n = {n}, which takes {2 * n}")
+    return Spinor(n, _act(v[:n], v[n:], s.coords))
 
 
 def _merge_sign(m1: int, m2: int) -> int:
@@ -232,6 +220,8 @@ def bilinear_form_B(s1: Spinor, s2: Spinor):
     """Sum over degrees k of (-1)^(k(k-1)/2) Vol(s1_k wedge s2_{n-k}): an
     `int` on integer coordinates."""
     n = s1.n
+    if s2.n != n:
+        raise SpinorError(f"spinors of n = {n} and n = {s2.n} do not pair")
     full = (1 << n) - 1
     total = 0
     for m1, c1 in enumerate(s1.coords):
@@ -253,25 +243,27 @@ def bilinear_form_B(s1: Spinor, s2: Spinor):
 
 @dataclass(frozen=True)
 class IsotropicSubspace:
-    """The span of a basis of `Vector2n`s, checked at construction to share
-    one n and to be independent and isotropic; `flats` holds the primitive
-    integer vector of each basis line."""
+    """The span of a basis of vectors of V, checked at construction to share
+    one even length 2n, to hold `int` or `Fraction` entries and to be
+    independent and isotropic; `basis` keeps the canonical integer vector of
+    each given line, so a rescaled basis gives an equal subspace."""
 
     basis: tuple
-    flats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        basis = tuple(self.basis)
-        if len({len(h) for v in basis for h in (v.w, v.wv)}) > 1:
+        vecs = tuple(self.basis)
+        lengths = {len(v) for v in vecs}
+        if len(lengths) > 1 or any(k % 2 for k in lengths):
             raise SpinorError("basis vectors do not share one n")
-        flats = tuple(tuple(_primitive(v.flat())) for v in basis)
-        if rank(flats) != len(flats):
+        if not all(isinstance(x, (int, Fraction)) for v in vecs for x in v):
+            raise SpinorError("basis vector entries must be int or Fraction")
+        basis = tuple(tuple(_canonical(v)) for v in vecs)
+        if rank(basis) != len(basis):
             raise SpinorError("basis vectors are linearly dependent")
-        for i, a in enumerate(flats):
-            if any(_twice_inner(a, b) for b in flats[i:]):
+        for i, a in enumerate(basis):
+            if any(_twice_inner(a, b) for b in basis[i:]):
                 raise SpinorError("subspace is not isotropic")
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "flats", flats)
 
     @property
     def dim(self):
@@ -279,16 +271,16 @@ class IsotropicSubspace:
 
     @property
     def n(self):
-        return self.basis[0].n if self.basis else 0
+        return len(self.basis[0]) // 2 if self.basis else 0
 
 
-def _clifford_products(flats, n: int):
-    """Nonzero products v_1 ... v_k . e_S of a basis given by integer flats,
+def _clifford_products(basis, n: int):
+    """Nonzero products v_1 ... v_k . e_S of a basis of integer vectors,
     e_S in mask order, as integer coordinate lists.
 
     The basis is applied right to left, as Clifford products act.
     """
-    factors = [(f[:n], f[n:]) for f in reversed(flats)]
+    factors = [(v[:n], v[n:]) for v in reversed(basis)]
     for mask in range(1 << n):
         s = [0] * (1 << n)
         s[mask] = 1
@@ -298,7 +290,7 @@ def _clifford_products(flats, n: int):
             yield s
 
 
-def _pure_spinors(flats, n: int, parities: int) -> dict:
+def _pure_spinors(basis, n: int, parities: int) -> dict:
     """Parity -> the first nonzero Clifford product v_1 ... v_k . e_S of that
     parity, e_S in mask order, until `parities` parities are found, each
     checked to be annihilated by the basis and parity homogeneous and kept
@@ -310,11 +302,11 @@ def _pure_spinors(flats, n: int, parities: int) -> dict:
     dimension n-1 (C. Chevalley, The Algebraic Theory of Spinors, 1954).
     """
     found = {}
-    for s in _clifford_products(flats, n):
+    for s in _clifford_products(basis, n):
         parity = _parity(s)
         if parity in found:
             continue
-        if any(any(_act(f[:n], f[n:], s)) for f in flats):
+        if any(any(_act(v[:n], v[n:], s)) for v in basis):
             raise SpinorError("subspace does not annihilate its Clifford product")
         if parity is None:
             raise SpinorError("pure spinor is not parity homogeneous")
@@ -331,26 +323,27 @@ def pure_spinor(sub: IsotropicSubspace) -> Spinor:
     n = sub.n
     if sub.dim != n:
         raise SpinorError("pure spinors come from maximal isotropic subspaces")
-    found = _pure_spinors(sub.flats, n, 1)
+    found = _pure_spinors(sub.basis, n, 1)
     if not found:
         raise SpinorError("Clifford product of the basis is zero")
     return Spinor(n, *found.values())
 
 
-def annihilator(s: Spinor) -> list:
-    """Basis (as Vector2n) of {v in V : v . s = 0}."""
+def annihilator(s: Spinor) -> IsotropicSubspace:
+    """The subspace {v in V : v . s = 0}, isotropic since
+    vw.s + wv.s = 2<v, w>s."""
     if s.is_zero():
         raise SpinorError("zero spinor")
     n = s.n
     gens = [eps(i, n) for i in range(n)] + [eps_dual(i, n) for i in range(n)]
-    images = [clifford_act(g, s).coords for g in gens]
-    rows = [[images[g][m] for g in range(2 * n)] for m in range(1 << n)]
-    return [Vector2n.from_flat(v) for v in nullspace(rows, 2 * n)]
+    # row m holds coordinate m of each generator's image
+    rows = zip(*(clifford_act(g, s).coords for g in gens))
+    return IsotropicSubspace(nullspace(list(rows), 2 * n))
 
 
 def purity_check(s: Spinor):
     """(is_pure, annihilator subspace); pure means the kernel has dimension n."""
-    sub = IsotropicSubspace(annihilator(s))
+    sub = annihilator(s)
     return sub.dim == s.n, sub
 
 
@@ -360,7 +353,7 @@ def _spinor_pair(sub: IsotropicSubspace):
     n = sub.n
     if sub.dim != n - 1:
         raise SpinorError("expected an isotropic subspace of dimension n-1")
-    found = _pure_spinors(sub.flats, n, 2)
+    found = _pure_spinors(sub.basis, n, 2)
     if len(found) < 2:
         raise SpinorError("Clifford products of K do not reach both parities")
     return found[0], found[1]
@@ -369,7 +362,7 @@ def _spinor_pair(sub: IsotropicSubspace):
 def complete_isotropic_pair(sub: IsotropicSubspace):
     """The two maximal isotropic subspaces containing a given (n-1)-dim one,
     the first with an even-parity pure spinor."""
-    return tuple(IsotropicSubspace(annihilator(Spinor(sub.n, s))) for s in _spinor_pair(sub))
+    return tuple(annihilator(Spinor(sub.n, s)) for s in _spinor_pair(sub))
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +448,7 @@ def pfaffian(m) -> Fraction:
 def isotropic_from_skew(a) -> IsotropicSubspace:
     """Rowspan of (A | Id) for skew A: the standard maximal isotropic chart."""
     n = len(a)
-    vecs = []
-    for i in range(n):
-        w = tuple(Fraction(a[i][j]) for j in range(n))
-        wv = tuple(Fraction(i == j) for j in range(n))
-        vecs.append(Vector2n(w, wv))
-    return IsotropicSubspace(vecs)
+    return IsotropicSubspace([(*a[i], *(int(i == j) for j in range(n))) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +477,10 @@ def random_isotropic_subspace(rng, n: int, dim: int) -> IsotropicSubspace:
     Reflections in anisotropic rational vectors preserve rank and the pairing
     exactly, so the image is isotropic of the same dimension; 8 of them move
     the standard subspace to a generic position.  Each basis vector is kept
-    as the primitive integer vector of its line: with
-    B = 2<.,.> and q = B(m, m) for a primitive integer mirror m,
-    q x - 2 B(x, m) m is q times the reflection of x, and dividing by its
-    content times the sign of q keeps every vector a positive multiple of
-    its rational reflection.
+    as an integer vector of gcd 1 on its line: with B = 2<.,.> and
+    q = B(m, m) for a primitive integer mirror m, q x - 2 B(x, m) m is q
+    times the reflection of x, and dividing it by its content keeps it on
+    the line of its rational reflection.
     """
     vecs = [[int(j == i) for j in range(2 * n)] for i in range(dim)]
     for _ in range(8):
@@ -501,6 +488,6 @@ def random_isotropic_subspace(rng, n: int, dim: int) -> IsotropicSubspace:
         for k, x in enumerate(vecs):
             f = 2 * _twice_inner(x, m)
             y = [q * a - f * b for a, b in zip(x, m)]
-            g = gcd(*y) if q > 0 else -gcd(*y)
+            g = gcd(*y)
             vecs[k] = [a // g for a in y]
-    return IsotropicSubspace(tuple(Vector2n.from_flat(x) for x in vecs))
+    return IsotropicSubspace(vecs)

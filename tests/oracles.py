@@ -21,7 +21,6 @@ from zonorec.spinor import (
     IsotropicSubspace,
     Spinor,
     SpinorError,
-    Vector2n,
     clifford_act,
     eps,
     eps_dual,
@@ -608,10 +607,11 @@ def nullspace_by_rref(rows, ncols):
     return basis
 
 
-def inner(v1: Vector2n, v2: Vector2n) -> Fraction:
+def inner(v1, v2) -> Fraction:
     """The pairing <(w1,f1),(w2,f2)> = (f1(w2) + f2(w1))/2 on Fractions."""
-    return Fraction(sum(a * b for a, b in zip(v1.wv, v2.w))
-                    + sum(a * b for a, b in zip(v1.w, v2.wv)), 2)
+    n = len(v1) // 2
+    return Fraction(sum(a * b for a, b in zip(v1[n:], v2[:n]))
+                    + sum(a * b for a, b in zip(v1[:n], v2[n:])), 2)
 
 
 def clifford_action_rows(sub) -> list:
@@ -673,18 +673,18 @@ def spin_coordinates_by_extensions(sub) -> Spinor:
     if len(perp) != n + 1:
         raise SpinorError("perp space has unexpected dimension")
     comp = []
-    cur = [list(v.flat()) for v in sub.basis]
+    cur = [list(v) for v in sub.basis]
     for vec in perp:
-        if rank(cur) != rank(cur + [list(vec)]):
-            cur.append(list(vec))
-            comp.append(Vector2n.from_flat(vec))
+        if rank(cur) != rank(cur + [vec]):
+            cur.append(vec)
+            comp.append(tuple(vec))
         if len(comp) == 2:
             break
     u1, u2 = comp
     q11, q12, q22 = inner(u1, u1), inner(u1, u2), inner(u2, u2)
 
     def along(t):  # t*u1 + u2
-        return Vector2n.from_flat([t * a + b for a, b in zip(u1.flat(), u2.flat())])
+        return tuple(t * a + b for a, b in zip(u1, u2))
 
     if q11 == 0:
         if q12 == 0:
@@ -758,7 +758,7 @@ def projection_pi(point_mask: int, dirs, s: Spinor) -> Spinor:
     return out
 
 
-def random_unit_vector(rng, n: int) -> Vector2n:
+def random_unit_vector(rng, n: int) -> tuple:
     """A random vector of exact norm 1 (rational circle/hyperbola points)."""
     i = rng.randrange(n)
     j = rng.randrange(n)
@@ -769,22 +769,12 @@ def random_unit_vector(rng, n: int) -> Vector2n:
     if rng.random() < 0.5:
         alpha = (1 - t * t) / (1 + t * t)
         beta = 2 * t / (1 + t * t)
-        u = eps(j, n)
-        ud = eps_dual(j, n)
-        other_w = tuple(beta * (a + b) for a, b in zip(u.w, ud.w))
-        other_wv = tuple(beta * (a + b) for a, b in zip(u.wv, ud.wv))
+        other = tuple(beta * (a + b) for a, b in zip(eps(j, n), eps_dual(j, n)))
     else:
         alpha = (t * t + 1) / (2 * t)
         beta = (t * t - 1) / (2 * t)
-        u = eps(j, n)
-        ud = eps_dual(j, n)
-        other_w = tuple(beta * (a - b) for a, b in zip(u.w, ud.w))
-        other_wv = tuple(beta * (a - b) for a, b in zip(u.wv, ud.wv))
-    base = eps(i, n)
-    based = eps_dual(i, n)
-    w = tuple(alpha * (a + b) + c for a, b, c in zip(base.w, based.w, other_w))
-    wv = tuple(alpha * (a + b) + c for a, b, c in zip(base.wv, based.wv, other_wv))
-    v = Vector2n(w, wv)
+        other = tuple(beta * (a - b) for a, b in zip(eps(j, n), eps_dual(j, n)))
+    v = tuple(alpha * (a + b) + c for a, b, c in zip(eps(i, n), eps_dual(i, n), other))
     if inner(v, v) != 1:
         raise SpinorError("unit construction failed")
     return v
@@ -798,19 +788,20 @@ def _sign_below(mask: int, i: int) -> int:
     return -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
 
 
-def clifford_act_by_signs(v: Vector2n, s: Spinor) -> Spinor:
+def clifford_act_by_signs(v, s: Spinor) -> Spinor:
     """Module action on Fractions, the sign of each index counted afresh from
     the mask bits below it."""
     out = Spinor(s.n)
+    w, wv = v[:s.n], v[s.n:]
     for mask, c in enumerate(s.coords):
         if not c:
             continue
         for i in range(s.n):
             bit = 1 << i
-            if v.w[i] and not mask & bit:
-                out.coords[mask | bit] += _sign_below(mask, i) * v.w[i] * c
-            if v.wv[i] and mask & bit:
-                out.coords[mask & ~bit] += _sign_below(mask, i) * v.wv[i] * c
+            if w[i] and not mask & bit:
+                out.coords[mask | bit] += _sign_below(mask, i) * w[i] * c
+            if wv[i] and mask & bit:
+                out.coords[mask & ~bit] += _sign_below(mask, i) * wv[i] * c
     return out
 
 
@@ -833,33 +824,33 @@ def _fraction_annihilated(basis, s: Spinor) -> Spinor:
     return s
 
 
-def pure_spinor_by_fractions(sub) -> Spinor:
+def pure_spinor_by_fractions(basis) -> Spinor:
     """Chevalley's first nonzero Clifford product of a maximal isotropic
-    basis, computed on Fractions."""
-    n = sub.n
-    if sub.dim != n:
+    basis of Fraction vectors, computed on Fractions."""
+    n = len(basis[0]) // 2
+    if len(basis) != n:
         raise SpinorError("pure spinors come from maximal isotropic subspaces")
-    s = next(_fraction_products(sub.basis, n), None)
+    s = next(_fraction_products(basis, n), None)
     if s is None:
         raise SpinorError("Clifford product of the basis is zero")
-    return _fraction_annihilated(sub.basis, s)
+    return _fraction_annihilated(basis, s)
 
 
-def spin_coordinates_by_fractions(sub) -> Spinor:
-    """Spin coordinates of an isotropic K of dimension n-1 from the first
-    Fraction Clifford product of each parity, with K checked by Fraction
-    elimination and the pairing."""
-    n = sub.n
-    if sub.dim != n - 1:
+def spin_coordinates_by_fractions(basis) -> Spinor:
+    """Spin coordinates of an isotropic K of dimension n-1, given by a basis
+    of Fraction vectors, from the first Fraction Clifford product of each
+    parity, with K checked by Fraction elimination and the pairing."""
+    n = len(basis[0]) // 2
+    if len(basis) != n - 1:
         raise SpinorError("expected an isotropic subspace of dimension n-1")
-    if len(rref([v.flat() for v in sub.basis])[0]) != sub.dim:
+    if len(rref(basis)[0]) != len(basis):
         raise SpinorError("basis vectors are linearly dependent")
-    if any(inner(a, b) for a in sub.basis for b in sub.basis):
+    if any(inner(a, b) for a in basis for b in basis):
         raise SpinorError("subspace is not isotropic")
     found = {}
-    for s in _fraction_products(sub.basis, n):
+    for s in _fraction_products(basis, n):
         if s.parity() not in found:
-            found[s.parity()] = _fraction_annihilated(sub.basis, s)
+            found[s.parity()] = _fraction_annihilated(basis, s)
             if len(found) == 2:
                 break
     else:
@@ -867,38 +858,37 @@ def spin_coordinates_by_fractions(sub) -> Spinor:
     return Spinor(n, [found[m.bit_count() % 2].coords[m] for m in range(1 << n)])
 
 
-def reflect(v: Vector2n, x: Vector2n) -> Vector2n:
+def reflect(v, x) -> tuple:
     """Orthogonal reflection of x in the hyperplane normal to v."""
     q = inner(v, v)
     if q == 0:
         raise SpinorError("cannot reflect in an isotropic vector")
     f = 2 * inner(x, v) / q
-    return Vector2n.from_flat([a - f * b for a, b in zip(x.flat(), v.flat())])
+    return tuple(a - f * b for a, b in zip(x, v))
 
 
 def _random_fraction(rng, lo=-5, hi=5):
     return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
 
 
-def random_anisotropic_vector(rng, n: int) -> Vector2n:
+def random_anisotropic_vector(rng, n: int) -> tuple:
     while True:
-        v = Vector2n(
-            tuple(_random_fraction(rng) for _ in range(n)),
-            tuple(_random_fraction(rng) for _ in range(n)),
-        )
+        v = tuple(_random_fraction(rng) for _ in range(2 * n))
         if inner(v, v) != 0:
             return v
 
 
 def random_isotropic_subspace_by_reflections(rng, n: int, dim: int,
                                              reflections: int = 8):
-    """The coordinate subspace spanned by eps_0..eps_{dim-1}, moved by
-    Fraction reflections in the same random mirrors as the library draws."""
+    """The basis eps_0..eps_{dim-1} of a coordinate subspace, moved by
+    Fraction reflections in the same random mirrors as the library draws:
+    the reflected Fraction vectors themselves, not a subspace built on
+    them."""
     vecs = [eps(i, n) for i in range(dim)]
     for _ in range(reflections):
         mirror = random_anisotropic_vector(rng, n)
         vecs = [reflect(mirror, v) for v in vecs]
-    return IsotropicSubspace(tuple(vecs))
+    return vecs
 
 
 def wall_inequalities_by_shifts(labeling, w, edge) -> tuple:

@@ -335,9 +335,7 @@ def test_acceptance_09_grassmannian():
         ok_e, ann_e = purity_check(even)
         ok_o, ann_o = purity_check(odd)
         assert ok_e and ok_o
-        inter = intersect_spans(
-            [v.flat() for v in ann_e.basis], [v.flat() for v in ann_o.basis]
-        )
+        inter = intersect_spans(list(ann_e.basis), list(ann_o.basis))
         assert rank(inter) == n - 1
     _report(9, "isotropic grassmannian", "50 samples each n=3,4,5 satisfy the "
             "bilinear equations; recurrence points are pure with common "

@@ -12,6 +12,7 @@ from zonorec import (
     Labeling,
     RATIONAL,
     TROPICAL,
+    Tiling,
     ZonogonSpec,
     apply_flip,
     connect,
@@ -26,6 +27,7 @@ from zonorec import (
     random_tiling,
     symbolic_labeling,
     t_min,
+    validate_tiling,
     verify_cube_relations,
 )
 from zonorec.engine import RationalDomain
@@ -228,6 +230,55 @@ def test_confluence_two_paths():
             out_a = evaluate_path(lab, connect(t1, t2))
             out_b = evaluate_path(lab, connect(t1, t2, rng=rng))
             assert all(out_a.values[v] == out_b.values[v] for v in t2.vertices)
+
+
+def _invert(a, p):
+    """Central inversion of the box: p -> a - p."""
+    return tuple(x - y for x, y in zip(a, p))
+
+
+def _inverted_rhombus(a, rhombus):
+    base, (j, k) = rhombus
+    return _invert(a, shift2(base, j, k)), (j, k)
+
+
+def _reversed_rhombus(a, rhombus):
+    base, (j, k) = rhombus
+    n = len(a)
+    return base[::-1], (n - 1 - k, n - 1 - j)
+
+
+BOX_MAPS = {
+    "inversion": (lambda a: a, _invert, _inverted_rhombus),
+    "reversal": (lambda a: a[::-1], lambda a, p: p[::-1], _reversed_rhombus),
+}
+
+
+@pytest.mark.parametrize("domain", [RATIONAL, TROPICAL], ids=["rational", "maxplus"])
+@pytest.mark.parametrize("a", [(2, 2, 2), (3, 2, 2), (2, 2, 1, 1), (1, 1, 1, 1, 1),
+                               (3, 3, 2), (2, 1, 2, 1)],
+                         ids=lambda a: ",".join(map(str, a)))
+def test_extension_commutes_with_the_symmetries_of_the_box(a, domain):
+    """Central inversion p -> a - p, which sends the rhombus (b, (j, k)) to
+    (a - b - e_j - e_k, (j, k)), and direction reversal A -> reversed A,
+    p -> reversed p, (b, (j, k)) -> (reversed b, (n-1-k, n-1-j)), each take
+    T0 and its initial values to a tiling and values whose extension is the
+    mapped extension."""
+    spec = ZonogonSpec(a)
+    for seed in range(3):
+        t0 = random_tiling(spec, random.Random(seed))
+        rng = random.Random(100 + seed)
+        vals = {v: (Fraction(rng.randint(1, 9), rng.randint(1, 9)) if domain is RATIONAL
+                    else rng.randint(-9, 9))
+                for v in sorted(t0.vertices)}
+        total = extend_to_lattice(initial_labeling(t0, domain, vals)).values
+        for box, point, rhombus in BOX_MAPS.values():
+            image = ZonogonSpec(box(a))
+            t1 = Tiling(image, [rhombus(a, r) for r in t0.canonical_rhombi()])
+            assert validate_tiling(t1).ok
+            mapped = {point(a, v): x for v, x in vals.items()}
+            got = extend_to_lattice(initial_labeling(t1, domain, mapped)).values
+            assert got == {point(a, p): x for p, x in total.items()}
 
 
 def test_tropical_monotone_and_shift_invariant():

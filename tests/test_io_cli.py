@@ -657,6 +657,32 @@ def test_cli_verify_suites(capsys):
     assert "confluence" in out and "grassmann" in out
 
 
+def test_cli_verify_confluence_draws_by_the_tiling(monkeypatch):
+    """verify confluence draws its values over the sorted vertices, so one
+    tiling gets the same values from one seed however its vertex set was
+    built."""
+    import zonorec.engine
+    import zonorec.flips
+
+    spec = ZonogonSpec((2, 2, 1))
+    vs = t_min(spec).vertices
+    built = [frozenset(sorted(vs)), frozenset(sorted(vs, reverse=True))]
+    assert list(built[0]) != list(built[1])  # the two sets iterate differently
+    initial, drawn = zonorec.engine.initial_labeling, []
+
+    def recording(tiling, domain, values):
+        drawn.append(values)
+        return initial(tiling, domain, values)
+
+    monkeypatch.setattr(zonorec.engine, "initial_labeling", recording)
+    for vertices in built:
+        tiling = Tiling.from_vertices(spec, vertices)
+        monkeypatch.setattr(zonorec.flips, "random_tiling", lambda *args: tiling)
+        assert main(["verify", "confluence", "--A", "2,2,1", "--trials", "1",
+                     "--seed", "3"]) == 0
+    assert len(drawn) == 2 and drawn[0] == drawn[1]
+
+
 def test_cli_render(tmp_path):
     spec = ZonogonSpec((1, 1, 1))
     t = t_min(spec)

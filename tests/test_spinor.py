@@ -10,7 +10,6 @@ from zonorec import (
     Labeling,
     Spinor,
     SpinorError,
-    Vector2n,
     ZonogonSpec,
     bilinear_form_B,
     clifford_act,
@@ -72,10 +71,7 @@ def test_clifford_relation():
     rng = random.Random(0)
     for n in (3, 4, 5, 6):
         for _ in range(10):
-            v = Vector2n(
-                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)),
-                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)),
-            )
+            v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2 * n))
             s = random_spinor(rng, n)
             assert clifford_act(v, clifford_act(v, s)) == _scaled_spinor(s, inner(v, v))
 
@@ -85,6 +81,21 @@ def test_unit_vector_squares_to_identity():
     v = random_unit_vector(rng, 4)
     s = random_spinor(rng, 4)
     assert clifford_act(v, clifford_act(v, s)) == s
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: clifford_act(eps(0, 3), Spinor.basis(4, 0)),
+     "vector of 6 coordinates .* spinor of n = 4"),
+    (lambda: clifford_act(eps(0, 4), Spinor.basis(3, 0)),
+     "vector of 8 coordinates .* spinor of n = 3"),
+    (lambda: bilinear_form_B(Spinor.basis(3, 0), Spinor.basis(4, 15)),
+     "n = 3 and n = 4"),
+    (lambda: bilinear_form_B(Spinor.basis(4, 15), Spinor.basis(3, 0)),
+     "n = 4 and n = 3"),
+], ids=["act-n3-on-n4", "act-n4-on-n3", "pair-n3-n4", "pair-n4-n3"])
+def test_size_mismatch_raises(call, message):
+    with pytest.raises(SpinorError, match=message):
+        call()
 
 
 def test_pairing_values_n3():
@@ -190,20 +201,12 @@ def test_complete_isotropic_pair_coordinate_case():
     n = 4
     sub = IsotropicSubspace([eps(i, n) for i in range(n - 1)])
     plus, minus = complete_isotropic_pair(sub)
-    spans = []
-    for ext in (plus, minus):
-        assert ext.dim == n
-        flats = [v.flat() for v in ext.basis]
-        spans.append(flats)
-    joined = {tuple(map(tuple, sorted(map(tuple, s)))) for s in spans}
+    assert plus.dim == minus.dim == n
     # extensions are K + <eps_n> and K + <eps_n*>
     expect1 = IsotropicSubspace([eps(i, n) for i in range(n)])
     expect2 = IsotropicSubspace([eps(i, n) for i in range(n - 1)] + [eps_dual(n - 1, n)])
-    got = {frozenset(v.flat() for v in plus.basis),
-           frozenset(v.flat() for v in minus.basis)}
-    def spanned(sub1, basis2):
-        r1 = [v.flat() for v in sub1.basis]
-        r2 = [v.flat() for v in basis2.basis]
+    def spanned(sub1, sub2):
+        r1, r2 = list(sub1.basis), list(sub2.basis)
         return rank(r1) == rank(r2) == rank(r1 + r2)
     assert (spanned(plus, expect1) and spanned(minus, expect2)) or (
         spanned(plus, expect2) and spanned(minus, expect1)
@@ -218,10 +221,8 @@ def test_complete_isotropic_pair_random():
             plus, minus = complete_isotropic_pair(sub)
             sp, sm = pure_spinor(plus), pure_spinor(minus)
             assert sp.parity() == 0 and sm.parity() == 1
-            inter = intersect_spans(
-                [v.flat() for v in plus.basis], [v.flat() for v in minus.basis]
-            )
-            krows = [v.flat() for v in sub.basis]
+            inter = intersect_spans(list(plus.basis), list(minus.basis))
+            krows = list(sub.basis)
             assert rank(inter) == n - 1
             assert rank(inter + krows) == n - 1
 
@@ -293,24 +294,32 @@ def test_spin_coordinates_rejects_bad_subspace(basis):
     (eps(0, 2), eps(1, 3)),
     (eps(0, 4), eps(1, 4), eps(0, 3)),
     (eps_dual(0, 3), eps(1, 4)),
-    (Vector2n((Fraction(1), Fraction(0)), (Fraction(0),) * 3),),
-    (eps(0, 3), Vector2n((Fraction(0), Fraction(1), Fraction(0)), (Fraction(0),) * 2)),
+    ((1, 0, 0, 0, 0),),
+    (eps(0, 3), (0, 1, 0, 0, 0)),
 ], ids=["n2-n3", "n4-n4-n3", "dual-n3-n4", "halves-2-3", "halves-3-2"])
 def test_isotropic_subspace_rejects_mixed_lengths(basis):
     with pytest.raises(SpinorError, match="do not share one n"):
         IsotropicSubspace(basis)
 
 
-def test_isotropic_subspace_holds_its_flats():
+def test_isotropic_subspace_keeps_each_line_once():
     half = Fraction(1, 2)
     sub = IsotropicSubspace(_scaled(eps(i, 3), half) for i in range(2))
-    assert sub.basis == (_scaled(eps(0, 3), half), _scaled(eps(1, 3), half))
-    assert sub.flats == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
-    assert all(type(x) is int for f in sub.flats for x in f)
-    same = IsotropicSubspace(list(sub.basis))
-    assert same == sub and hash(same) == hash(sub) and "flats" not in repr(sub)
+    assert sub.basis == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+    assert all(type(x) is int for v in sub.basis for x in v)
+    assert sub.basis == IsotropicSubspace([eps(0, 3), eps(1, 3)]).basis
+    same = IsotropicSubspace([_scaled(eps(0, 3), -3), (0, Fraction(2, 7), 0, 0, 0, 0)])
+    assert same == sub and hash(same) == hash(sub)
+    assert IsotropicSubspace([(0, -4, 8, 0, 4, 2)]).basis == ((0, 2, -4, 0, -2, -1),)
     empty = IsotropicSubspace(())
-    assert (empty.dim, empty.n, empty.flats) == (0, 0, ())
+    assert (empty.dim, empty.n, empty.basis) == (0, 0, ())
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, "1", None, 1j],
+                         ids=["float", "integral-float", "str", "none", "complex"])
+def test_isotropic_subspace_rejects_non_rational_entries(entry):
+    with pytest.raises(SpinorError, match="must be int or Fraction"):
+        IsotropicSubspace([(1, 0, 0, entry, 0, 0)])
 
 
 def test_every_builder_checks_its_subspace(monkeypatch):
@@ -329,15 +338,15 @@ def test_every_builder_checks_its_subspace(monkeypatch):
 
 
 def _scaled(v, c):
-    return Vector2n(tuple(c * x for x in v.w), tuple(c * x for x in v.wv))
+    return tuple(c * x for x in v)
 
 
-def _primitive_multiple(v):
-    """The positive multiple of v with integer entries of gcd 1."""
-    flat = v.flat()
-    den = lcm(*(x.denominator for x in flat))
-    ints = [int(x * den) for x in flat]
-    g = gcd(*ints)
+def _canonical_multiple(v):
+    """The multiple of v with integer entries of gcd 1 and its first nonzero
+    entry positive."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints) if next(x for x in ints if x) > 0 else -gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -345,10 +354,7 @@ def test_clifford_act_matches_sign_oracle():
     rng = random.Random(20)
     for n in (3, 4, 5, 6):
         for _ in range(10):
-            v = Vector2n(
-                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)),
-                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)),
-            )
+            v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2 * n))
             s = _scaled_spinor(random_spinor(rng, n), Fraction(1, rng.randint(1, 5)))
             assert clifford_act(v, s) == clifford_act_by_signs(v, s)
 
@@ -356,8 +362,8 @@ def test_clifford_act_matches_sign_oracle():
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_integer_kernel_matches_fraction_oracle(n):
     """The integer sampler draws the same numbers as the Fraction one and
-    returns the primitive integer multiple of each of its vectors; pure
-    spinors and spin coordinates equal the Fraction construction's."""
+    keeps the canonical integer multiple of each of the Fraction vectors;
+    pure spinors and spin coordinates equal the Fraction construction's."""
     rng = random.Random(100 + n)
     for trial in range(20):
         dim = n if trial % 4 == 3 else n - 1
@@ -367,10 +373,10 @@ def test_integer_kernel_matches_fraction_oracle(n):
         rng.setstate(state)
         ref = random_isotropic_subspace_by_reflections(rng, n, dim)
         assert rng.getstate() == after
-        rows = [v.flat() for v in sub.basis]
-        ref_rows = [v.flat() for v in ref.basis]
-        assert rank(rows) == rank(ref_rows) == rank(rows + ref_rows) == dim
-        assert rows == [_primitive_multiple(v) for v in ref.basis]
+        rows = list(sub.basis)
+        assert all(type(x) is Fraction for v in ref for x in v)
+        assert rank(rows) == rank(ref) == rank(rows + ref) == dim
+        assert rows == [_canonical_multiple(v) for v in ref]
         if dim == n:
             assert pure_spinor(sub) == pure_spinor_by_fractions(ref)
         else:
@@ -403,7 +409,8 @@ def test_spinor_keeps_integral_coordinates_as_ints():
     assert s.coords == [2, Fraction(1, 3), 0, -5]
     assert [type(c) for c in s.coords] == [int, Fraction, int, int]
     assert all(type(c) is int for c in Spinor(3).coords + Spinor.basis(3, 5).coords)
-    wedged = clifford_act(eps(0, 2), Spinor.basis(2, 2))  # e_0 wedge e_1, from Fractions
+    e0 = tuple(map(Fraction, eps(0, 2)))
+    wedged = clifford_act(e0, Spinor.basis(2, 2))  # e_0 wedge e_1, from Fractions
     assert wedged.coords == [0, 0, 0, 1] and all(type(c) is int for c in wedged.coords)
 
 
@@ -415,8 +422,10 @@ def test_rational_rescaling_keeps_spinor():
             # vector i is scaled by a factor with denominator (2, 3, 5, ...)[i]
             factors = [Fraction(rng.choice((-1, 1)) * (d * rng.randint(1, 5) + 1), d)
                        for d in (2, 3, 5, 7, 4, 9)[:dim]]
-            scaled = IsotropicSubspace(_scaled(v, c) for v, c in zip(sub.basis, factors))
-            assert len({x.denominator for v in scaled.basis for x in v.flat()}) > 2
+            vecs = [_scaled(v, c) for v, c in zip(sub.basis, factors)]
+            assert len({x.denominator for v in vecs for x in v}) > 2
+            scaled = IsotropicSubspace(vecs)
+            assert scaled == sub and hash(scaled) == hash(sub)
             if dim == n:
                 assert pure_spinor(scaled) == pure_spinor(sub)
             else:
@@ -427,8 +436,7 @@ def _bad_basis(kind, size, n=4):
     half, two_thirds = Fraction(1, 2), Fraction(2, 3)
     second = {"dependent": _scaled(eps(0, n), -two_thirds),
               "non-isotropic": _scaled(eps_dual(0, n), two_thirds),
-              "anisotropic": Vector2n.from_flat([0, half] + [0] * (n - 1)
-                                                + [two_thirds] + [0] * (n - 2)),
+              "anisotropic": (0, half) + (0,) * (n - 1) + (two_thirds,) + (0,) * (n - 2),
               "wrong-dimension": _scaled(eps(1, n), -two_thirds)}[kind]
     rest = [eps(2, n), eps(3, n), _scaled(eps_dual(3, n), half)]
     return [_scaled(eps(0, n), half), second] + rest[:size - 2]
@@ -567,9 +575,7 @@ def test_twisted_recurrence_point_is_spinor_point():
         ok_e, ann_e = purity_check(even)
         ok_o, ann_o = purity_check(odd)
         assert ok_e and ok_o
-        inter = intersect_spans(
-            [v.flat() for v in ann_e.basis], [v.flat() for v in ann_o.basis]
-        )
+        inter = intersect_spans(list(ann_e.basis), list(ann_o.basis))
         assert rank(inter) == n - 1
 
 
@@ -670,8 +676,8 @@ def test_projection_tensor_correction():
 def test_purity_check_examples():
     ok, ann = purity_check(Spinor.basis(3, 0))
     assert ok
-    assert rank([v.flat() for v in ann.basis]) == 3
-    assert all(v.w == (0, 0, 0) for v in ann.basis)
+    assert rank(list(ann.basis)) == 3
+    assert all(v[:3] == (0, 0, 0) for v in ann.basis)
     mixed = Spinor(4, [int(m in (0, 0b1111)) for m in range(16)])  # e_0 + e_1111
     ok, ann = purity_check(mixed)
     assert not ok
