@@ -390,9 +390,9 @@ def test_cli_run_does_not_depend_on_seed(tmp_path):
 
 
 @pytest.mark.parametrize("a, seed, digest", [
-    ((3, 3, 3, 3), 1, "f08e64651798441edcd70b3f620b45bc163e2aae6eaad77ce350f17153f0beeb"),
-    ((2, 2, 2, 2, 2), 2, "b6099a34486d24192e18ea9b9594f204ee53b986bc9d50078a3abe94471a8e37"),
-    ((4, 4, 4), 3, "a7108fc73f57d431f0832c8faa623b288ad74e7bbad526dc135be6b1357d5161"),
+    ((3, 3, 3, 3), 1, "626f5a209a40148a1fc6ac42c0b67244deb0ab628e62393e4f2c1c41ff519cd8"),
+    ((2, 2, 2, 2, 2), 2, "d4ee99ca4f0e8e2ae6cbc93bd8ae7397ec8df057d22f6ccf4fefda83a218b4e5"),
+    ((4, 4, 4), 3, "155ed313f83d09870c04323152c71b08dfaf94500bfc3b17c2f2bfb88ff47a05"),
 ], ids=["3,3,3,3", "2,2,2,2,2", "4,4,4"])
 def test_cli_run_check_output_is_pinned(tmp_path, a, seed, digest):
     """`run --check` from a random tiling, byte for byte: the flip schedule
@@ -400,7 +400,7 @@ def test_cli_run_check_output_is_pinned(tmp_path, a, seed, digest):
     rng = random.Random(seed)
     t = random_tiling(ZonogonSpec(a), rng)
     lab = initial_labeling(t, RATIONAL, {v: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                                         for v in t.vertices})
+                                         for v in sorted(t.vertices)})
     (tmp_path / "t.json").write_text(json.dumps(jsonio.tiling_to_json(t)))
     (tmp_path / "lab.json").write_text(json.dumps(jsonio.labeling_to_json(lab)))
     out = tmp_path / "out.json"
