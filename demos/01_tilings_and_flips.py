@@ -9,9 +9,8 @@ import os
 
 from zonorec import (
     ZonogonSpec,
-    apply_flip,
+    apply_move,
     enumerate_tilings,
-    flippable_vertices,
     fundamental_forest,
     normalize_to_min,
     phi,
@@ -20,6 +19,13 @@ from zonorec import (
     tiling_through_vertex,
     validate_tiling,
 )
+from zonorec.flips import FlipCensus
+
+
+def flips(census, t):
+    """t's flip moves: one per pivot, found on t's vertex bitmask."""
+    return [flip.move for flip in census.all(census.mask(t.vertices)).values()]
+
 
 print("== the hexagon (three directions, all multiplicities 1) ==")
 hexagon = ZonogonSpec((1, 1, 1))
@@ -29,9 +35,12 @@ print("minimal tiling rhombi:", tm.canonical_rhombi())
 print("vertices:", sorted(tm.vertices))
 print("validation:", validate_tiling(tm))
 
-down, up = flippable_vertices(tm)
-print("flippable: down =", sorted(down), " up =", sorted(up))
-other, move = apply_flip(tm, next(iter(up)))
+moves = flips(FlipCensus(hexagon), tm)
+down = sorted(m.removed for m in moves if m.direction == "down")
+up = [m for m in moves if m.direction == "up"]
+print("flippable: down =", down, " up =", sorted(m.removed for m in up))
+move = up[0]
+other = apply_move(tm, move)
 print("after the up flip at", move.removed, "the new vertex is", move.created)
 print("its fundamental forest:", sorted(fundamental_forest(other)))
 print("phi drops back by one on the way down:", phi(other), "->", phi(tm))
@@ -41,10 +50,10 @@ print("== the octagon: eight tilings forming a single cycle of flips ==")
 octagon = ZonogonSpec((1, 1, 1, 1))
 tilings = enumerate_tilings(octagon)
 print("tiling count:", len(tilings))
+census = FlipCensus(octagon)
 for t in tilings:
-    d, u = flippable_vertices(t)
-    print("  interior vertices:", sorted(v for v in t.vertices if t.is_internal(v)),
-          "flips:", len(d) + len(u))
+    print("  interior vertices:", sorted(t.vertices - octagon.boundary_vertices),
+          "flips:", len(flips(census, t)))
 
 print()
 print("== any lattice point sits on some tiling ==")

@@ -14,10 +14,7 @@ from .flips import (
     FlipError,
     CapExceeded,
     fundamental_forest,
-    flippable_vertices,
-    apply_flip,
     apply_move,
-    move_at,
     enumerate_tilings,
     random_tiling,
     normalize_to_min,

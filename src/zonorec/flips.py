@@ -88,31 +88,14 @@ class FlipMove:
 
 def fundamental_forest(t: Tiling) -> frozenset:
     """The internal edges (I, I+e_j) that are the sole up-edge at I."""
+    census = FlipCensus(t.spec)
+    mask = census.mask(t.vertices)
     edges = set()
     for v in t.vertices:
-        up, _ = t.edges_at(v)
+        up = [d for d, b in census.steps[census.index[v]][0] if mask & b]
         if len(up) == 1 and not t.spec.is_boundary_edge((v, up[0])):
             edges.add((v, up[0]))
     return frozenset(edges)
-
-
-def flippable_vertices(t: Tiling):
-    """(down-flippable, up-flippable) vertex sets, by the direct census.
-
-    A vertex is down-flippable when it is internal with two edges down and
-    one up; these are exactly the leaves of the fundamental forest.
-    """
-    down = set()
-    up = set()
-    for v in t.vertices:
-        if not t.is_internal(v):
-            continue
-        u, d = t.edges_at(v)
-        if len(u) == 1 and len(d) == 2:
-            down.add(v)
-        elif len(u) == 2 and len(d) == 1:
-            up.add(v)
-    return frozenset(down), frozenset(up)
 
 
 def _pivot_move(at: Point, up, down) -> FlipMove | None:
@@ -132,17 +115,6 @@ def _pivot_move(at: Point, up, down) -> FlipMove | None:
     return FlipMove(base, (j, k, l), direction)
 
 
-def move_at(t: Tiling, at: Point) -> FlipMove:
-    """The flip move pivoting at the given trivalent internal vertex."""
-    if at not in t.vertices or not t.is_internal(at):
-        raise FlipError(f"{at} is not an internal vertex")
-    up, down = t.edges_at(at)
-    move = _pivot_move(at, up, down)
-    if move is None:
-        raise FlipError(f"not flippable at {at}: {len(up)} up / {len(down)} down edges")
-    return move
-
-
 def apply_move(t: Tiling, move: FlipMove) -> Tiling:
     """Swap the move's removed vertex for its created one.  It applies when the
     hexagon corners o, j, l, jk, kl, jkl are vertices and `created` is not."""
@@ -151,12 +123,6 @@ def apply_move(t: Tiling, move: FlipMove) -> Tiling:
     if created in vs or removed not in vs or not vs.issuperset(move.corners[:6]):
         raise FlipError("not applicable", move)
     return Tiling.from_vertices(t.spec, vs - {removed} | {created})
-
-
-def apply_flip(t: Tiling, at: Point):
-    """Flip at a trivalent internal vertex; returns (new tiling, move)."""
-    move = move_at(t, at)
-    return apply_move(t, move), move
 
 
 def _rhombi_after(rhombi: tuple, move: FlipMove) -> tuple:
@@ -306,33 +272,36 @@ def random_tiling(spec: ZonogonSpec, rng: random.Random,
     a caller that draws many tilings of one spec passes them one `census`."""
     if census is None:
         census = FlipCensus(spec)
-    vertices = t_min(spec).vertices
-    mask = census.mask(vertices)
+    mask = census.mask(t_min(spec).vertices)
     moves = census.all(mask)
     steps = 3 * spec.rhombus_count + rng.randrange(spec.rhombus_count + 1)
     for _ in range(steps):
         flip = moves[rng.choice(sorted(moves))]
         mask = flip.apply(mask)
         moves = census.after(moves, flip, mask)
-        # built as `apply_move` builds it: a set's iteration order, which
-        # callers' draws follow, depends on how the set was made
-        vertices = vertices - {flip.move.removed} | {flip.move.created}
-    return Tiling.from_vertices(spec, vertices)
+    return Tiling.from_vertices(spec, frozenset(
+        p for i, p in enumerate(census.points) if mask >> i & 1))
 
 
 def normalize_to_min(t: Tiling, rng: random.Random | None = None) -> list:
-    """The downward flips from t to t_min, at the lowest leaf each step (or
-    rng's choice)."""
-    moves = []
-    cur = t
-    while leaves := flippable_vertices(cur)[0]:
+    """The downward flips from t to t_min, at the lowest leaf by (height,
+    point) each step, or at rng's choice of the leaves in sorted order.  The
+    walk finds its moves on vertex bitmasks with a census of its own."""
+    spec = t.spec
+    census = FlipCensus(spec)
+    mask = census.mask(t.vertices)
+    moves = census.all(mask)
+    out = []
+    while down := [i for i, flip in moves.items() if flip.move.direction == "down"]:
         if rng is None:
-            at = min(leaves, key=lambda v: (t.spec.height(v), v))
+            i = min(down, key=lambda i: (spec.height(census.points[i]), i))
         else:
-            at = rng.choice(sorted(leaves))
-        cur, move = apply_flip(cur, at)
-        moves.append(move)
-    return moves
+            i = rng.choice(sorted(down))
+        flip = moves[i]
+        mask = flip.apply(mask)
+        moves = census.after(moves, flip, mask)
+        out.append(flip.move)
+    return out
 
 
 def connect(t: Tiling, t2: Tiling, rng: random.Random | None = None) -> list:

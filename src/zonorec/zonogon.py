@@ -223,15 +223,6 @@ class Tiling:
         """The d with v + e_d a vertex (probed by slicing: this is a hot loop)."""
         return [d for d, c in enumerate(v) if v[:d] + (c + 1,) + v[d + 1:] in self.vertices]
 
-    def edges_at(self, v: Point):
-        """(up, down) edge directions at vertex v: the 1-skeleton is a partial
-        cube, so v, v + e_d are joined exactly when both are vertices."""
-        down = [d for d, c in enumerate(v) if v[:d] + (c - 1,) + v[d + 1:] in self.vertices]
-        return tuple(self._up_dirs(v)), tuple(down)
-
-    def is_internal(self, v: Point) -> bool:
-        return v not in self.spec.boundary_vertices
-
 
 class _TilingOfRhombi(Tiling):
     """A tiling that derives its vertex set from its sorted rhombi on first

@@ -12,9 +12,10 @@ from zonorec.zonogon import (
     Tiling,
     rhombus_corners,
     shift,
+    shift2,
     t_min,
 )
-from zonorec.flips import FlipMove, apply_flip, apply_move, flippable_vertices
+from zonorec.flips import FlipError, FlipMove, apply_move
 from zonorec.jsonio import tiling_to_json
 from zonorec.laurent import LaurentPoly
 from zonorec.spinor import (
@@ -28,7 +29,10 @@ from zonorec.spinor import (
     rank,
 )
 
-from paper_lemmas import Cell, rhombus_edges
+
+def rhombus_edges(rh) -> tuple:
+    base, (j, k) = rh
+    return ((base, j), (base, k), (shift(base, j), k), (shift(base, k), j))
 
 
 def cross(u, v):
@@ -192,8 +196,76 @@ def edges_by_census(t: Tiling) -> dict:
 
 def neighbors(t: Tiling, v) -> list:
     """The vertices joined to v by an edge of t: those above, then below."""
-    up, down = t.edges_at(v)
+    up, down = edges_at(t, v)
     return [shift(v, d) for d in up] + [shift(v, d, -1) for d in down]
+
+
+# ---------------------------------------------------------------------------
+# the vertex-set census: a tiling's edges and flips read off its vertex set
+# by probing each vertex's lattice neighbours, with a new tiling per flip
+
+
+def edges_at(t: Tiling, v) -> tuple:
+    """(up, down) edge directions at vertex v: the 1-skeleton is a partial
+    cube, so v, v + e_d are joined exactly when both are vertices."""
+    up = tuple(d for d in range(t.spec.n) if shift(v, d) in t.vertices)
+    down = tuple(d for d in range(t.spec.n) if shift(v, d, -1) in t.vertices)
+    return up, down
+
+
+def flippable_vertices(t: Tiling):
+    """(down-flippable, up-flippable) vertex sets: the internal vertices with
+    one edge up and two down, and those with two up and one down."""
+    down = set()
+    up = set()
+    for v in t.vertices - t.spec.boundary_vertices:
+        u, d = edges_at(t, v)
+        if len(u) == 1 and len(d) == 2:
+            down.add(v)
+        elif len(u) == 2 and len(d) == 1:
+            up.add(v)
+    return frozenset(down), frozenset(up)
+
+
+def move_at(t: Tiling, at) -> FlipMove:
+    """The flip move pivoting at the given trivalent internal vertex: its
+    two like edges are directions j < l and its odd edge k lies between."""
+    if at not in t.vertices or at in t.spec.boundary_vertices:
+        raise FlipError(f"{at} is not an internal vertex")
+    up, down = edges_at(t, at)
+    if len(up) == 1 and len(down) == 2:
+        (j, l), (k,), direction = down, up, "down"
+        base = shift2(at, j, l, -1)
+    elif len(up) == 2 and len(down) == 1:
+        (j, l), (k,), direction = up, down, "up"
+        base = shift(at, k, -1)
+    else:
+        raise FlipError(f"not flippable at {at}: {len(up)} up / {len(down)} down edges")
+    if not j < k < l:
+        raise FlipError(f"edge directions {up}+{down} out of order at {at}")
+    return FlipMove(base, (j, k, l), direction)
+
+
+def apply_flip(t: Tiling, at):
+    """Flip at a trivalent internal vertex; returns (new tiling, move)."""
+    move = move_at(t, at)
+    return apply_move(t, move), move
+
+
+def normalize_to_min_by_census(t: Tiling, rng=None) -> list:
+    """The moves of the walk that `flips.normalize_to_min` makes, with a full
+    census and a new tiling at every step: a down flip at the lowest leaf by
+    (height, point), or at rng's choice of the leaves in sorted order."""
+    moves = []
+    cur = t
+    while leaves := flippable_vertices(cur)[0]:
+        if rng is None:
+            at = min(leaves, key=lambda v: (t.spec.height(v), v))
+        else:
+            at = rng.choice(sorted(leaves))
+        cur, move = apply_flip(cur, at)
+        moves.append(move)
+    return moves
 
 
 @lru_cache(maxsize=None)
@@ -411,6 +483,8 @@ def cells_2_by_rhombus_scan(t: Tiling) -> list:
     common face, octagons the unit 4-cubes holding six rhombi of t that tile
     them, each walked from t towards the neighbour with the least sorted
     rhombi."""
+    from paper_lemmas import Cell  # paper_lemmas imports this module
+
     spec = t.spec
     cells = []
     pivots = sorted(moves_by_faces(t), key=lambda x: x[0].removed)

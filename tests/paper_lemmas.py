@@ -18,12 +18,9 @@ from itertools import combinations, product
 from zonorec.flips import (
     FlipError,
     FlipMove,
-    apply_flip,
     apply_move,
     enumerate_tilings,
-    flippable_vertices,
     fundamental_forest,
-    move_at,
 )
 from zonorec.laurent import InexactDivision, LaurentPoly
 from zonorec.zonogon import (
@@ -36,6 +33,8 @@ from zonorec.zonogon import (
     shift2,
     validate_tiling,
 )
+
+from oracles import apply_flip, edges_at, flippable_vertices, move_at, rhombus_edges
 
 # ---------------------------------------------------------------------------
 # the fundamental forest as parent maps
@@ -69,11 +68,6 @@ class FundamentalForest:
 
 # ---------------------------------------------------------------------------
 # rhombus chains (de Bruijn ribbons) and paths avoiding a marked vertex
-
-
-def rhombus_edges(rh: Rhombus) -> tuple[Edge, Edge, Edge, Edge]:
-    base, (j, k) = rh
-    return ((base, j), (base, k), (shift(base, j), k), (shift(base, k), j))
 
 
 @lru_cache(maxsize=256)
@@ -495,7 +489,7 @@ def exchange_polynomial(t: Tiling, v: Point, var_of=None) -> LaurentPoly:
     """
     if var_of is None:
         var_of = lambda p: p
-    up, down = t.edges_at(v)
+    up, down = edges_at(t, v)
     steps = [(d, 1) for d in up] + [(d, -1) for d in down]
     nbrs = [shift(v, d, s) for d, s in steps]
     r = len(nbrs)

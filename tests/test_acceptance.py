@@ -16,7 +16,7 @@ from zonorec import (
     Spinor,
     Wall,
     ZonogonSpec,
-    apply_flip,
+    apply_move,
     bilinear_form_B,
     canonical_cutcurve,
     check_propagation,
@@ -26,10 +26,8 @@ from zonorec import (
     evaluate_path,
     extend_to_lattice,
     flip_value,
-    flippable_vertices,
     fundamental_forest,
     initial_labeling,
-    move_at,
     pfaffian,
     purity_check,
     random_isotropic_subspace,
@@ -43,11 +41,14 @@ from zonorec import (
     verify_cube_relations,
     verify_trbi,
 )
+from zonorec.flips import FlipCensus
 from zonorec.laurent import LaurentPoly as L
 from zonorec.spinor import rank
 
 from oracles import (
+    apply_flip,
     intersect_spans,
+    move_at,
     projection_pi,
     random_unit_vector,
     replay,
@@ -67,12 +68,12 @@ def test_acceptance_01_octagon_census():
     spec = ZonogonSpec((1, 1, 1, 1))
     tilings = enumerate_tilings(spec)
     assert len(tilings) == 8
+    census = FlipCensus(spec)
     edges = set()
     for t in tilings:
-        down, up = flippable_vertices(t)
         nbrs = set()
-        for v in down | up:
-            t2, _ = apply_flip(t, v)
+        for flip in census.all(census.mask(t.vertices)).values():
+            t2 = apply_move(t, flip.move)
             assert t2 in tilings
             nbrs.add(t2)
         assert len(nbrs) == 2

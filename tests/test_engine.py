@@ -14,16 +14,13 @@ from zonorec import (
     TROPICAL,
     Tiling,
     ZonogonSpec,
-    apply_flip,
     connect,
     enumerate_tilings,
     evaluate_path,
     extend_to_lattice,
     extension_moves,
     flip_value,
-    flippable_vertices,
     initial_labeling,
-    move_at,
     random_tiling,
     symbolic_labeling,
     t_min,
@@ -33,7 +30,7 @@ from zonorec import (
 from zonorec.engine import RationalDomain
 from zonorec.jsonio import labeling_to_json
 
-from oracles import neighbors
+from oracles import apply_flip, flippable_vertices, move_at, neighbors
 from paper_lemmas import exchange_polynomial, substitute
 from zonorec.laurent import LaurentPoly as L
 from zonorec.zonogon import shift, shift2

@@ -10,13 +10,10 @@ from zonorec import (
     FlipMove,
     Tiling,
     ZonogonSpec,
-    apply_flip,
     apply_move,
     connect,
     enumerate_tilings,
-    flippable_vertices,
     fundamental_forest,
-    move_at,
     normalize_to_min,
     phi,
     random_tiling,
@@ -27,7 +24,7 @@ from zonorec import (
 from zonorec.flips import FlipCensus
 from zonorec.zonogon import shift
 
-from oracles import replay
+from oracles import edges_at, flippable_vertices, move_at, replay
 from paper_lemmas import FundamentalForest, cells_2, connect_through, edge_rhombi, rhombus_chain
 
 HEX = ZonogonSpec((1, 1, 1))
@@ -44,6 +41,17 @@ FOREST_SPECS = [
     (2, 1, 1, 1),
     (1, 1, 1, 1, 1),
 ]
+
+
+def _flips(t):
+    """Pivot -> move for every flip of t, by the library's census."""
+    census = FlipCensus(t.spec)
+    return {census.points[i]: flip.move
+            for i, flip in census.all(census.mask(t.vertices)).items()}
+
+
+def _pivots(t, direction):
+    return frozenset(v for v, move in _flips(t).items() if move.direction == direction)
 
 
 def hexagon_tilings():
@@ -67,14 +75,13 @@ def test_forest_of_nonminimal_hexagon():
 
 
 def test_down_flippable_vertices_are_forest_leaves():
-    # the direct census of flippable_vertices agrees with the forest theorem
+    # the census's down pivots are the forest's leaves, as the paper proves
     tilings = [t for a in [(2, 2, 2), (1, 1, 1, 1, 1), (2, 2, 1, 1)]
                for t in enumerate_tilings(ZonogonSpec(a))]
     rng = random.Random(14)
     tilings += [random_tiling(ZonogonSpec((3, 3, 3, 3)), rng) for _ in range(10)]
     for t in tilings:
-        down, _ = flippable_vertices(t)
-        assert down == FundamentalForest(t).leaves, t.canonical_rhombi()
+        assert _pivots(t, "down") == FundamentalForest(t).leaves, t.canonical_rhombi()
 
 
 def test_forest_down_edge_census():
@@ -86,7 +93,7 @@ def test_forest_down_edge_census():
             t = random_tiling(spec, rng)
             forest = FundamentalForest(t)
             for v in t.vertices:
-                _, down = t.edges_at(v)
+                _, down = edges_at(t, v)
                 got = len(forest.link(v))
                 if len(down) >= 3:
                     assert got == len(down) - 2, (a, v)
@@ -96,17 +103,16 @@ def test_forest_down_edge_census():
 
 def test_flippable_hexagon():
     tm, other = hexagon_tilings()
-    down, up = flippable_vertices(tm)
-    assert down == frozenset()
-    assert up == frozenset({(0, 1, 0)})
-    down, up = flippable_vertices(other)
-    assert down == frozenset({(1, 0, 1)})
-    assert up == frozenset()
+    assert _pivots(tm, "down") == frozenset()
+    assert _pivots(tm, "up") == frozenset({(0, 1, 0)})
+    assert _pivots(other, "down") == frozenset({(1, 0, 1)})
+    assert _pivots(other, "up") == frozenset()
 
 
 def test_apply_flip_hexagon():
     tm, other = hexagon_tilings()
-    flipped, move = apply_flip(other, (1, 0, 1))
+    move = _flips(other)[(1, 0, 1)]
+    flipped = apply_move(other, move)
     assert flipped == tm
     assert move.direction == "down"
     assert phi(other) - phi(flipped) == 1
@@ -117,18 +123,23 @@ def test_flip_involution():
     for a in [(2, 2, 1), (1, 1, 1, 1)]:
         spec = ZonogonSpec(a)
         t = random_tiling(spec, rng)
-        down, up = flippable_vertices(t)
-        for v in sorted(down | up):
-            t2, move = apply_flip(t, v)
-            back, move2 = apply_flip(t2, move.created)
-            assert back == t
+        for _, move in sorted(_flips(t).items()):
+            t2 = apply_move(t, move)
+            move2 = _flips(t2)[move.created]
+            assert apply_move(t2, move2) == t
             assert move2 == move.inverse()
 
 
 def test_not_flippable_raises():
-    tm = t_min(HEX)
-    with pytest.raises(FlipError, match="not an internal vertex"):
-        apply_flip(tm, (0, 0, 0))
+    """The census offers no flip at a boundary vertex, and a flip made twice
+    no longer applies."""
+    census = FlipCensus(HEX)
+    mask = census.mask(t_min(HEX).vertices)
+    moves = census.all(mask)
+    assert [census.points[i] for i in moves] == [(0, 1, 0)]
+    up = moves[census.index[(0, 1, 0)]]
+    with pytest.raises(FlipError, match="not applicable"):
+        up.apply(up.apply(mask))
 
 
 def test_inapplicable_move_names_its_witness():
@@ -145,15 +156,13 @@ def test_inapplicable_move_names_its_witness():
 
 def test_middle_direction_between():
     # at internal trivalent vertices the odd-flavored edge direction is the
-    # middle one; move_at asserts this, so just exercise it broadly
+    # middle one; the census asserts this, so just exercise it broadly
     rng = random.Random(2)
     for a in [(2, 2, 2), (2, 1, 1, 1)]:
         spec = ZonogonSpec(a)
         for _ in range(5):
             t = random_tiling(spec, rng)
-            down, up = flippable_vertices(t)
-            for v in down | up:
-                mv = move_at(t, v)
+            for mv in _flips(t).values():
                 assert mv.dirs[0] < mv.dirs[1] < mv.dirs[2]
 
 
@@ -163,10 +172,9 @@ def test_octagon_flip_graph_is_8_cycle():
     degrees = []
     edges = set()
     for t in ts:
-        down, up = flippable_vertices(t)
         nbrs = set()
-        for v in down | up:
-            t2, _ = apply_flip(t, v)
+        for move in _flips(t).values():
+            t2 = apply_move(t, move)
             nbrs.add(t2)
             edges.add(frozenset({t, t2}))
         degrees.append(len(nbrs))
@@ -500,20 +508,45 @@ WALK_SPECS = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 2, 2), (1, 1, 1, 1), (2, 1, 1
 @pytest.mark.parametrize("a", WALK_SPECS, ids=_spec_id)
 def test_random_walk_matches_the_census_walk(a):
     """The walk on bitmasks returns the tiling of the walk that takes a full
-    census and builds a tiling at every step, its vertices in the same
-    iteration order (callers draw values in that order), and leaves its rng
-    in the same state, with a census of its own or one shared by every
-    walk."""
+    census and builds a tiling at every step, and leaves its rng in the same
+    state, with a census of its own or one shared by every walk."""
     from oracles import random_tiling_by_census
 
     spec = ZonogonSpec(a)
     census = FlipCensus(spec)
     for seed in range(25):
         rng, shared, oracle = (random.Random(seed) for _ in range(3))
-        want = list(random_tiling_by_census(spec, oracle).vertices)
-        assert list(random_tiling(spec, rng).vertices) == want, seed
-        assert list(random_tiling(spec, shared, census).vertices) == want, seed
+        want = random_tiling_by_census(spec, oracle).vertices
+        assert random_tiling(spec, rng).vertices == want, seed
+        assert random_tiling(spec, shared, census).vertices == want, seed
         assert rng.random() == shared.random() == oracle.random()
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2), (2, 2, 1, 1), (1, 1, 1, 1, 1)], ids=_spec_id)
+def test_normalize_to_min_matches_the_census_walk_on_every_tiling(a):
+    """The walk on bitmasks makes the moves of the walk that takes a full
+    census and builds a tiling at every step, at the lowest leaf and at the
+    rng's choice, and leaves the rng in the same state."""
+    from oracles import normalize_to_min_by_census
+
+    for seed, t in enumerate(_enumerated(a)):
+        assert normalize_to_min(t) == normalize_to_min_by_census(t), t
+        rng, oracle = random.Random(seed), random.Random(seed)
+        assert normalize_to_min(t, rng) == normalize_to_min_by_census(t, oracle), t
+        assert rng.random() == oracle.random()
+
+
+@pytest.mark.parametrize("a", [(3, 3, 3, 3), (2, 2, 2, 2, 2), (4, 4, 4)], ids=_spec_id)
+def test_normalize_to_min_matches_the_census_walk_on_random_tilings(a):
+    from oracles import normalize_to_min_by_census
+
+    spec = ZonogonSpec(a)
+    for seed in range(4):
+        t = random_tiling(spec, random.Random(seed))
+        assert normalize_to_min(t) == normalize_to_min_by_census(t), seed
+        rng, oracle = random.Random(seed), random.Random(seed)
+        assert normalize_to_min(t, rng) == normalize_to_min_by_census(t, oracle), seed
+        assert rng.random() == oracle.random()
 
 
 @pytest.mark.parametrize("a", [(2, 2, 2), (3, 2, 2), (3, 3, 3), (4, 3, 2)], ids=_spec_id)
@@ -596,11 +629,24 @@ def test_derived_rhombi_equal_laid_rhombi(a):
 
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
 def test_edges_at_matches_rhombus_census(a):
+    """The census tables, the vertex probe and the rhombi give each vertex
+    the same edges; the fundamental forest reads its up edges from the
+    census tables."""
     from oracles import edges_by_census
 
+    spec = ZonogonSpec(a)
+    census = FlipCensus(spec)
     for t, lib in _face_flip_tilings(a):
-        census = edges_by_census(t)
-        assert {v: lib.edges_at(v) for v in lib.vertices} == census
+        want = edges_by_census(t)
+        mask = census.mask(lib.vertices)
+        tables = {v: tuple(tuple(d for d, b in steps if mask & b)
+                           for steps in census.steps[census.index[v]])
+                  for v in lib.vertices}
+        assert tables == want
+        assert {v: edges_at(lib, v) for v in lib.vertices} == want
+        assert fundamental_forest(lib) == {
+            (v, up[0]) for v, (up, _) in want.items()
+            if len(up) == 1 and not spec.is_boundary_edge((v, up[0]))}
 
 
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)

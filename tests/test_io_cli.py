@@ -27,7 +27,6 @@ from zonorec import (
     enumerate_tilings,
     evaluate_path,
     initial_labeling,
-    move_at,
     random_tiling,
     render_svg,
     symbolic_labeling,
@@ -39,7 +38,7 @@ from zonorec.cli import build_parser, main
 from zonorec.flips import fundamental_forest
 from zonorec.laurent import LaurentPoly
 
-from oracles import replay
+from oracles import move_at, replay
 
 
 def test_tiling_json_round_trip():

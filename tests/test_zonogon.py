@@ -10,10 +10,17 @@ from zonorec import (
     tiling_with_cube_faces,
     validate_tiling,
 )
-from zonorec.flips import FlipMove, flippable_vertices
+from zonorec.flips import FlipMove
 from zonorec.zonogon import rhombus_corners
 
-from oracles import cross, cube_bottom_faces, cube_list, cube_top_faces, t_min_vertices
+from oracles import (
+    cross,
+    cube_bottom_faces,
+    cube_list,
+    cube_top_faces,
+    flippable_vertices,
+    t_min_vertices,
+)
 from paper_lemmas import LiftError, lift_decomposition
 
 HEX = ZonogonSpec((1, 1, 1))
