@@ -188,7 +188,8 @@ def _verify_laurent(args) -> str:
     if failures := engine.verify_cube_relations(total):
         raise engine.cube_error(*failures[0])
     rng = random.Random(args.seed)
-    point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in t0.vertices}
+    point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+             for v in sorted(t0.vertices)}
     rat = engine.extend_to_lattice(engine.initial_labeling(t0, engine.RATIONAL, point),
                                    moves)
     for p in spec.lattice_points():
@@ -215,7 +216,7 @@ def _verify_tropical(args) -> str:
     met = 0
     last_report = None
     for _ in range(args.samples):
-        values = {v: rng.randint(-5, 5) for v in t0.vertices}
+        values = {v: rng.randint(-5, 5) for v in sorted(t0.vertices)}
         lab = engine.extend_to_lattice(
             engine.initial_labeling(t0, engine.TROPICAL, values), moves)
         report = tropical.check_propagation(lab, w, g)

@@ -433,15 +433,15 @@ def test_cli_run_tropical_mixed_output_is_pinned(tmp_path, a, seed, digest):
 
 @pytest.mark.parametrize("argv, line", [
     (["tropical", "--A", "2,2,1", "--seed", "5", "--samples", "150"],
-     "tropical: 19/150 samples met the cutcurve hypothesis; wall inequalities held on "
+     "tropical: 17/150 samples met the cutcurve hypothesis; wall inequalities held on "
      "every edge"),
     (["tropical", "--A", "2,2,1", "--seed", "7", "--samples", "40"],
-     "tropical: 2/40 samples met the cutcurve hypothesis; wall inequalities held on "
+     "tropical: 4/40 samples met the cutcurve hypothesis; wall inequalities held on "
      "every edge"),
     (["tropical", "--A", "3,2,2", "--seed", "2", "--s", "1", "--c", "2", "--samples", "60"],
-     "tropical: 2/60 samples met the cutcurve hypothesis; wall inequalities held on "
+     "tropical: 3/60 samples met the cutcurve hypothesis; wall inequalities held on "
      "every edge"),
-    (["tropical", "--A", "2,2,1", "--seed", "1"],
+    (["tropical", "--A", "2,2,1", "--seed", "3"],
      "tropical: hypothesis not met on any of 25 samples (wall s=1, c=1)"),
     (["tropical", "--A", "2,1,2", "--seed", "11", "--samples", "3", "--json"],
      '{"hypothesis_ok": false, "violations": [], "hypothesis_witness": '
@@ -457,6 +457,39 @@ def test_cli_verify_lines_are_pinned(capsys, argv, line):
     max-plus values and spin coordinates are `int`s or `Fraction`s."""
     assert main(["verify", *argv]) == 0
     assert capsys.readouterr().out == line + "\n"
+
+
+class _ReversedSet(frozenset):
+    """A vertex set that iterates in the reverse of its own order."""
+
+    def __iter__(self):
+        return reversed(list(super().__iter__()))
+
+
+def test_cli_verify_draws_follow_sorted_vertices(monkeypatch, capsys):
+    """`verify laurent` and `verify tropical` draw their values over t_min's
+    vertices in sorted order, so their lines do not follow the iteration
+    order of its vertex set."""
+    import zonorec.zonogon
+
+    argvs = [["verify", "tropical", "--A", "2,2,1", "--seed", "5", "--samples", "150"],
+             ["verify", "laurent", "--A", "2,2,1", "--seed", "3"]]
+
+    def lines():
+        for argv in argvs:
+            assert main(argv) == 0
+        return capsys.readouterr().out
+
+    want = lines()
+    t_min_of = zonorec.zonogon.t_min
+
+    def reversed_t_min(spec):
+        return Tiling.from_vertices(spec, _ReversedSet(t_min_of(spec).vertices))
+
+    monkeypatch.setattr(zonorec.zonogon, "t_min", reversed_t_min)
+    spec = ZonogonSpec((2, 2, 1))
+    assert list(reversed_t_min(spec).vertices) == list(t_min_of(spec).vertices)[::-1]
+    assert lines() == want
 
 
 @pytest.mark.parametrize("argv", [
