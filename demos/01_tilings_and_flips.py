@@ -65,7 +65,6 @@ path = normalize_to_min(t)
 print("downward flips to the minimal tiling:", len(path),
       "= phi difference:", phi(t) - phi(t_min(spec)))
 
-out = os.path.join(os.path.dirname(__file__), "octagon.svg")
-with open(out, "w") as fh:
+with open(os.path.join(os.path.dirname(__file__), "octagon.svg"), "w") as fh:
     fh.write(render_svg(t_min(octagon), labels=True, forest=True))
-print("wrote", out)
+print("wrote octagon.svg")
