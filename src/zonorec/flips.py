@@ -163,8 +163,10 @@ class FlipCensus:
     """The moves of a spec's tilings, up and down, or only the up moves with
     `up_only`; each tiling is a bitmask over the sorted lattice points (bit i
     for point i).  A pivot's move depends only on which of its lattice
-    neighbours are vertices, so it is built once per (pivot, neighbour bits),
-    and one census serves every walk on the spec that a command makes."""
+    neighbours are vertices, so a census builds it once per (pivot,
+    neighbour bits).  It is the one move finder: random walks, enumeration,
+    `normalize_to_min` and the fundamental forest read their moves or edges
+    from it."""
 
     def __init__(self, spec: ZonogonSpec, up_only: bool = False):
         self.up_only = up_only
