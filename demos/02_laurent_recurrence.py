@@ -45,7 +45,7 @@ print("largest Laurent value has", len(widest.terms), "terms; every division",
 print()
 print("== the same recurrence over exact rationals, and the commuting square ==")
 rng = random.Random(0)
-point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in tm.vertices}
+point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in sorted(tm.vertices)}
 rational = extend_to_lattice(initial_labeling(tm, RATIONAL, point), moves)
 agree = all(
     total.values[p].evaluate(point) == rational.values[p]
@@ -68,7 +68,7 @@ print()
 print("== max-plus: plus becomes max, times becomes plus ==")
 tropical = extend_to_lattice(
     initial_labeling(tm, TROPICAL,
-                     {v: Fraction(rng.randint(-5, 5)) for v in tm.vertices}),
+                     {v: Fraction(rng.randint(-5, 5)) for v in sorted(tm.vertices)}),
     moves,
 )
 print("tropical extension satisfies the max-plus cube relation:",

@@ -45,7 +45,7 @@ moves = extension_moves(tm)  # one flip schedule serves every sample
 met = tried = 0
 while met < 25:
     tried += 1
-    data = {v: Fraction(rng.randint(-5, 5)) for v in tm.vertices}
+    data = {v: Fraction(rng.randint(-5, 5)) for v in sorted(tm.vertices)}
     lab = extend_to_lattice(initial_labeling(tm, TROPICAL, data), moves)
     report = check_propagation(lab, wall, g)
     if report.hypothesis_ok:

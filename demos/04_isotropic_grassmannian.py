@@ -63,7 +63,7 @@ print()
 print("== recurrence values are spin coordinates after the sign twist ==")
 spec = ZonogonSpec((1,) * n)
 tm = t_min(spec)
-vals = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in tm.vertices}
+vals = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in sorted(tm.vertices)}
 lab = extend_to_lattice(initial_labeling(tm, RATIONAL, vals))
 coords = {sum(b << i for i, b in enumerate(p)): lab.values[p]
           for p in spec.lattice_points()}

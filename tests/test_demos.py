@@ -13,7 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 STDOUT_SHA256 = {
     "01_tilings_and_flips": "15ab6abf324c95c3d8f2b9208fcdbb034d66ee85779517204052098fbb421612",
     "02_laurent_recurrence": "75bf436ef474172996b8caf8be1f0330614ba84acb498d222420a29ba2bd1616",
-    "03_tropical_propagation": "990ecb56e34eefdc497eb73639f7f9ea02785e9ef90d3e01747348130759fbca",
+    "03_tropical_propagation": "aedbf179098ec4ffeaa623635e81a620c025db338d541d36245531473338eba6",
     "04_isotropic_grassmannian": "eedf455246f86b68b98e73869f8ff452d28bea5bcff83f178447bd84432b8e66",
 }
 
