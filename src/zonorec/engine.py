@@ -134,7 +134,7 @@ def symbolic_labeling(t: Tiling) -> Labeling:
 
 def initial_labeling(t: Tiling, domain, values: dict) -> Labeling:
     vals = {}
-    for v in t.vertices:
+    for v in sorted(t.vertices):
         if v not in values:
             raise DomainError(f"initial labeling misses vertex {v}")
         try:

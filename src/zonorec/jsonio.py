@@ -193,10 +193,10 @@ def labeling_from_json(data: dict, tiling: Tiling) -> Labeling:
             values[vertex] = laurent_from_json(item["value"])
         else:
             values[vertex] = _fraction_from_json(item["value"])
-    extra = [v for v in values if v not in tiling.vertices]
+    extra = sorted(v for v in values if v not in tiling.vertices)
     if extra:
         raise ValueError(f"labeling has values at {extra}, which are not tiling vertices")
-    missing = [v for v in tiling.vertices if v not in values]
+    missing = sorted(v for v in tiling.vertices if v not in values)
     if missing:
         raise ValueError(f"labeling misses tiling vertices {missing}")
     return initial_labeling(tiling, domain, values)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -490,6 +491,38 @@ def test_cli_verify_draws_follow_sorted_vertices(monkeypatch, capsys):
     spec = ZonogonSpec((2, 2, 1))
     assert list(reversed_t_min(spec).vertices) == list(t_min_of(spec).vertices)[::-1]
     assert lines() == want
+
+
+def test_labeling_errors_name_the_least_bad_vertices():
+    """`initial_labeling` and the labeling decoder name the least of two bad
+    vertices, or list both in sorted order, so their messages do not follow
+    the iteration order of the vertex set."""
+    spec = ZonogonSpec((2, 2, 1))
+    messages = []
+    for order in (frozenset, _ReversedSet):
+        t = t_min(spec)
+        t.vertices = order(t.vertices)
+        vs = sorted(t.vertices)
+        bad = vs[2:4]
+        outside = order(sorted(p for p in product(range(3), range(3), range(2))
+                               if p not in t.vertices)[:2])
+        ones = {v: 1 for v in t.vertices}
+        got = []
+        with pytest.raises(DomainError) as missed:
+            initial_labeling(t, RATIONAL, {v: 1 for v in t.vertices if v not in bad})
+        with pytest.raises(DomainError) as invalid:
+            initial_labeling(t, RATIONAL, {**ones, **{v: -1 for v in order(bad)}})
+        got += [str(missed.value), str(invalid.value)]
+        for values in ({**ones, **{p: 1 for p in outside}},
+                       {v: 1 for v in t.vertices if v not in bad}):
+            data = {"A": [2, 2, 1], "domain": "rational",
+                    "values": [{"vertex": list(v), "value": x} for v, x in values.items()]}
+            with pytest.raises(ValueError) as decoded:
+                jsonio.labeling_from_json(data, t)
+            got.append(str(decoded.value))
+        messages.append(got)
+    assert list(_ReversedSet(vs)) == list(frozenset(vs))[::-1]
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("argv", [
