@@ -24,7 +24,7 @@ from zonorec.flips import FlipCensus
 
 def flips(census, t):
     """t's flip moves: one per pivot, found on t's vertex bitmask."""
-    return [flip.move for flip in census.all(census.mask(t.vertices)).values()]
+    return [flip.move for flip in census.all(t.mask).values()]
 
 
 print("== the hexagon (three directions, all multiplicities 1) ==")

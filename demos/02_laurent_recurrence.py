@@ -49,7 +49,7 @@ point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in sorted(tm.ve
 rational = extend_to_lattice(initial_labeling(tm, RATIONAL, point), moves)
 agree = all(
     total.values[p].evaluate(point) == rational.values[p]
-    for p in spec.lattice_points()
+    for p in spec.points
 )
 print("evaluate(symbolic) == rational run at a random positive point:", agree)
 print("positivity preserved:", all(x > 0 for x in rational.values.values()))

@@ -66,7 +66,7 @@ tm = t_min(spec)
 vals = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in sorted(tm.vertices)}
 lab = extend_to_lattice(initial_labeling(tm, RATIONAL, vals))
 coords = {sum(b << i for i, b in enumerate(p)): lab.values[p]
-          for p in spec.lattice_points()}
+          for p in spec.points}
 pt = sign_twist(Spinor(n, [coords[m] for m in range(1 << n)]))
 print("twisted recurrence labeling satisfies the bilinear equations:",
       verify_trbi(pt) == [])

@@ -192,7 +192,7 @@ def _verify_laurent(args) -> str:
              for v in sorted(t0.vertices)}
     rat = engine.extend_to_lattice(engine.initial_labeling(t0, engine.RATIONAL, point),
                                    moves)
-    for p in spec.lattice_points():
+    for p in spec.points:
         if total.values[p].evaluate(point) != rat.values[p]:
             raise CliError(f"symbolic/rational mismatch at {p}", EXIT_DOMAIN)
     return (f"laurent: A={spec.a}: all {spec.vertex_count} initial + "

@@ -217,7 +217,7 @@ def extension_moves(t0: Tiling) -> list:
     down0 = normalize_to_min(t0)
     schedule: dict = {}
     labelled = set(t0.vertices)
-    for p in sorted(spec.lattice_points()):
+    for p in spec.points:
         if p in labelled:
             continue
         up = normalize_to_min(tiling_through_vertex(spec, p))
@@ -245,7 +245,7 @@ def extend_to_lattice(labeling: Labeling, moves: list | None = None) -> Labeling
     out = labeling.copy()
     for move in moves:
         _derive(out, move)
-    missing = next((p for p in labeling.spec.lattice_points() if p not in out.values), None)
+    missing = next((p for p in labeling.spec.points if p not in out.values), None)
     if missing is not None:
         raise DomainError(f"the flip schedule leaves {missing} unlabelled")
     return out

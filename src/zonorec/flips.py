@@ -88,8 +88,7 @@ class FlipMove:
 
 def fundamental_forest(t: Tiling) -> frozenset:
     """The internal edges (I, I+e_j) that are the sole up-edge at I."""
-    census = FlipCensus(t.spec)
-    mask = census.mask(t.vertices)
+    census, mask = FlipCensus(t.spec), t.mask
     edges = set()
     for v in t.vertices:
         up = [d for d, b in census.steps[census.index[v]][0] if mask & b]
@@ -118,11 +117,15 @@ def _pivot_move(at: Point, up, down) -> FlipMove | None:
 def apply_move(t: Tiling, move: FlipMove) -> Tiling:
     """Swap the move's removed vertex for its created one.  It applies when the
     hexagon corners o, j, l, jk, kl, jkl are vertices and `created` is not."""
-    vs = t.vertices
-    removed, created = move.removed, move.created
-    if created in vs or removed not in vs or not vs.issuperset(move.corners[:6]):
+    index = t.spec.index
+    try:
+        hexagon = sum(1 << index[p] for p in move.corners[:6])
+        removed, created = 1 << index[move.removed], 1 << index[move.created]
+    except KeyError:  # the cube leaves the box
+        raise FlipError("not applicable", move) from None
+    if t.mask & (hexagon | removed | created) != hexagon | removed:
         raise FlipError("not applicable", move)
-    return Tiling.from_vertices(t.spec, vs - {removed} | {created})
+    return Tiling.from_mask(t.spec, t.mask ^ removed ^ created)
 
 
 def _rhombi_after(rhombi: tuple, move: FlipMove) -> tuple:
@@ -161,17 +164,15 @@ class _Flip:
 
 class FlipCensus:
     """The moves of a spec's tilings, up and down, or only the up moves with
-    `up_only`; each tiling is a bitmask over the sorted lattice points (bit i
-    for point i).  A pivot's move depends only on which of its lattice
-    neighbours are vertices, so a census builds it once per (pivot,
-    neighbour bits).  It is the one move finder: random walks, enumeration,
-    `normalize_to_min` and the fundamental forest read their moves or edges
-    from it."""
+    `up_only`; each tiling is its `Tiling.mask`.  A pivot's move depends only
+    on which of its lattice neighbours are vertices, so a census builds it
+    once per (pivot, neighbour bits).  It is the one move finder: random
+    walks, enumeration, `normalize_to_min` and the fundamental forest read
+    their moves or edges from it."""
 
     def __init__(self, spec: ZonogonSpec, up_only: bool = False):
         self.up_only = up_only
-        self.points = list(spec.lattice_points())  # product order: sorted
-        self.index = {p: i for i, p in enumerate(self.points)}
+        self.points, self.index = spec.points, spec.index
         self.internal = [p not in spec.boundary_vertices for p in self.points]
         # per point: the (direction, bit) of its lattice neighbours above and
         # below it, and the mask of them all
@@ -184,9 +185,6 @@ class FlipCensus:
 
     def bit(self, p: Point) -> int:
         return 1 << self.index[p]
-
-    def mask(self, vertices) -> int:
-        return sum(map(self.bit, vertices))
 
     def at(self, mask: int, i: int) -> _Flip | None:
         """The move pivoting at internal vertex i of the tiling `mask`: None
@@ -241,13 +239,12 @@ def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> list:
     up moves, re-examining only the created point and the six hexagon corners
     after a flip, and its sorted rhombi (`canonical_rhombi`), so neither is
     derived from the vertex set.  `apply_move` builds each tiling found once.
-    A tiling found keeps only its sorted rhombi, so memory follows the number
-    of tilings and not their vertex sets."""
+    A tiling found keeps only its sorted rhombi and its mask, so memory
+    follows the number of tilings and not their vertex sets."""
     census = FlipCensus(spec, up_only=True)
     start = t_min(spec)
-    mask = census.mask(start.vertices)
-    found = [start.canonical_rhombi()]
-    rank = {mask: (start, census.all(mask))}
+    found = [(start.canonical_rhombi(), start.mask)]
+    rank = {start.mask: (start, census.all(start.mask))}
     while rank:
         nxt: dict = {}
         for mask, (t, moves) in rank.items():
@@ -255,15 +252,15 @@ def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> list:
                 mask2 = up.apply(mask)
                 if mask2 in nxt:
                     continue
-                t2 = Tiling.from_vertices(spec, apply_move(t, up.move).vertices,
-                                          _rhombi_after(t.canonical_rhombi(), up.move))
+                t2 = Tiling.from_mask(spec, apply_move(t, up.move).mask,
+                                      _rhombi_after(t.canonical_rhombi(), up.move))
                 nxt[mask2] = (t2, census.after(moves, up, mask2))
                 if len(found) + len(nxt) > cap:
                     raise CapExceeded(f"more than {cap} tilings")
         rank = nxt
-        found.extend(t.canonical_rhombi() for t, _ in rank.values())
-    found.sort()
-    return [Tiling.from_sorted_rhombi(spec, rhombi) for rhombi in found]
+        found.extend((t.canonical_rhombi(), mask) for mask, (t, _) in rank.items())
+    found.sort(key=lambda pair: pair[0])
+    return [Tiling.from_mask(spec, mask, rhombi) for rhombi, mask in found]
 
 
 def random_tiling(spec: ZonogonSpec, rng: random.Random,
@@ -274,15 +271,14 @@ def random_tiling(spec: ZonogonSpec, rng: random.Random,
     a caller that draws many tilings of one spec passes them one `census`."""
     if census is None:
         census = FlipCensus(spec)
-    mask = census.mask(t_min(spec).vertices)
+    mask = t_min(spec).mask
     moves = census.all(mask)
     steps = 3 * spec.rhombus_count + rng.randrange(spec.rhombus_count + 1)
     for _ in range(steps):
         flip = moves[rng.choice(sorted(moves))]
         mask = flip.apply(mask)
         moves = census.after(moves, flip, mask)
-    return Tiling.from_vertices(spec, frozenset(
-        p for i, p in enumerate(census.points) if mask >> i & 1))
+    return Tiling.from_mask(spec, mask)
 
 
 def normalize_to_min(t: Tiling, rng: random.Random | None = None) -> list:
@@ -290,8 +286,7 @@ def normalize_to_min(t: Tiling, rng: random.Random | None = None) -> list:
     point) each step, or at rng's choice of the leaves in sorted order.  The
     walk finds its moves on vertex bitmasks with a census of its own."""
     spec = t.spec
-    census = FlipCensus(spec)
-    mask = census.mask(t.vertices)
+    census, mask = FlipCensus(spec), t.mask
     moves = census.all(mask)
     out = []
     while down := [i for i, flip in moves.items() if flip.move.direction == "down"]:

@@ -37,7 +37,7 @@ class Wall:
     def edges(self) -> tuple:
         """Every edge (p, i) of the wall, in lattice order."""
         spec, s = self.spec, self.s
-        return tuple((p, i) for p in spec.lattice_points() if p[s] == self.c
+        return tuple((p, i) for p in spec.points if p[s] == self.c
                      for i in range(spec.n) if i != s and p[i] < spec.a[i])
 
     @cached_property

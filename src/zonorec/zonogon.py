@@ -6,7 +6,7 @@ strictly increasing angles in (0, pi).  The lattice box ``Pi = prod {0..a_i}``
 projects onto the zonogon ``P`` via ``I -> sum_i I_i * v_i``; a tiling is a
 set of unit rhombi (base point plus an unordered direction pair) whose
 projection decomposes P, and is determined by the set of their corners, its
-vertices.
+vertices, held as a bitmask over the box's sorted lattice points.
 
 Everything here is exact: direction vectors are integer pairs, so all
 geometric predicates (left/right, higher/lower, incidence) are integer
@@ -86,8 +86,16 @@ class ZonogonSpec:
     def height(self, p: Point):
         return sum(c * v[1] for c, v in zip(p, self.vectors))
 
-    def lattice_points(self):
-        return (tuple(p) for p in product(*(range(m + 1) for m in self.a)))
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        """The lattice points of the box in product order, which is sorted;
+        bit i of a tiling's `mask` is `points[i]`."""
+        return tuple(product(*(range(m + 1) for m in self.a)))
+
+    @cached_property
+    def index(self) -> dict:
+        """Each lattice point's position in `points`."""
+        return {p: i for i, p in enumerate(self.points)}
 
     @property
     def rhombus_count(self) -> int:
@@ -132,8 +140,8 @@ class ZonogonSpec:
         direction triple and then base in lattice order.  The corners are in
         `FlipMove.corners` order: the hexagon o, j, l, jk, kl, jkl, then k and
         jl.  Each lattice point is one tuple shared by all its cubes."""
-        points = list(self.lattice_points())
-        stride = [1] * self.n  # lattice_points() runs the last coordinate fastest
+        points = self.points
+        stride = [1] * self.n  # points runs the last coordinate fastest
         for i in range(self.n - 2, -1, -1):
             stride[i] = stride[i + 1] * (self.a[i + 1] + 1)
         out = []
@@ -152,58 +160,46 @@ def rhombus_corners(rh: Rhombus) -> tuple[Point, Point, Point, Point]:
 
 
 class Tiling:
-    """A rhombus tiling, identified by its vertex set: its rhombi are the unit
+    """A rhombus tiling, identified by its vertex set, held as `mask`: bit i
+    is set when `spec.points[i]` is a vertex.  Its rhombi are the unit
     parallelograms with four vertex corners.  `Tiling(spec, rhombi)` keeps the
-    given rhombi, for `validate_tiling`; `from_vertices` derives them on use,
-    and `from_sorted_rhombi` derives the vertices on use."""
+    given rhombi, for `validate_tiling`, and derives its vertices and mask
+    on first use; `from_mask` derives the vertices and rhombi on use."""
 
     def __init__(self, spec: ZonogonSpec, rhombi):
         self.spec = spec
         self.rhombi = frozenset(
             (tuple(base), (min(d), max(d))) for base, d in rhombi
         )
-        out = set()
-        for rh in self.rhombi:
-            out.update(rhombus_corners(rh))
-        self.vertices = frozenset(out)
 
     @classmethod
-    def from_vertices(cls, spec: ZonogonSpec, vertices: frozenset,
-                      sorted_rhombi: tuple | None = None) -> "Tiling":
-        """The tiling with these vertices; a caller that knows its rhombi in
-        sorted order passes them, and `canonical_rhombi` returns them."""
+    def from_mask(cls, spec: ZonogonSpec, mask: int,
+                  sorted_rhombi: tuple | None = None) -> "Tiling":
+        """The tiling with this vertex bitmask; a caller that knows its rhombi
+        in sorted order passes them, and `canonical_rhombi` returns them."""
         t = cls.__new__(cls)
         t.spec = spec
-        t.vertices = vertices
+        t.mask = mask
         if sorted_rhombi is not None:
             t._sorted_rhombi = sorted_rhombi
-        return t
-
-    @staticmethod
-    def from_sorted_rhombi(spec: ZonogonSpec, sorted_rhombi: tuple) -> "Tiling":
-        """The tiling with these rhombi, given in sorted order and returned by
-        `canonical_rhombi`; it holds no vertex set until one is asked for."""
-        t = _TilingOfRhombi.__new__(_TilingOfRhombi)
-        t.spec = spec
-        t._sorted_rhombi = sorted_rhombi
         return t
 
     def __eq__(self, other):
         return (
             isinstance(other, Tiling)
             and self.spec == other.spec
-            and self.vertices == other.vertices
+            and self.mask == other.mask
         )
 
     def __hash__(self):
-        return hash((self.spec, self.vertices))
+        return hash((self.spec, self.mask))
 
     def __repr__(self):
         return f"Tiling({self.spec!r}, {len(self.vertices)} vertices)"
 
     def canonical_rhombi(self) -> tuple[Rhombus, ...]:
         """The rhombi in sorted order, computed once unless given to
-        `from_vertices` or `from_sorted_rhombi`."""
+        `from_mask`."""
         return self._sorted_rhombi
 
     @cached_property
@@ -211,28 +207,30 @@ class Tiling:
         return tuple(sorted(self.rhombi))
 
     @cached_property
-    def rhombi(self) -> frozenset:
-        vs, out = self.vertices, []
-        for v in vs:
-            for j, k in combinations(self._up_dirs(v), 2):
-                if v[:j] + (v[j] + 1,) + v[j + 1:k] + (v[k] + 1,) + v[k + 1:] in vs:
-                    out.append((v, (j, k)))
-        return frozenset(out)
-
-    def _up_dirs(self, v: Point) -> list[int]:
-        """The d with v + e_d a vertex (probed by slicing: this is a hot loop)."""
-        return [d for d, c in enumerate(v) if v[:d] + (c + 1,) + v[d + 1:] in self.vertices]
-
-
-class _TilingOfRhombi(Tiling):
-    """A tiling that derives its vertex set from its sorted rhombi on first
-    use.  `vertices` is a descriptor on this class only: CPython 3.11 does not
-    specialise reads of an instance attribute that shadows one, so on `Tiling`
-    it would slow every vertex probe."""
+    def mask(self) -> int:
+        index = self.spec.index
+        return sum(1 << index[p] for p in self.vertices)
 
     @cached_property
     def vertices(self) -> frozenset:
-        return frozenset(p for rh in self._sorted_rhombi for p in rhombus_corners(rh))
+        """The corners of the rhombi the tiling was built with, which needs
+        no index of the box, or else the points of its mask's bits."""
+        if "mask" not in vars(self):
+            return frozenset(p for rh in self.rhombi for p in rhombus_corners(rh))
+        bits = bin(self.mask)[:1:-1]  # bits[i] is bit i
+        return frozenset(p for p, b in zip(self.spec.points, bits) if b == "1")
+
+    @cached_property
+    def rhombi(self) -> frozenset:
+        """The (v, (j, k)) with v + e_j, v + e_k and v + e_j + e_k vertices
+        (probed by slicing: this is a hot loop)."""
+        vs, out = self.vertices, []
+        for v in vs:
+            up = [d for d, c in enumerate(v) if v[:d] + (c + 1,) + v[d + 1:] in vs]
+            for j, k in combinations(up, 2):
+                if v[:j] + (v[j] + 1,) + v[j + 1:k] + (v[k] + 1,) + v[k + 1:] in vs:
+                    out.append((v, (j, k)))
+        return frozenset(out)
 
 
 def phi(t: Tiling) -> int:

@@ -72,7 +72,7 @@ def test_acceptance_01_octagon_census():
     edges = set()
     for t in tilings:
         nbrs = set()
-        for flip in census.all(census.mask(t.vertices)).values():
+        for flip in census.all(t.mask).values():
             t2 = apply_move(t, flip.move)
             assert t2 in tilings
             nbrs.add(t2)
@@ -193,7 +193,7 @@ def test_acceptance_04_laurentness():
         spec = ZonogonSpec(a)
         tm = t_min(spec)
         total = extend_to_lattice(symbolic_labeling(tm))
-        assert all(p in total.values for p in spec.lattice_points())
+        assert all(p in total.values for p in spec.points)
         assert verify_cube_relations(total) == []
         for p, poly in total.values.items():
             assert poly  # nonzero Laurent polynomial; divisions were exact
@@ -203,7 +203,7 @@ def test_acceptance_04_laurentness():
                 for v in tm.vertices
             }
             rational = extend_to_lattice(initial_labeling(tm, RATIONAL, point))
-            for p in spec.lattice_points():
+            for p in spec.points:
                 assert total.values[p].evaluate(point) == rational.values[p]
     _report(4, "laurentness", "4 specs symbolic, 5 evaluation points each",
             started, 180.0)
@@ -259,7 +259,7 @@ def test_acceptance_07_marked_vertex_paths():
     spec = ZonogonSpec((2, 2, 2))
     rng = random.Random(7)
     every = enumerate_tilings(spec)
-    pts = [p for p in sorted(spec.lattice_points())
+    pts = [p for p in spec.points
            if sum(p in t.vertices for t in every) >= 2]
     for trial in range(10):
         marked = rng.choice(pts)
@@ -325,7 +325,7 @@ def test_acceptance_09_grassmannian():
         lab = extend_to_lattice(initial_labeling(tm, RATIONAL, vals))
         coords = {
             sum(b << i for i, b in enumerate(p)): lab.values[p]
-            for p in spec.lattice_points()
+            for p in spec.points
         }
         pt = sign_twist(Spinor(n, [coords[m] for m in range(1 << n)]))
         assert verify_trbi(pt) == []

@@ -201,7 +201,7 @@ def test_extend_random_rational_relations():
     vals = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in t.vertices}
     total = extend_to_lattice(initial_labeling(t, RATIONAL, vals))
     assert verify_cube_relations(total) == []
-    assert all(p in total.values for p in spec.lattice_points())
+    assert all(p in total.values for p in spec.points)
 
 
 def test_positivity_preserved():
@@ -333,7 +333,7 @@ def test_extension_moves_are_distinct_and_create_every_missing_point(a, seed):
     for move in moves:
         assert labelled.issuperset(move.corners[:6]) and move.removed in labelled, move
         labelled.add(move.created)
-    assert set(t0.spec.lattice_points()) - t0.vertices <= {m.created for m in moves}
+    assert set(t0.spec.points) - t0.vertices <= {m.created for m in moves}
 
 
 def test_tropical_extension_output_is_pinned():

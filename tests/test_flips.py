@@ -47,7 +47,7 @@ def _flips(t):
     """Pivot -> move for every flip of t, by the library's census."""
     census = FlipCensus(t.spec)
     return {census.points[i]: flip.move
-            for i, flip in census.all(census.mask(t.vertices)).items()}
+            for i, flip in census.all(t.mask).items()}
 
 
 def _pivots(t, direction):
@@ -134,7 +134,7 @@ def test_not_flippable_raises():
     """The census offers no flip at a boundary vertex, and a flip made twice
     no longer applies."""
     census = FlipCensus(HEX)
-    mask = census.mask(t_min(HEX).vertices)
+    mask = t_min(HEX).mask
     moves = census.all(mask)
     assert [census.points[i] for i in moves] == [(0, 1, 0)]
     up = moves[census.index[(0, 1, 0)]]
@@ -343,7 +343,7 @@ def test_connect_through_interior_marked():
     spec = ZonogonSpec((2, 2, 2))
     rng = random.Random(14)
     every = enumerate_tilings(spec)
-    pts = [p for p in sorted(spec.lattice_points())
+    pts = [p for p in spec.points
            if sum(p in t.vertices for t in every) >= 2]
     for trial in range(10):
         marked = rng.choice(pts)
@@ -415,7 +415,7 @@ def _face_flip_tilings(a):
     from oracles import tilings_by_face_flips
 
     spec = ZonogonSpec(a)
-    return [(t, Tiling.from_vertices(spec, t.vertices))
+    return [(t, Tiling.from_mask(spec, t.mask))
             for t in tilings_by_face_flips(spec)]
 
 
@@ -440,7 +440,7 @@ def test_carried_rhombi_equal_derived_rhombi(a):
     are the rhombi the vertex set gives."""
     spec = ZonogonSpec(a)
     for t in _enumerated(a):
-        derived = Tiling.from_vertices(spec, t.vertices).rhombi
+        derived = Tiling.from_mask(spec, t.mask).rhombi
         assert t.canonical_rhombi() == tuple(sorted(derived)), t
 
 
@@ -484,14 +484,14 @@ def test_carried_moves_match_census(a):
         return {census.points[i]: flip.move for i, flip in moves.items()}
 
     for _, t in _face_flip_tilings(a):
-        mask = census.mask(t.vertices)
+        mask = t.mask
         moves, ups = census.all(mask), up_census.all(mask)
         assert by_point(moves) == _census_moves(t), a
         assert by_point(ups) == _census_up_moves(t), a
         for flip in moves.values():
             t2 = apply_move(t, flip.move)
             mask2 = flip.apply(mask)
-            assert mask2 == census.mask(t2.vertices)
+            assert mask2 == t2.mask
             carried = census.after(moves, flip, mask2)
             assert by_point(carried) == _census_moves(t2), (a, flip.move)
             if flip.move.direction == "up":
@@ -547,6 +547,58 @@ def test_normalize_to_min_matches_the_census_walk_on_random_tilings(a):
         rng, oracle = random.Random(seed), random.Random(seed)
         assert normalize_to_min(t, rng) == normalize_to_min_by_census(t, oracle), seed
         assert rng.random() == oracle.random()
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2), (2, 2, 1, 1), (1, 1, 1, 1, 1), (3, 3, 3, 3),
+                               (4, 4, 4)], ids=_spec_id)
+def test_a_tiling_is_its_mask(a):
+    """A tiling found by the flip search or a random walk, the tiling of its
+    rhombi and the tiling of its mask are one state: equal, hash equal, with
+    the same vertices and rhombi."""
+    spec = ZonogonSpec(a)
+    if a in ORACLE_COUNTS:
+        tilings = _enumerated(a)
+    else:
+        tilings = [random_tiling(spec, random.Random(seed)) for seed in range(4)]
+    for t in tilings:
+        for built in (Tiling(spec, t.canonical_rhombi()), Tiling.from_mask(spec, t.mask)):
+            assert built == t and hash(built) == hash(t)
+            assert built.vertices == t.vertices and built.rhombi == t.rhombi
+            assert built.canonical_rhombi() == t.canonical_rhombi()
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2), (2, 2, 1, 1), (1, 1, 1, 1, 1)], ids=_spec_id)
+def test_apply_move_matches_the_vertex_set_flip(a):
+    """Every census move is the oracle's move at its pivot, and `apply_move`
+    swaps its removed vertex for its created one, as the oracle's flip does."""
+    from oracles import apply_flip
+
+    for t in _enumerated(a):
+        for pivot, move in _flips(t).items():
+            t2, oracle_move = apply_flip(t, pivot)
+            assert oracle_move == move
+            assert apply_move(t, move) == t2
+            assert t2.vertices == t.vertices - {move.removed} | {move.created}
+
+
+def test_apply_move_raises_off_the_box_and_when_made_twice():
+    """A move whose cube leaves the box never applies, whatever the tiling,
+    a move made twice does not apply the second time, and no move applies
+    where its created point is already a vertex."""
+    cube = FlipMove((0, 0, 0), (0, 1, 2), "up")
+    every_corner = Tiling(HEX, cube.faces[0] + cube.faces[1])  # not a tiling
+    for move in (cube, cube.inverse()):
+        with pytest.raises(FlipError, match="not applicable"):
+            apply_move(every_corner, move)
+    spec = ZonogonSpec((2, 1, 1))
+    for t in enumerate_tilings(spec):
+        for base in [(2, 0, 0), (-1, 0, 0), (0, 1, 0)]:
+            for direction in ("up", "down"):
+                with pytest.raises(FlipError, match="not applicable"):
+                    apply_move(t, FlipMove(base, (0, 1, 2), direction))
+        for move in _flips(t).values():
+            with pytest.raises(FlipError, match="not applicable"):
+                apply_move(apply_move(t, move), move)
 
 
 @pytest.mark.parametrize("a", [(2, 2, 2), (3, 2, 2), (3, 3, 3), (4, 3, 2)], ids=_spec_id)
@@ -622,9 +674,9 @@ def test_enumerate_cap_boundary(a):
 def test_derived_rhombi_equal_laid_rhombi(a):
     spec = ZonogonSpec(a)
     laid = [t for t, _ in _face_flip_tilings(a)]
-    laid += [tiling_through_vertex(spec, p) for p in spec.lattice_points()]
+    laid += [tiling_through_vertex(spec, p) for p in spec.points]
     for t in laid:
-        assert Tiling.from_vertices(spec, t.vertices).rhombi == t.rhombi
+        assert Tiling.from_mask(spec, t.mask).rhombi == t.rhombi
 
 
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
@@ -638,7 +690,7 @@ def test_edges_at_matches_rhombus_census(a):
     census = FlipCensus(spec)
     for t, lib in _face_flip_tilings(a):
         want = edges_by_census(t)
-        mask = census.mask(lib.vertices)
+        mask = lib.mask
         tables = {v: tuple(tuple(d for d, b in steps if mask & b)
                            for steps in census.steps[census.index[v]])
                   for v in lib.vertices}

@@ -485,7 +485,9 @@ def test_cli_verify_draws_follow_sorted_vertices(monkeypatch, capsys):
     t_min_of = zonorec.zonogon.t_min
 
     def reversed_t_min(spec):
-        return Tiling.from_vertices(spec, _ReversedSet(t_min_of(spec).vertices))
+        t = t_min_of(spec)
+        t.vertices = _ReversedSet(t.vertices)
+        return t
 
     monkeypatch.setattr(zonorec.zonogon, "t_min", reversed_t_min)
     spec = ZonogonSpec((2, 2, 1))
@@ -741,7 +743,8 @@ def test_cli_verify_confluence_draws_by_the_tiling(monkeypatch):
 
     monkeypatch.setattr(zonorec.engine, "initial_labeling", recording)
     for vertices in built:
-        tiling = Tiling.from_vertices(spec, vertices)
+        tiling = Tiling.from_mask(spec, t_min(spec).mask)
+        tiling.vertices = vertices
         monkeypatch.setattr(zonorec.flips, "random_tiling", lambda *args: tiling)
         assert main(["verify", "confluence", "--A", "2,2,1", "--trials", "1",
                      "--seed", "3"]) == 0

@@ -564,7 +564,7 @@ def test_twisted_recurrence_point_is_spinor_point():
         lab = extend_to_lattice(initial_labeling(t, RATIONAL, vals))
         coords = {
             sum(b << i for i, b in enumerate(p)): lab.values[p]
-            for p in spec.lattice_points()
+            for p in spec.points
         }
         pt = sign_twist(Spinor(n, [coords[m] for m in range(1 << n)]))
         assert verify_trbi(pt) == []
@@ -593,7 +593,7 @@ def test_trbi_witness_is_the_failing_cube_of_the_twisted_labeling():
             tw = sign_twist(pt).coords
             lab = Labeling(t_min(spec), RATIONAL,
                            {p: tw[sum(b << i for i, b in enumerate(p))]
-                            for p in spec.lattice_points()})
+                            for p in spec.points})
             violated = {(tuple(m >> i & 1 for i in range(n)), dirs)
                         for (m, dirs), _ in verify_trbi(pt)}
             assert violated

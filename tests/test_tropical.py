@@ -217,7 +217,7 @@ def test_shift_invariance_of_extension_and_inequalities():
     values = {v: Fraction(rng.randint(-5, 5)) for v in t.vertices}
     lab = tropical_extension(SPEC, values)
     shifted = tropical_extension(SPEC, {v: x + 7 for v, x in values.items()})
-    for p in SPEC.lattice_points():
+    for p in SPEC.points:
         assert shifted.values[p] == lab.values[p] + 7
     for e in WALL.edges:
         assert w_inequalities_hold(lab, WALL, e) == w_inequalities_hold(

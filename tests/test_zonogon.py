@@ -104,7 +104,7 @@ def test_validate_missing_rhombus_reports_edge():
 )
 def test_tiling_through_vertex_contains_target(a):
     spec = ZonogonSpec(a)
-    for p in spec.lattice_points():
+    for p in spec.points:
         t = tiling_through_vertex(spec, p)
         assert p in t.vertices
         assert validate_tiling(t).ok
@@ -154,7 +154,7 @@ def test_cube_table_lists_every_cube_with_its_shared_corners(a):
         assert corners[0] is base
         for p in corners:
             assert points.setdefault(p, p) is p
-    assert set(points) == set(spec.lattice_points())
+    assert set(points) == set(spec.points)
     assert spec.cubes is spec.cubes
 
 
