@@ -145,7 +145,9 @@ def test_cube_faces_contains_requested(side):
                                (2, 2, 2, 2, 2)])
 def test_cube_table_lists_every_cube_with_its_shared_corners(a):
     """The table lists the cubes in the order of the base ranges, each with
-    the corners of its up move, and a lattice point is one object in it."""
+    the corners of its up move, and a lattice point is one object in it.  The
+    spec's `points` are the box's lattice points in sorted order, and `index`
+    gives each one's position."""
     spec = ZonogonSpec(a)
     assert [(base, dirs) for base, dirs, _ in spec.cubes] == cube_list(spec)
     points = {}
@@ -154,7 +156,8 @@ def test_cube_table_lists_every_cube_with_its_shared_corners(a):
         assert corners[0] is base
         for p in corners:
             assert points.setdefault(p, p) is p
-    assert set(points) == set(spec.points)
+    assert list(spec.points) == sorted(points)
+    assert spec.index == {p: i for i, p in enumerate(spec.points)}
     assert spec.cubes is spec.cubes
 
 
