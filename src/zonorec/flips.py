@@ -238,12 +238,13 @@ def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> list:
     vertex bitmask.  Each tiling of the current and the next rank carries its
     up moves, re-examining only the created point and the six hexagon corners
     after a flip, and its sorted rhombi (`canonical_rhombi`), so neither is
-    derived from the vertex set.  `apply_move` builds each tiling found once.
-    A tiling found keeps only its sorted rhombi and its mask, so memory
-    follows the number of tilings and not their vertex sets."""
+    derived from the vertex set.  `apply_move` builds each tiling found once;
+    the search keeps the tiling it makes of that mask and the carried rhombi,
+    and returns those.  None of them holds a vertex set, so memory follows
+    the number of tilings and not their vertex sets."""
     census = FlipCensus(spec, up_only=True)
     start = t_min(spec)
-    found = [(start.canonical_rhombi(), start.mask)]
+    found = [start]
     rank = {start.mask: (start, census.all(start.mask))}
     while rank:
         nxt: dict = {}
@@ -258,9 +259,9 @@ def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> list:
                 if len(found) + len(nxt) > cap:
                     raise CapExceeded(f"more than {cap} tilings")
         rank = nxt
-        found.extend((t.canonical_rhombi(), mask) for mask, (t, _) in rank.items())
-    found.sort(key=lambda pair: pair[0])
-    return [Tiling.from_mask(spec, mask, rhombi) for rhombi, mask in found]
+        found.extend(t for t, _ in rank.values())
+    found.sort(key=Tiling.canonical_rhombi)
+    return found
 
 
 def random_tiling(spec: ZonogonSpec, rng: random.Random,

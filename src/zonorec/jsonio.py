@@ -5,7 +5,6 @@ Direction indices are 1-based on the wire and 0-based in memory.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
@@ -33,9 +32,17 @@ def tiling_to_json(t: Tiling) -> dict:
     }
 
 
-def _nested(obj, level: int) -> str:
-    """`json.dumps(obj, indent=1)` as it reads nested `level` deep."""
-    return json.dumps(obj, indent=1).replace("\n", "\n" + " " * level)
+class _RhombusBlocks(dict):
+    """Each rhombus's text in a `tile --enumerate` document, nested in its
+    tiling's "rhombi" list as `json.dumps(indent=1)` writes it; a block is
+    formatted on its first lookup."""
+
+    def __missing__(self, rh):
+        base, (j, k) = rh
+        coords = ",\n     ".join(map(str, base))
+        block = self[rh] = (f'   {{\n    "base": [\n     {coords}\n    ],\n'
+                            f'    "dirs": [\n     {j + 1},\n     {k + 1}\n    ]\n   }}')
+        return block
 
 
 def tilings_to_json(tilings, fh) -> None:
@@ -43,21 +50,16 @@ def tilings_to_json(tilings, fh) -> None:
     indent=1)` to the stream `fh`, one tiling at a time.
 
     With `indent` set, json runs its pure-Python encoder; here each distinct
-    rhombus and multiplicity vector is encoded once per call and each
-    document is joined from those text blocks.
+    multiplicity vector and rhombus is formatted once per call, and each
+    tiling's document is joined from those text blocks.
     """
-    heads, blocks, sep = {}, {}, "[\n"
+    heads, blocks, sep = {}, _RhombusBlocks(), "[\n"
     for t in tilings:
         a = t.spec.a
         if a not in heads:
-            heads[a] = ' {\n  "A": ' + _nested(list(a), 2) + ',\n  "rhombi": [\n'
-        rows = []
-        for rh in t.canonical_rhombi():
-            if rh not in blocks:
-                base, (j, k) = rh
-                blocks[rh] = "   " + _nested({"base": list(base), "dirs": [j + 1, k + 1]}, 3)
-            rows.append(blocks[rh])
-        fh.write(sep + heads[a] + ",\n".join(rows) + "\n  ]\n }")
+            heads[a] = ' {\n  "A": [\n   ' + ",\n   ".join(map(str, a)) + '\n  ],\n  "rhombi": [\n'
+        fh.write(sep + heads[a] + ",\n".join(map(blocks.__getitem__, t.canonical_rhombi()))
+                 + "\n  ]\n }")
         sep = ",\n"
     fh.write("[]" if sep == "[\n" else "\n]")
 

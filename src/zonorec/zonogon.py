@@ -208,8 +208,14 @@ class Tiling:
 
     @cached_property
     def mask(self) -> int:
+        """`ValueError` names the least vertex outside the box: rhombi given
+        to `Tiling(spec, rhombi)` are not checked until `validate_tiling`."""
         index = self.spec.index
-        return sum(1 << index[p] for p in self.vertices)
+        try:
+            return sum(1 << index[p] for p in self.vertices)
+        except KeyError:
+            p = min(p for p in self.vertices if p not in index)
+            raise ValueError(f"vertex {p} outside the box of {self.spec!r}") from None
 
     @cached_property
     def vertices(self) -> frozenset:

@@ -142,6 +142,20 @@ def test_tilings_to_json_matches_dumps(a):
         assert fh.getvalue() == tilings_json_by_dumps(some)
 
 
+def test_tilings_to_json_matches_dumps_on_two_digit_numbers():
+    """The formatted blocks hold coordinates and directions of two digits,
+    in the base of a rhombus and in A, as json writes them."""
+    from oracles import tilings_json_by_dumps
+
+    tilings = [t_min(ZonogonSpec((11, 1, 1))), t_min(ZonogonSpec((1,) * 11)),
+               tiling_through_vertex(ZonogonSpec((12, 2, 1)), (10, 1, 1))]
+    assert any(base[0] >= 10 for base, _ in tilings[2].canonical_rhombi())
+    fh = io.StringIO()
+    jsonio.tilings_to_json(tilings, fh)
+    assert fh.getvalue() == tilings_json_by_dumps(tilings)
+    assert '"dirs": [\n     10,\n     11\n    ]' in fh.getvalue()
+
+
 # the benchmark's enumerate workload writes these
 _ENUMERATE_SHA256 = {
     (3, 3, 3): "e3685b2e12d78ec6294a8f547395505c1b1e36c00ea440d0ce5ed208840fb9e4",

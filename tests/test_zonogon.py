@@ -99,6 +99,20 @@ def test_validate_missing_rhombus_reports_edge():
     assert any("edge" in v for v in report.violations)
 
 
+def test_a_vertex_outside_the_box_is_named():
+    """Rhombi given to `Tiling(spec, rhombi)` are checked only by
+    `validate_tiling`; a corner outside the box is a `ValueError` naming the
+    least such vertex and the box wherever the mask is read."""
+    from zonorec.flips import apply_move
+
+    t = Tiling(HEX, sorted(t_min(HEX).rhombi) + [((1, 1, 1), (0, 1))])
+    move = FlipMove((0, 0, 0), (0, 1, 2), "up")
+    message = r"vertex \(1, 2, 1\) outside the box of ZonogonSpec\(\[1, 1, 1\]\)"
+    for call in (lambda: t == t_min(HEX), lambda: hash(t), lambda: apply_move(t, move)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 @pytest.mark.parametrize(
     "a", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 1, 1, 1), (2, 2, 2), (1, 1, 1, 1, 1)]
 )
