@@ -17,6 +17,7 @@ from zonorec import (
     all_cutcurves,
     canonical_cutcurve,
     check_propagation,
+    cutcurve_points,
     elementary_move,
     extend_to_lattice,
     extension_moves,
@@ -30,11 +31,10 @@ wall = Wall(spec, 0, 1)
 print("wall: first coordinate fixed to", wall.c)
 
 g = canonical_cutcurve(wall)
-print("a cutcurve:", " -> ".join(map(str, g)))
-steps = [tuple(a - b for a, b in zip(q, p)) for p, q in zip(g, g[1:])]
-corner = next(i + 1 for i in range(len(steps) - 1) if steps[i] != steps[i + 1])
+print("a cutcurve:", " -> ".join(map(str, cutcurve_points(wall, g))))
+corner = next(t0 for t0 in range(1, len(g)) if g[t0 - 1] != g[t0])
 g2 = elementary_move(g, corner)
-print("after one elementary move:", " -> ".join(map(str, g2)))
+print("after one elementary move:", " -> ".join(map(str, cutcurve_points(wall, g2))))
 curves = all_cutcurves(wall)
 print("elementary moves reach all", len(curves), "cutcurves of this wall")
 

@@ -40,6 +40,7 @@ from .tropical import (
     Wall,
     canonical_cutcurve,
     validate_cutcurve,
+    cutcurve_points,
     elementary_move,
     all_cutcurves,
     w_inequalities_hold,

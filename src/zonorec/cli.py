@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the cube recurrence")
     p_run.add_argument("--tiling", required=True)
     p_run.add_argument("--labeling", required=True)
-    p_run.add_argument("--domain", choices=("rational", "laurent", "tropical"))
+    p_run.add_argument("--domain", choices=tuple(engine.DOMAINS))
     p_run.add_argument("--path", help="flip path JSON; default extends to the lattice")
     p_run.add_argument("--check", action="store_true",
                        help="also check the cube relation on every unit 3-cube "

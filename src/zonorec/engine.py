@@ -38,6 +38,16 @@ class DomainError(ArithmeticError):
                 f"{self.dirs}: {self.reason}")
 
 
+def _exact(a):
+    """`a`, unless it is a float: the recurrence computes exactly."""
+    if isinstance(a, float):
+        raise ValueError(f"{a!r} is a float, not an exact value")
+    return a
+
+
+_ZERO = "zero; the recurrence divides by initial values"
+
+
 class RationalDomain:
     name = "rational"
 
@@ -52,11 +62,12 @@ class RationalDomain:
             raise DomainError("division by zero")
         return a / b
 
-    def valid_initial(self, a):
-        return a > 0
-
     def coerce(self, a):
-        return Fraction(a)
+        """`a` as an initial value: an exact nonzero `Fraction`, else a
+        `ValueError`."""
+        if not (val := Fraction(_exact(a))):
+            raise ValueError(_ZERO)
+        return val
 
 
 class LaurentDomain(RationalDomain):
@@ -65,13 +76,13 @@ class LaurentDomain(RationalDomain):
     def div(self, a, b):
         return a.exact_div(b)
 
-    def valid_initial(self, a):
-        return bool(a)
-
     def coerce(self, a):
-        if isinstance(a, LaurentPoly):
-            return a
-        return LaurentPoly.const(a)
+        """`a` as an initial value: a nonzero `LaurentPoly` or integer, else a
+        `ValueError`."""
+        val = a if isinstance(a, LaurentPoly) else LaurentPoly.const(_exact(a))
+        if not val:
+            raise ValueError(_ZERO)
+        return val
 
 
 class TropicalDomain:
@@ -92,13 +103,11 @@ class TropicalDomain:
     def div(self, a, b):
         return a - b
 
-    def valid_initial(self, a):
-        return True
-
     def coerce(self, a):
+        """`a` as an initial value: any exact number, an `int` when integral."""
         if type(a) is int:
             return a
-        a = Fraction(a)
+        a = Fraction(_exact(a))
         return a.numerator if a.denominator == 1 else a
 
 
@@ -138,12 +147,9 @@ def initial_labeling(t: Tiling, domain, values: dict) -> Labeling:
         if v not in values:
             raise DomainError(f"initial labeling misses vertex {v}")
         try:
-            val = domain.coerce(values[v])
-        except ValueError as exc:
+            vals[v] = domain.coerce(values[v])
+        except (TypeError, ValueError) as exc:
             raise DomainError(f"invalid initial value at {v}: {exc}") from None
-        if not domain.valid_initial(val):
-            raise DomainError(f"invalid initial value at {v}: {val!r}")
-        vals[v] = val
     return Labeling(t, domain, vals)
 
 

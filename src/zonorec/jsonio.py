@@ -175,15 +175,17 @@ def labeling_to_json(labeling: Labeling) -> dict:
 
 
 def labeling_from_json(data: dict, tiling: Tiling) -> Labeling:
-    """Decode the initial labeling of `tiling`; each vertex must be n JSON
-    integers and each value a Laurent polynomial or a rational, and the
-    vertices must be exactly the tiling's vertices (`ValueError`).  A value
-    the domain does not take as initial is `engine.initial_labeling`'s
-    `DomainError`."""
+    """Decode the initial labeling of `tiling`; the domain must be a name in
+    `engine.DOMAINS`, each vertex n JSON integers and each value a Laurent
+    polynomial or a rational, and the vertices must be exactly the tiling's
+    vertices (`ValueError`).  A value the domain does not take as initial is
+    `engine.initial_labeling`'s `DomainError`."""
     spec = tiling.spec
     if tuple(spec.a) != tuple(data["A"]):
         raise ValueError("labeling multiplicities disagree with the spec")
-    domain = DOMAINS[data["domain"]]
+    if (domain := DOMAINS.get(data["domain"])) is None:
+        raise ValueError(f"unknown domain {data['domain']!r}; the known domains are "
+                         f"{', '.join(DOMAINS)}")
     values = {}
     for item in data["values"]:
         if not _ints(item["vertex"], spec.n):

@@ -1,7 +1,10 @@
 """Walls, cutcurves, and max-plus inequality propagation.
 
-A cutcurve is the tuple of its lattice points, from one end of the wall to
-the other.
+A cutcurve of the wall {i_s = c} is the word of its steps: it walks from
+`Wall.start`, down one unit in direction d for each d < s in the word and up
+one for each d > s, a_d times each in some order.  Any such word is a
+monotone path on the wall inside the box, so the multiset of its letters is
+all there is to check.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ class Wall:
             raise ValueError(f"wall offset {self.c} not in 1..{self.spec.a[self.s] - 1}")
 
     @cached_property
-    def ends(self) -> tuple:
-        """The first and the last point of every cutcurve of the wall."""
-        a, s, c = self.spec.a, self.s, self.c
-        return a[:s] + (c,) + (0,) * (len(a) - s - 1), (0,) * s + (c,) + a[s + 1:]
+    def start(self) -> tuple:
+        """The first point of every cutcurve of the wall."""
+        a, s = self.spec.a, self.s
+        return a[:s] + (self.c,) + (0,) * (len(a) - s - 1)
 
     @cached_property
     def edges(self) -> tuple:
@@ -53,61 +56,38 @@ class Wall:
             table[p, i] = q, (shift(p, s), shift(q, s, -1)), (shift(p, s, -1), shift(q, s))
         return table
 
-    @cached_property
-    def _cutcurve_edges(self) -> dict:
-        """Each cutcurve that `check_propagation` has validated on this wall,
-        mapped to its edges."""
-        return {}
-
 
 def canonical_cutcurve(w: Wall) -> tuple:
-    """The cutcurve taking all descending steps first, then ascending ones."""
+    """The wall's steps in sorted order: all descending steps first, then
+    ascending ones."""
     a = w.spec.a
-    pts = [w.ends[0]]
-    for d in range(w.s):
-        for _ in range(a[d]):
-            pts.append(shift(pts[-1], d, -1))
-    for d in range(w.s + 1, len(a)):
-        for _ in range(a[d]):
-            pts.append(shift(pts[-1], d, 1))
-    assert pts[-1] == w.ends[1]
+    return tuple(d for d in range(len(a)) if d != w.s for _ in range(a[d]))
+
+
+def validate_cutcurve(w: Wall, g: tuple) -> None:
+    """Raise `ValueError` unless `g` is a reordering of the wall's steps."""
+    steps = canonical_cutcurve(w)
+    if sorted(g) != list(steps):
+        raise ValueError(f"invalid cutcurve: {tuple(g)} is not an ordering of the "
+                         f"wall's steps {steps}")
+
+
+def cutcurve_points(w: Wall, g: tuple) -> tuple:
+    """The lattice points of the cutcurve `g`, from `w.start`."""
+    pts = [w.start]
+    for d in g:
+        pts.append(shift(pts[-1], d, 1 if d > w.s else -1))
     return tuple(pts)
 
 
-def validate_cutcurve(w: Wall, pts: tuple) -> None:
-    """Raise `ValueError` naming the first way `pts` fails to be a cutcurve
-    of the wall."""
-    start, end = w.ends
-    if not pts or pts[0] != start or pts[-1] != end:
-        raise ValueError(f"invalid cutcurve: endpoint: expected {start} .. {end}")
-    for t in range(1, len(pts)):
-        delta = tuple(a - b for a, b in zip(pts[t], pts[t - 1]))
-        ups = [i for i, d in enumerate(delta) if d == 1]
-        downs = [i for i, d in enumerate(delta) if d == -1]
-        legal = (
-            sum(abs(d) for d in delta) == 1
-            and (not ups or ups[0] > w.s)
-            and (not downs or downs[0] < w.s)
-        )
-        if not legal:
-            raise ValueError(f"invalid cutcurve: illegal step at position {t}: {delta}")
-        if not w.spec.contains(pts[t]):
-            raise ValueError(f"invalid cutcurve: point {pts[t]} outside the box")
-        if pts[t][w.s] != w.c:
-            raise ValueError(f"invalid cutcurve: point {pts[t]} leaves the wall")
-
-
-def elementary_move(pts: tuple, t0: int) -> tuple:
-    """Push the cutcurve across the square at position t0."""
-    if not 1 <= t0 <= len(pts) - 2:
+def elementary_move(g: tuple, t0: int) -> tuple:
+    """Push the cutcurve across the square at point t0: swap the steps before
+    and after it."""
+    if not 1 <= t0 <= len(g) - 1:
         raise ValueError("move position out of range")
-    a, b, c = pts[t0 - 1], pts[t0], pts[t0 + 1]
-    s1 = tuple(x - y for x, y in zip(b, a))
-    s2 = tuple(x - y for x, y in zip(c, b))
-    if s1 == s2:
+    if g[t0 - 1] == g[t0]:
         raise ValueError("collinear triple: no square to cross")
-    new = tuple(x + z - y for x, y, z in zip(a, b, c))
-    return pts[:t0] + (new,) + pts[t0 + 1:]
+    return g[:t0 - 1] + (g[t0], g[t0 - 1]) + g[t0 + 1:]
 
 
 def all_cutcurves(w: Wall):
@@ -117,7 +97,7 @@ def all_cutcurves(w: Wall):
     while frontier:
         nxt = []
         for g in frontier:
-            for t0 in range(1, len(g) - 1):
+            for t0 in range(1, len(g)):
                 try:
                     g2 = elementary_move(g, t0)
                 except ValueError:
@@ -158,11 +138,10 @@ def w_inequalities_hold(labeling: Labeling, w: Wall, edge) -> bool:
     return _holds(labeling.values, p, *row)
 
 
-def cutcurve_edges(pts: tuple):
-    for a, b in zip(pts, pts[1:]):
-        delta = tuple(x - y for x, y in zip(b, a))
-        i = next(k for k, d in enumerate(delta) if d)
-        yield (a, i) if delta[i] == 1 else (b, i)
+def cutcurve_edges(w: Wall, g: tuple) -> list:
+    """The wall edge (p, d) of each step d of the cutcurve `g`, p its lower end."""
+    pts = cutcurve_points(w, g)
+    return [(p, d) if d > w.s else (q, d) for p, q, d in zip(pts, pts[1:], g)]
 
 
 @dataclass
@@ -179,20 +158,16 @@ class PropagationReport:
 def check_propagation(labeling: Labeling, w: Wall, g: tuple) -> PropagationReport:
     """Verify that wall inequalities on the cutcurve `g` force them on the
     wall; a labeling that fails a cube relation raises the `DomainError`
-    naming the first failing cube.  Each cutcurve, a sequence of points, is
-    validated once per wall."""
+    naming the first failing cube."""
     if not isinstance(labeling.domain, TropicalDomain):
         raise ValueError("propagation checks run on tropical labelings")
     _check_box(labeling, w)
-    g = tuple(map(tuple, g))
-    g_edges = w._cutcurve_edges.get(g)
-    if g_edges is None:
-        validate_cutcurve(w, g)
-        g_edges = w._cutcurve_edges[g] = tuple(cutcurve_edges(g))
+    g = tuple(g)
+    validate_cutcurve(w, g)
     if failures := verify_cube_relations(labeling):
         raise cube_error(*failures[0])
     x, table = labeling.values, w.comparisons
-    for e in g_edges:
+    for e in cutcurve_edges(w, g):
         if not _holds(x, e[0], *table[e]):
             return PropagationReport(False, e, [])
     violations = [e for e, row in table.items() if not _holds(x, e[0], *row)]

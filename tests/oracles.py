@@ -978,3 +978,29 @@ def wall_inequalities_by_shifts(labeling, w, edge) -> tuple:
                                       (shift(p, s, -1), shift(q, s)))
                   if spec.contains(a) and spec.contains(b))
     return q, pairs, all(x[p] + x[q] >= x[a] + x[b] for a, b in pairs)
+
+
+def validate_cutcurve_points(w, pts: tuple) -> None:
+    """Raise `ValueError` naming the first way the points `pts` fail to be a
+    cutcurve of the wall: a path from (a_0..a_{s-1}, c, 0..0) to
+    (0..0, c, a_{s+1}..a_{n-1}) of unit steps, down in a direction before s
+    and up in one after it, that stays on the wall inside the box."""
+    a, s, c = w.spec.a, w.s, w.c
+    start, end = a[:s] + (c,) + (0,) * (len(a) - s - 1), (0,) * s + (c,) + a[s + 1:]
+    if not pts or pts[0] != start or pts[-1] != end:
+        raise ValueError(f"invalid cutcurve: endpoint: expected {start} .. {end}")
+    for t in range(1, len(pts)):
+        delta = tuple(x - y for x, y in zip(pts[t], pts[t - 1]))
+        ups = [i for i, d in enumerate(delta) if d == 1]
+        downs = [i for i, d in enumerate(delta) if d == -1]
+        legal = (
+            sum(abs(d) for d in delta) == 1
+            and (not ups or ups[0] > s)
+            and (not downs or downs[0] < s)
+        )
+        if not legal:
+            raise ValueError(f"invalid cutcurve: illegal step at position {t}: {delta}")
+        if not w.spec.contains(pts[t]):
+            raise ValueError(f"invalid cutcurve: point {pts[t]} outside the box")
+        if pts[t][s] != c:
+            raise ValueError(f"invalid cutcurve: point {pts[t]} leaves the wall")

@@ -47,6 +47,40 @@ def test_laurent_initial_labeling_rejects_non_integral_constant(c):
         initial_labeling(t, LAURENT, values)
 
 
+@pytest.mark.parametrize("domain", [RATIONAL, LAURENT, TROPICAL], ids=lambda d: d.name)
+def test_initial_labeling_refuses_a_float_naming_the_least_vertex(domain):
+    """No domain stores a float, not even one with an exact rational value
+    (0.1 would be 3602879701896397/36028797018963968); of two float values the
+    least vertex is named.  A value of no number type is the same
+    `DomainError`."""
+    t = t_min(HEX)
+    values = {v: 1 for v in t.vertices}
+    values[(1, 1, 0)] = 2.0
+    values[(0, 1, 0)] = 0.1
+    with pytest.raises(DomainError, match=r"^invalid initial value at \(0, 1, 0\): 0\.1 is "
+                       r"a float, not an exact value$"):
+        initial_labeling(t, domain, values)
+    values[(0, 1, 0)] = None
+    with pytest.raises(DomainError, match=r"^invalid initial value at \(0, 1, 0\): "):
+        initial_labeling(t, domain, values)
+
+
+@pytest.mark.parametrize("domain, zero", [(RATIONAL, Fraction(0)), (LAURENT, 0),
+                                          (LAURENT, L())], ids=["rational", "laurent-int",
+                                                                "laurent-poly"])
+def test_initial_labeling_refuses_zero_and_takes_a_negative(domain, zero):
+    """The recurrence divides by initial values, so zero is refused; any other
+    exact value, a negative one included, is taken.  Max-plus takes zero."""
+    t = t_min(HEX)
+    values = {v: -1 for v in t.vertices}
+    assert initial_labeling(t, domain, values).values[(0, 1, 0)] == domain.coerce(-1)
+    values[(0, 1, 0)] = zero
+    with pytest.raises(DomainError, match=r"^invalid initial value at \(0, 1, 0\): zero; "
+                       r"the recurrence divides by initial values$"):
+        initial_labeling(t, domain, values)
+    assert initial_labeling(t, TROPICAL, {**values, (0, 1, 0): 0}).values[(0, 1, 0)] == 0
+
+
 def test_laurent_initial_labeling_accepts_integral_constant():
     t = t_min(HEX)
     lab = initial_labeling(t, LAURENT, {v: Fraction(4, 2) for v in t.vertices})

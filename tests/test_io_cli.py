@@ -527,7 +527,7 @@ def test_labeling_errors_name_the_least_bad_vertices():
         with pytest.raises(DomainError) as missed:
             initial_labeling(t, RATIONAL, {v: 1 for v in t.vertices if v not in bad})
         with pytest.raises(DomainError) as invalid:
-            initial_labeling(t, RATIONAL, {**ones, **{v: -1 for v in order(bad)}})
+            initial_labeling(t, RATIONAL, {**ones, **{v: 0 for v in order(bad)}})
         got += [str(missed.value), str(invalid.value)]
         for values in ({**ones, **{p: 1 for p in outside}},
                        {v: 1 for v in t.vertices if v not in bad}):
@@ -715,11 +715,46 @@ def test_cli_run_rejects_non_rational_value_or_vertex(tmp_path, capsys, domain, 
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_cli_run_rejects_negative_initial_value(tmp_path, capsys):
+def test_cli_run_accepts_a_negative_and_rejects_a_zero_initial_value(tmp_path, capsys):
+    """The rational domain takes any nonzero initial value: the recurrence
+    divides only by values."""
     values = [dict(item, value="-3/2") if item["vertex"] == [0, 1, 0] else item
               for item in _ONES_111["values"]]
-    assert _run_111(tmp_path, values) == 4
-    assert "invalid initial value at (0, 1, 0)" in capsys.readouterr().err
+    assert _run_111(tmp_path, values, "--check") == 0
+    values = [dict(item, value="0") if item["vertex"] == [0, 1, 0] else item
+              for item in _ONES_111["values"]]
+    assert _run_111(tmp_path, values, "--check") == 4
+    assert ("error: invalid initial value at (0, 1, 0): zero; the recurrence divides by "
+            "initial values\n") == capsys.readouterr().err
+
+
+def test_cli_run_names_the_cube_of_a_zero_divisor(tmp_path, capsys):
+    """Signed initial values, all nonzero, whose extension derives a zero and
+    then divides by it: exit 4 naming the cube of that division."""
+    t = t_min(ZonogonSpec((2, 2, 2)))
+    signs = [-1, -1, 2, -1, -1, 2, 2, 2, 2, 2, -1, -1, -1, 2, -1, 2, 2, -1, 1]
+    data = {"A": [2, 2, 2], "domain": "rational",
+            "values": [{"vertex": list(v), "value": str(x)}
+                       for v, x in zip(sorted(t.vertices), signs, strict=True)]}
+    (tmp_path / "t.json").write_text(json.dumps(jsonio.tiling_to_json(t)))
+    (tmp_path / "lab.json").write_text(json.dumps(data))
+    assert main(["run", "--tiling", str(tmp_path / "t.json"), "--labeling",
+                 str(tmp_path / "lab.json"), "--check", "--out",
+                 str(tmp_path / "o.json")]) == 4
+    assert capsys.readouterr().err == ("error: cube relation failed on the cube at "
+                                       "(1, 0, 1) with directions (1, 2, 3): division by "
+                                       "zero\n")
+
+
+def test_cli_run_names_an_unknown_domain(tmp_path, capsys):
+    lab_file = tmp_path / "lab.json"
+    lab_file.write_text(json.dumps({**_ONES_111, "domain": "bogus"}))
+    (tmp_path / "t.json").write_text(json.dumps(_T_MIN_111))
+    assert main(["run", "--tiling", str(tmp_path / "t.json"), "--labeling",
+                 str(lab_file)]) == 2
+    assert capsys.readouterr().err == (f"error: malformed {lab_file}: ValueError: unknown "
+                                       "domain 'bogus'; the known domains are rational, "
+                                       "laurent, tropical\n")
 
 
 def test_cli_run_missing_vertex_exits_2(tmp_path, capsys):

@@ -17,6 +17,7 @@ from zonorec import (
     eps,
     eps_dual,
     extend_to_lattice,
+    extension_moves,
     initial_labeling,
     isotropic_from_skew,
     pfaffian,
@@ -577,6 +578,28 @@ def test_twisted_recurrence_point_is_spinor_point():
         assert ok_e and ok_o
         inter = intersect_spans(list(ann_e.basis), list(ann_o.basis))
         assert rank(inter) == n - 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_twisted_spin_coordinates_extend_through_the_recurrence(n):
+    """The paper's IG(n-1, 2n) statement forward: the sign-twisted spin
+    coordinates of an isotropic (n-1)-plane, placed on the vertices of t_min
+    of the (1^n) box (bit i of the mask is coordinate i), extend over the
+    rationals to all 2^n of them exactly.  Some twisted values are negative,
+    so the rational domain must take any nonzero initial value."""
+    spec = ZonogonSpec((1,) * n)
+    t = t_min(spec)
+    moves = extension_moves(t)
+    negative = 0
+    for seed in range(10):
+        K = random_isotropic_subspace(random.Random(seed), n, n - 1)
+        tw = sign_twist(spin_coordinates(K)).coords
+        at = {p: tw[sum(b << i for i, b in enumerate(p))] for p in spec.points}
+        lab = extend_to_lattice(initial_labeling(t, RATIONAL, {v: at[v] for v in t.vertices}),
+                                moves)
+        assert lab.values == at
+        negative += any(at[v] < 0 for v in t.vertices)
+    assert negative
 
 
 def test_trbi_witness_is_the_failing_cube_of_the_twisted_labeling():

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import factorial, prod
 
 import pytest
 
@@ -12,6 +14,7 @@ from zonorec import (
     all_cutcurves,
     canonical_cutcurve,
     check_propagation,
+    cutcurve_points,
     elementary_move,
     extend_to_lattice,
     initial_labeling,
@@ -20,10 +23,14 @@ from zonorec import (
     verify_cube_relations,
     w_inequalities_hold,
 )
-from zonorec import tropical
 from zonorec.tropical import cutcurve_edges
+from zonorec.zonogon import shift
 
-from oracles import fourier_motzkin_feasible, wall_inequalities_by_shifts
+from oracles import (
+    fourier_motzkin_feasible,
+    validate_cutcurve_points,
+    wall_inequalities_by_shifts,
+)
 from paper_lemmas import (
     LEMMA_CONCLUSIONS,
     LEMMA_HYPOTHESES,
@@ -42,26 +49,32 @@ def tropical_extension(spec, values):
 
 
 def test_cutcurve_valid_example():
-    g = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
+    g = (1, 2)
     validate_cutcurve(WALL, g)
+    assert cutcurve_points(WALL, g) == ((1, 0, 0), (1, 1, 0), (1, 1, 1))
 
 
 def test_cutcurve_illegal_step():
-    g = ((1, 0, 0), (2, 0, 0), (2, 1, 0), (1, 1, 0), (1, 1, 1))
-    with pytest.raises(ValueError, match=r"^invalid cutcurve: illegal step at position 1"):
-        validate_cutcurve(WALL, g)
+    """A step along the wall direction, or in a direction outside the box,
+    is not one of the wall's steps."""
+    for g in ((0, 1, 2), (1, 3), (1, 2, 2)):
+        with pytest.raises(ValueError, match=r"^invalid cutcurve: .* is not an ordering "
+                           r"of the wall's steps \(1, 2\)$"):
+            validate_cutcurve(WALL, g)
 
 
 def test_cutcurve_wrong_endpoint():
-    g = ((1, 0, 0), (1, 1, 0))
-    with pytest.raises(ValueError, match=r"^invalid cutcurve: endpoint"):
-        validate_cutcurve(WALL, g)
+    """A word missing a step stops short of the wall's far end."""
+    for g in ((1,), ()):
+        with pytest.raises(ValueError, match=r"^invalid cutcurve: "):
+            validate_cutcurve(WALL, g)
 
 
 def test_elementary_move_example():
-    g = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
+    g = (1, 2)
     g2 = elementary_move(g, 1)
-    assert g2 == ((1, 0, 0), (1, 0, 1), (1, 1, 1))
+    assert g2 == (2, 1)
+    assert cutcurve_points(WALL, g2) == ((1, 0, 0), (1, 0, 1), (1, 1, 1))
     validate_cutcurve(WALL, g2)
     assert elementary_move(g2, 1) == g
 
@@ -69,13 +82,47 @@ def test_elementary_move_example():
 def test_elementary_move_rejects_collinear():
     spec = ZonogonSpec((2, 2, 1))
     g = canonical_cutcurve(Wall(spec, 0, 1))
-    # first two steps are both +e2 here, so position 1 is collinear
-    steps = [tuple(a - b for a, b in zip(q, p)) for p, q in zip(g, g[1:])]
-    collinear_at = next(
-        i + 1 for i in range(len(steps) - 1) if steps[i] == steps[i + 1]
-    )
+    # the first two steps are both e2, so point 1 has no square to cross
+    assert g == (1, 1, 2)
     with pytest.raises(ValueError, match="collinear"):
-        elementary_move(g, collinear_at)
+        elementary_move(g, 1)
+    assert elementary_move(g, 2) == (1, 2, 1)
+    for t0 in (0, 3):
+        with pytest.raises(ValueError, match="^move position out of range$"):
+            elementary_move(g, t0)
+
+
+# (1,)*5 has no wall, as no c lies in 1..a_s - 1, so five directions are run
+# on (2, 1, 2, 1, 1), with walls at s = 0 and s = 2
+@pytest.mark.parametrize("a", [(2, 2, 1), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2),
+                               (2, 1, 2, 1, 1)])
+def test_every_word_walks_a_cutcurve(a):
+    """On each wall, s = 0 and s >= 1 alike, the words that elementary moves
+    reach are the multinomial count of orderings of the wall's steps, and
+    each walks a point path that the point-by-point oracle accepts, whose
+    consecutive points are the ends of the word's edges.  A word
+    with one step replaced by another direction is refused by both."""
+    spec = ZonogonSpec(a)
+    walls = [Wall(spec, s, c) for s in range(spec.n) for c in range(1, a[s])]
+    assert {w.s == 0 for w in walls} == {True, False}
+    for w in walls:
+        steps = canonical_cutcurve(w)
+        words = all_cutcurves(w)
+        assert len(words) == (factorial(len(steps))
+                              // prod(map(factorial, Counter(steps).values())))
+        for g in words:
+            validate_cutcurve(w, g)
+            pts = cutcurve_points(w, g)
+            validate_cutcurve_points(w, pts)
+            assert ([{p, shift(p, d)} for p, d in cutcurve_edges(w, g)]
+                    == [{p, q} for p, q in zip(pts, pts[1:])])
+        for d in range(spec.n):
+            if d != steps[-1]:
+                bad = steps[:-1] + (d,)
+                with pytest.raises(ValueError, match="^invalid cutcurve: "):
+                    validate_cutcurve(w, bad)
+                with pytest.raises(ValueError, match="^invalid cutcurve: "):
+                    validate_cutcurve_points(w, cutcurve_points(w, bad))
 
 
 def test_moves_generate_all_cutcurves():
@@ -177,6 +224,8 @@ def test_check_propagation_random_samples():
         values = {v: Fraction(rng.randint(-5, 5)) for v in t.vertices}
         lab = tropical_extension(SPEC, values)
         report = check_propagation(lab, WALL, g)
+        # a word read once, as from an iterator, is checked as the tuple is
+        assert check_propagation(lab, WALL, iter(g)) == report
         if report.hypothesis_ok:
             met += 1
             assert not report.violations
@@ -310,7 +359,7 @@ def test_each_hypothesis_of_the_one_square_lemma_is_needed():
 
 def test_cutcurve_edges_lie_on_wall():
     g = canonical_cutcurve(WALL)
-    for base, i in cutcurve_edges(g):
+    for base, i in cutcurve_edges(WALL, g):
         assert base[WALL.s] == WALL.c
         assert i != WALL.s
 
@@ -324,7 +373,7 @@ def test_elementary_moves_sweep_every_wall_edge(a):
     for s in range(spec.n):
         for c in range(1, spec.a[s]):
             w = Wall(spec, s, c)
-            swept = {e for g in all_cutcurves(w) for e in cutcurve_edges(g)}
+            swept = {e for g in all_cutcurves(w) for e in cutcurve_edges(w, g)}
             assert swept == set(w.edges), (a, s, c)
 
 
@@ -343,32 +392,12 @@ def test_check_propagation_rejects_a_labeling_of_another_box():
 
 
 def test_check_propagation_refuses_an_invalid_cutcurve_after_a_valid_one():
+    """Each call validates its word: an invalid one, among them the old form
+    of a cutcurve as its points, is refused after a valid one was checked."""
     lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
     w = Wall(SPEC, 0, 1)
-    bad = ((1, 0, 0), (2, 0, 0), (2, 1, 0), (1, 1, 0), (1, 1, 1))
-    for _ in range(2):
+    bad = ((0, 1, 2), (1,), cutcurve_points(w, canonical_cutcurve(w)))
+    for g in bad:
         assert check_propagation(lab, w, canonical_cutcurve(w)).hypothesis_ok
-        with pytest.raises(ValueError, match=r"^invalid cutcurve: illegal step at position 1"):
-            check_propagation(lab, w, bad)
-
-
-def test_a_cutcurve_is_validated_once_per_wall(monkeypatch):
-    """`check_propagation` validates each cutcurve once on a wall; a list
-    of its points, as lists, is the same cutcurve, and a new wall validates
-    anew."""
-    checked = []
-
-    def recording(w, g):
-        checked.append(g)
-        validate_cutcurve(w, g)
-
-    monkeypatch.setattr(tropical, "validate_cutcurve", recording)
-    lab = tropical_extension(SPEC, {v: 0 for v in t_min(SPEC).vertices})
-    w = Wall(SPEC, 0, 1)
-    g = canonical_cutcurve(w)
-    g2 = elementary_move(g, 1)
-    for curve in (g, g, [list(p) for p in g], g2, g):
-        check_propagation(lab, w, curve)
-    assert checked == [g, g2]
-    check_propagation(lab, Wall(SPEC, 0, 1), g)
-    assert checked == [g, g2, g]
+        with pytest.raises(ValueError, match=r"^invalid cutcurve: "):
+            check_propagation(lab, w, g)
