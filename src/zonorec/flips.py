@@ -6,6 +6,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .zonogon import (
     Point,
@@ -128,14 +129,14 @@ def apply_move(t: Tiling, move: FlipMove) -> Tiling:
     return Tiling.from_mask(t.spec, t.mask ^ removed ^ created)
 
 
-def _rhombi_after(rhombi: tuple, move: FlipMove) -> tuple:
-    """The sorted rhombi after the move, from the sorted rhombi before it."""
-    out = list(rhombi)
-    removed, created = move.faces
-    for rh in removed:
-        del out[bisect_left(out, rh)]
-    for rh in created:
-        insort(out, rh)
+def _ranks_after(ranks: tuple, removed: tuple, created: tuple) -> tuple:
+    """The sorted rhombus ranks after a move that takes out the faces ranked
+    `removed` and lays those ranked `created`, from the sorted ranks before."""
+    out = list(ranks)
+    for r in removed:
+        del out[bisect_left(out, r)]
+    for r in created:
+        insort(out, r)
     return tuple(out)
 
 
@@ -235,32 +236,45 @@ def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> list:
     An up flip adds one unit cube (`phi` rises by 1), and every tiling but
     t_min has a down flip, so each tiling of rank r + 1 is an up flip of one
     of rank r: new tilings are looked up only among their own rank, keyed by
-    vertex bitmask.  Each tiling of the current and the next rank carries its
-    up moves, re-examining only the created point and the six hexagon corners
-    after a flip, and its sorted rhombi (`canonical_rhombi`), so neither is
-    derived from the vertex set.  `apply_move` builds each tiling found once;
-    the search keeps the tiling it makes of that mask and the carried rhombi,
-    and returns those.  None of them holds a vertex set, so memory follows
-    the number of tilings and not their vertex sets."""
+    vertex bitmask.  A chain of up flips from t_min reaches every rank up to
+    the box's `top_rank`, so a box with more ranks than `cap` raises
+    `CapExceeded` before the search starts.
+
+    Each tiling of the current and the next rank carries its up moves,
+    re-examining only the created point and the six hexagon corners after a
+    flip, and its sorted rhombus ranks (`Tiling.ranks`), so neither is
+    derived from the vertex set; the ranks of each census flip's faces are
+    read once per enumeration.  `apply_move` builds each tiling found once,
+    and the search keeps that tiling, with its ranks set, and sorts by them.
+    None of them holds a vertex set, so memory follows the number of tilings
+    and not their vertex sets."""
+    if spec.top_rank + 1 > cap:
+        raise CapExceeded(f"more than {cap} tilings")
     census = FlipCensus(spec, up_only=True)
     start = t_min(spec)
     found = [start]
-    rank = {start.mask: (start, census.all(start.mask))}
-    while rank:
+    faces: dict = {}  # id of a census flip (the census keeps it) -> its face ranks
+    layer = {start.mask: (start, census.all(start.mask))}
+    while layer:
         nxt: dict = {}
-        for mask, (t, moves) in rank.items():
+        for mask, (t, moves) in layer.items():
             for up in moves.values():
                 mask2 = up.apply(mask)
                 if mask2 in nxt:
                     continue
-                t2 = Tiling.from_mask(spec, apply_move(t, up.move).mask,
-                                      _rhombi_after(t.canonical_rhombi(), up.move))
+                try:
+                    removed, created = faces[id(up)]
+                except KeyError:
+                    removed, created = faces[id(up)] = tuple(
+                        tuple(map(spec.rank, side)) for side in up.move.faces)
+                t2 = apply_move(t, up.move)
+                t2.ranks = _ranks_after(t.ranks, removed, created)
                 nxt[mask2] = (t2, census.after(moves, up, mask2))
                 if len(found) + len(nxt) > cap:
                     raise CapExceeded(f"more than {cap} tilings")
-        rank = nxt
-        found.extend(t for t, _ in rank.values())
-    found.sort(key=Tiling.canonical_rhombi)
+        layer = nxt
+        found.extend(t for t, _ in layer.values())
+    found.sort(key=attrgetter("ranks"))
     return found
 
 

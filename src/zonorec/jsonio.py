@@ -34,14 +34,18 @@ def tiling_to_json(t: Tiling) -> dict:
 
 class _RhombusBlocks(dict):
     """Each rhombus's text in a `tile --enumerate` document, nested in its
-    tiling's "rhombi" list as `json.dumps(indent=1)` writes it; a block is
-    formatted on its first lookup."""
+    tiling's "rhombi" list as `json.dumps(indent=1)` writes it, keyed by its
+    rank in `spec`; a block is formatted on its first lookup."""
 
-    def __missing__(self, rh):
-        base, (j, k) = rh
+    def __init__(self, spec: ZonogonSpec):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, rank):
+        base, (j, k) = self.spec.rhombus(rank)
         coords = ",\n     ".join(map(str, base))
-        block = self[rh] = (f'   {{\n    "base": [\n     {coords}\n    ],\n'
-                            f'    "dirs": [\n     {j + 1},\n     {k + 1}\n    ]\n   }}')
+        block = self[rank] = (f'   {{\n    "base": [\n     {coords}\n    ],\n'
+                              f'    "dirs": [\n     {j + 1},\n     {k + 1}\n    ]\n   }}')
         return block
 
 
@@ -50,16 +54,19 @@ def tilings_to_json(tilings, fh) -> None:
     indent=1)` to the stream `fh`, one tiling at a time.
 
     With `indent` set, json runs its pure-Python encoder; here each distinct
-    multiplicity vector and rhombus is formatted once per call, and each
-    tiling's document is joined from those text blocks.
+    multiplicity vector, and each distinct rhombus rank of a spec, is
+    formatted once per call, and each tiling's document is joined from those
+    text blocks.  Ranks are only meaningful within one spec, so each spec
+    has its own blocks.
     """
-    heads, blocks, sep = {}, _RhombusBlocks(), "[\n"
+    heads, sep = {}, "[\n"
     for t in tilings:
         a = t.spec.a
         if a not in heads:
-            heads[a] = ' {\n  "A": [\n   ' + ",\n   ".join(map(str, a)) + '\n  ],\n  "rhombi": [\n'
-        fh.write(sep + heads[a] + ",\n".join(map(blocks.__getitem__, t.canonical_rhombi()))
-                 + "\n  ]\n }")
+            heads[a] = (' {\n  "A": [\n   ' + ",\n   ".join(map(str, a))
+                        + '\n  ],\n  "rhombi": [\n', _RhombusBlocks(t.spec).__getitem__)
+        head, block = heads[a]
+        fh.write(sep + head + ",\n".join(map(block, t.ranks)) + "\n  ]\n }")
         sep = ",\n"
     fh.write("[]" if sep == "[\n" else "\n]")
 

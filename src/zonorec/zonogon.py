@@ -97,9 +97,41 @@ class ZonogonSpec:
         """Each lattice point's position in `points`."""
         return {p: i for i, p in enumerate(self.points)}
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The direction pairs j < k of a rhombus, in sorted order."""
+        return tuple(combinations(range(self.n), 2))
+
+    def rank(self, rh: Rhombus) -> int:
+        """The rhombus as an integer: its base's index times the number of
+        `pairs`, plus the position of its pair among them.  Ranks order as
+        the rhombi do, and `rhombus` decodes one."""
+        base, (j, k) = rh
+        # the pairs before (j, k): those with a first direction below j, then
+        # (j, j + 1), ..., (j, k - 1)
+        return (self.index[base] * len(self.pairs)
+                + j * (2 * self.n - j - 1) // 2 + k - j - 1)
+
+    def rhombus(self, rank: int) -> Rhombus:
+        """The rhombus of this `rank`."""
+        i, pair = divmod(rank, len(self.pairs))
+        return (self.points[i], self.pairs[pair])
+
     @property
     def rhombus_count(self) -> int:
-        return sum(self.a[i] * self.a[j] for i, j in combinations(range(self.n), 2))
+        return sum(self.a[j] * self.a[k] for j, k in self.pairs)
+
+    @property
+    def top_rank(self) -> int:
+        """The flip rank of the top tiling above t_min, sum a_j a_k a_l over
+        j < k < l: a chain of up flips between them makes one per triple of
+        crossing lines of the wiring diagram.  The elementary symmetric sums
+        are built one multiplicity at a time, in time linear in n."""
+        e = [1, 0, 0, 0]
+        for x in self.a:
+            for d in (3, 2, 1):
+                e[d] += e[d - 1] * x
+        return e[3]
 
     @property
     def vertex_count(self) -> int:
@@ -173,15 +205,11 @@ class Tiling:
         )
 
     @classmethod
-    def from_mask(cls, spec: ZonogonSpec, mask: int,
-                  sorted_rhombi: tuple | None = None) -> "Tiling":
-        """The tiling with this vertex bitmask; a caller that knows its rhombi
-        in sorted order passes them, and `canonical_rhombi` returns them."""
+    def from_mask(cls, spec: ZonogonSpec, mask: int) -> "Tiling":
+        """The tiling with this vertex bitmask."""
         t = cls.__new__(cls)
         t.spec = spec
         t.mask = mask
-        if sorted_rhombi is not None:
-            t._sorted_rhombi = sorted_rhombi
         return t
 
     def __eq__(self, other):
@@ -198,13 +226,22 @@ class Tiling:
         return f"Tiling({self.spec!r}, {len(self.vertices)} vertices)"
 
     def canonical_rhombi(self) -> tuple[Rhombus, ...]:
-        """The rhombi in sorted order, computed once unless given to
-        `from_mask`."""
+        """The rhombi in sorted order, computed once: decoded from `ranks`
+        when a caller has set them, else sorted from `rhombi`."""
         return self._sorted_rhombi
 
     @cached_property
     def _sorted_rhombi(self) -> tuple[Rhombus, ...]:
+        if "ranks" in vars(self):
+            return tuple(map(self.spec.rhombus, self.ranks))
         return tuple(sorted(self.rhombi))
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """Each rhombus's `ZonogonSpec.rank`, in increasing order, which is
+        the order of `canonical_rhombi`.  A caller that knows them sets them
+        (the flip search carries them from tiling to tiling)."""
+        return tuple(map(self.spec.rank, self.canonical_rhombi()))
 
     @cached_property
     def mask(self) -> int:

@@ -436,11 +436,13 @@ def test_distinct_tilings_have_distinct_vertex_sets(a):
 
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
 def test_carried_rhombi_equal_derived_rhombi(a):
-    """The search carries each tiling's sorted rhombi through its flips; they
-    are the rhombi the vertex set gives."""
+    """The search carries each tiling's sorted rhombus ranks through its
+    flips; they are the ranks of the rhombi the vertex set gives, and they
+    decode to those rhombi."""
     spec = ZonogonSpec(a)
     for t in _enumerated(a):
         derived = Tiling.from_mask(spec, t.mask).rhombi
+        assert vars(t)["ranks"] == tuple(sorted(map(spec.rank, derived))), t
         assert t.canonical_rhombi() == tuple(sorted(derived)), t
 
 
@@ -668,6 +670,34 @@ def test_enumerate_cap_boundary(a):
     assert len(enumerate_tilings(spec, cap=count)) == count
     with pytest.raises(CapExceeded):
         enumerate_tilings(spec, cap=count - 1)
+
+
+@pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)
+def test_the_flip_ranks_run_up_to_the_top_rank(a):
+    """The ranks of the flip graph run from t_min, rank 0, to the spec's
+    `top_rank`, sum a_j a_k a_l, and none is empty."""
+    spec = ZonogonSpec(a)
+    low = phi(t_min(spec))
+    assert {phi(t) - low for t in _enumerated(a)} == set(range(spec.top_rank + 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_a_cap_below_the_ranks_raises_before_the_search(k, monkeypatch):
+    """(k,1,1) has one tiling per rank 0..k, so the cap is exactly k + 1: a
+    cap of k + 1 lists them all, and a cap of k raises before a census is
+    built."""
+    import zonorec.flips
+
+    spec = ZonogonSpec((k, 1, 1))
+    assert spec.top_rank == k
+    assert len(enumerate_tilings(spec, cap=k + 1)) == k + 1
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("census built")
+
+    monkeypatch.setattr(zonorec.flips, "FlipCensus", no_census)
+    with pytest.raises(CapExceeded, match=f"more than {k} tilings"):
+        enumerate_tilings(spec, cap=k)
 
 
 @pytest.mark.parametrize("a", ORACLE_COUNTS, ids=_spec_id)

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -156,6 +157,22 @@ def test_tilings_to_json_matches_dumps_on_two_digit_numbers():
     assert '"dirs": [\n     10,\n     11\n    ]' in fh.getvalue()
 
 
+def test_tilings_to_json_keeps_specs_apart():
+    """Interleaved tilings of three specs whose equal ranks are different
+    rhombi: each spec's ranks name its own text blocks."""
+    from oracles import tilings_json_by_dumps
+
+    specs = [ZonogonSpec(a) for a in [(2, 2, 2), (2, 2, 3), (2, 2, 1, 1)]]
+    rank = specs[0].rank(((0, 1, 0), (0, 2)))
+    assert specs[0].rhombus(rank) != specs[1].rhombus(rank)
+    every = [enumerate_tilings(spec) for spec in specs]
+    mixed = [t for group in itertools.zip_longest(*every) for t in group if t is not None]
+    assert len(mixed) == 20 + 50 + 75
+    fh = io.StringIO()
+    jsonio.tilings_to_json(mixed, fh)
+    assert fh.getvalue() == tilings_json_by_dumps(mixed)
+
+
 # the benchmark's enumerate workload writes these
 _ENUMERATE_SHA256 = {
     (3, 3, 3): "e3685b2e12d78ec6294a8f547395505c1b1e36c00ea440d0ce5ed208840fb9e4",
@@ -216,6 +233,24 @@ def test_cli_tile_enumerate_over_cap_leaves_out_untouched(tmp_path, capsys):
                  "--out", str(out)]) == 3
     assert "more than 19 tilings" in capsys.readouterr().err
     assert out.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize("a", ["20,20,20,20", "200,200,200"])
+def test_cli_tile_enumerate_exits_3_before_the_census_on_big_boxes(tmp_path, capsys, a):
+    """These boxes have more flip ranks than the default cap, and so more
+    tilings: the command exits 3 before it builds the box's index or a
+    census, which need memory quadratic in the box's lattice points."""
+    out = tmp_path / "all.json"
+    out.write_bytes(b"earlier output\n")
+    tracemalloc.start()
+    try:
+        assert main(["tile", "--A", a, "--enumerate", "--out", str(out)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == "error: more than 10000 tilings\n"
+    assert out.read_bytes() == b"earlier output\n"
+    assert peak < 2_000_000, peak
 
 
 def test_cli_tile_enumerate_stdout_equals_file(tmp_path, capsys):

@@ -175,6 +175,21 @@ def test_cube_table_lists_every_cube_with_its_shared_corners(a):
     assert spec.cubes is spec.cubes
 
 
+@pytest.mark.parametrize("a", [(3, 3, 3), (2, 2, 1, 1), (1,) * 11],
+                         ids=lambda a: ",".join(map(str, a)))
+def test_rhombus_ranks_order_and_decode(a):
+    """Every rhombus of the box, in sorted order, has a strictly larger rank
+    than the one before it, below the points times the pairs, and its rank
+    decodes back to it.  (1,)*11 has two-digit directions and 55 pairs."""
+    spec = ZonogonSpec(a)
+    every = sorted((p, (j, k)) for p in spec.points for j, k in spec.pairs
+                   if p[j] < a[j] and p[k] < a[k])
+    ranks = [spec.rank(rh) for rh in every]
+    assert ranks == sorted(set(ranks))
+    assert 0 <= ranks[0] and ranks[-1] < len(spec.points) * len(spec.pairs)
+    assert [spec.rhombus(r) for r in ranks] == every
+
+
 def test_cube_faces_validates_cube():
     with pytest.raises(ValueError):
         tiling_with_cube_faces(HEX, (1, 0, 0), (0, 1, 2), "bottom")
