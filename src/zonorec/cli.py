@@ -76,8 +76,10 @@ def _cube_tiling(spec, text: str):
     if len(bits) != spec.n + 4:
         raise ValueError(f"needs base ({spec.n} coords), j,k,l, side")
     base = tuple(int(x) for x in bits[:spec.n])
-    dirs = tuple(int(x) - 1 for x in bits[spec.n:spec.n + 3])
-    return zonogon.tiling_with_cube_faces(spec, base, dirs, bits[-1])
+    dirs = tuple(int(x) for x in bits[spec.n:spec.n + 3])
+    if not all(1 <= d <= spec.n for d in dirs):
+        raise ValueError(f"directions must be in 1..{spec.n}")
+    return zonogon.tiling_with_cube_faces(spec, base, tuple(d - 1 for d in dirs), bits[-1])
 
 
 @contextlib.contextmanager

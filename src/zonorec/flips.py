@@ -92,38 +92,30 @@ def fundamental_forest(t: Tiling) -> frozenset:
     census, mask = FlipCensus(t.spec), t.mask
     edges = set()
     for v in t.vertices:
-        up = [d for d, b in census.steps[census.index[v]][0] if mask & b]
+        up = [d for d, q in census.steps[census.index[v]][0] if mask >> q & 1]
         if len(up) == 1 and not t.spec.is_boundary_edge((v, up[0])):
             edges.add((v, up[0]))
     return frozenset(edges)
 
 
-def _pivot_move(at: Point, up, down) -> FlipMove | None:
-    """The flip move pivoting at `at`, whose edges go up in the directions
-    `up` and down in `down`: a down move for two down and one up, an up move
-    for two up and one down, else None."""
-    if len(down) == 2 and len(up) == 1:
-        (j, l), (k,), direction = down, up, "down"
-        base = shift2(at, j, l, -1)
-    elif len(up) == 2 and len(down) == 1:
-        (j, l), (k,), direction = up, down, "up"
-        base = shift(at, k, -1)
-    else:
-        return None
-    if not j < k < l:
-        raise FlipError(f"edge directions {tuple(up)}+{tuple(down)} out of order at {at}")
-    return FlipMove(base, (j, k, l), direction)
+def _move_bits(offsets: tuple, origin: int, direction: str) -> tuple:
+    """(hexagon, removed, created): the bits of a move's hexagon corners and
+    of the corners it removes and creates, for its cube's corner `offsets`
+    (`ZonogonSpec.cube_offsets`) and its base's index `origin`."""
+    hexagon = sum(1 << o for o in offsets[:6]) << origin
+    k, jl = 1 << origin + offsets[6], 1 << origin + offsets[7]
+    return (hexagon, k, jl) if direction == "up" else (hexagon, jl, k)
 
 
 def apply_move(t: Tiling, move: FlipMove) -> Tiling:
-    """Swap the move's removed vertex for its created one.  It applies when the
-    hexagon corners o, j, l, jk, kl, jkl are vertices and `created` is not."""
-    index = t.spec.index
-    try:
-        hexagon = sum(1 << index[p] for p in move.corners[:6])
-        removed, created = 1 << index[move.removed], 1 << index[move.created]
-    except KeyError:  # the cube leaves the box
-        raise FlipError("not applicable", move) from None
+    """Swap the move's removed vertex for its created one.  It applies when
+    its cube lies in the box, with directions j < k < l, the hexagon corners
+    o, j, l, jk, kl, jkl are vertices and `created` is not."""
+    spec, base = t.spec, move.base
+    origin, offsets = spec.index.get(base), spec.cube_offsets.get(move.dirs)
+    if origin is None or offsets is None or any(base[d] == spec.a[d] for d in move.dirs):
+        raise FlipError("not applicable", move)  # no such cube in the box
+    hexagon, removed, created = _move_bits(offsets, origin, move.direction)
     if t.mask & (hexagon | removed | created) != hexagon | removed:
         raise FlipError("not applicable", move)
     return Tiling.from_mask(t.spec, t.mask ^ removed ^ created)
@@ -145,9 +137,10 @@ class _Flip:
     """A move on vertex sets held as bitmasks: it applies to a mask that
     holds the bits of `need` (the hexagon corners and the removed point, its
     pivot) and not the created point's, and XORs `swap` (those two points'
-    bits) into it.  `recheck` lists the internal points among the created
-    point and the hexagon corners, the only points whose flips the move can
-    change."""
+    bits) into it.  `recheck` lists the internal points among the hexagon
+    corners and the created point, the only points whose flips the move can
+    change; an up-only census leaves out the created point, which has no up
+    move."""
 
     move: FlipMove
     pivot: int
@@ -166,48 +159,69 @@ class _Flip:
 class FlipCensus:
     """The moves of a spec's tilings, up and down, or only the up moves with
     `up_only`; each tiling is its `Tiling.mask`.  A pivot's move depends only
-    on which of its lattice neighbours are vertices, so a census builds it
-    once per (pivot, neighbour bits).  It is the one move finder: random
-    walks, enumeration, `normalize_to_min` and the fundamental forest read
-    their moves or edges from it."""
+    on which of its lattice neighbours are vertices: a census holds each
+    point's neighbours as indices into `points`, and the mask of them all,
+    decides whether a pivot moves by two popcounts and memoizes only the
+    moves, built from the spec's `cube_offsets`.  It is the one move finder:
+    random walks, enumeration, `normalize_to_min` and the fundamental forest
+    read their moves or edges from it."""
 
     def __init__(self, spec: ZonogonSpec, up_only: bool = False):
         self.up_only = up_only
         self.points, self.index = spec.points, spec.index
+        self.strides, self.cube_offsets = spec.strides, spec.cube_offsets
         self.internal = [p not in spec.boundary_vertices for p in self.points]
-        # per point: the (direction, bit) of its lattice neighbours above and
-        # below it, and the mask of them all
-        self.steps = [tuple([(d, self.bit(q)) for d in range(spec.n)
-                             if (q := shift(p, d, step)) in self.index]
+        # per point: the (direction, index) of its lattice neighbours above
+        # and below it, and the mask of them all
+        self.steps = [tuple(tuple([(d, self.index[q]) for d in range(spec.n)
+                                   if (q := shift(p, d, step)) in self.index])
                             for step in (1, -1))
                       for p in self.points]
-        self.around = [sum(b for _, b in up + down) for up, down in self.steps]
+        self.around = [sum(1 << q for _, q in up + down) for up, down in self.steps]
         self._memo: dict = {}
-
-    def bit(self, p: Point) -> int:
-        return 1 << self.index[p]
 
     def at(self, mask: int, i: int) -> _Flip | None:
         """The move pivoting at internal vertex i of the tiling `mask`: None
         unless i has two edges up and one down, or, unless `up_only`, one up
-        and two down."""
-        key = (i, mask & self.around[i])
-        try:
-            return self._memo[key]
-        except KeyError:
-            flip = self._memo[key] = self._build(*key)
-            return flip
-
-    def _build(self, i: int, near: int) -> _Flip | None:
-        p, bit = self.points[i], self.bit
-        move = _pivot_move(p, *([d for d, b in steps if near & b] for steps in self.steps[i]))
-        if move is None or self.up_only and move.direction == "down":
+        and two down.  Every neighbour above i has a larger index, so the
+        edges up are the bits of the neighbours' mask above bit i."""
+        near = mask & self.around[i]
+        if near.bit_count() != 3:
             return None
-        need = bit(p) + sum(map(bit, move.corners[:6]))
-        swap = bit(p) | bit(move.created)
-        recheck = tuple(self.index[q] for q in move.corners[:6] + (move.created,)
-                        if self.internal[self.index[q]])
-        return _Flip(move, i, need, need | swap, swap, recheck)
+        # two points share at most two lattice neighbours, so three
+        # neighbours name their pivot
+        flip = self._memo.get(near)
+        if flip is None:
+            up = (near >> i).bit_count()
+            if not (up == 2 or up == 1 and not self.up_only):
+                return None
+            flip = self._memo[near] = self._build(i, near)
+        return flip
+
+    def _build(self, i: int, near: int) -> _Flip:
+        """The move pivoting at i with the neighbours `near`, three of them
+        with one or two above i."""
+        up, down = ([d for d, q in steps if near >> q & 1] for steps in self.steps[i])
+        if len(up) == 2:
+            (j, l), (k,), direction = up, down, "up"
+            origin = i - self.strides[k]
+        else:
+            (j, l), (k,), direction = down, up, "down"
+            origin = i - self.strides[j] - self.strides[l]
+        if not j < k < l:
+            raise FlipError(f"edge directions {tuple(up)}+{tuple(down)} out of order "
+                            f"at {self.points[i]}")
+        offsets = self.cube_offsets[j, k, l]
+        hexagon, removed, created = _move_bits(offsets, origin, direction)
+        corners = [origin + o for o in offsets[:6]]
+        # right after an up flip the created point has one edge up and two
+        # down, so an up-only census need not look at it again
+        if not self.up_only:
+            corners.append(created.bit_length() - 1)
+        recheck = tuple(q for q in corners if self.internal[q])
+        need = hexagon | removed
+        return _Flip(FlipMove(self.points[origin], (j, k, l), direction), i, need,
+                     need | created, removed | created, recheck)
 
     def all(self, mask: int) -> dict:
         """Every move of the tiling `mask`, keyed by pivot."""

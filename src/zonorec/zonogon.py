@@ -167,19 +167,33 @@ class ZonogonSpec:
         return right or left
 
     @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """How far `points[i] + e_d` lies from `points[i]` in `points`, per
+        direction d: points runs the last coordinate fastest."""
+        out = [1] * self.n
+        for d in range(self.n - 2, -1, -1):
+            out[d] = out[d + 1] * (self.a[d + 1] + 1)
+        return tuple(out)
+
+    @cached_property
+    def cube_offsets(self) -> dict:
+        """Per direction triple j < k < l, how far each corner of a unit cube
+        lies from its base in `points`, in `FlipMove.corners` order: the
+        hexagon o, j, l, jk, kl, jkl, then k and jl."""
+        out = {}
+        for dirs in combinations(range(self.n), 3):
+            j, k, l = (self.strides[d] for d in dirs)
+            out[dirs] = (0, j, l, j + k, k + l, j + k + l, k, j + l)
+        return out
+
+    @cached_property
     def cubes(self) -> tuple:
         """Every unit 3-cube of the box as (base, (j, k, l), corners), by
-        direction triple and then base in lattice order.  The corners are in
-        `FlipMove.corners` order: the hexagon o, j, l, jk, kl, jkl, then k and
-        jl.  Each lattice point is one tuple shared by all its cubes."""
-        points = self.points
-        stride = [1] * self.n  # points runs the last coordinate fastest
-        for i in range(self.n - 2, -1, -1):
-            stride[i] = stride[i + 1] * (self.a[i + 1] + 1)
-        out = []
-        for dirs in combinations(range(self.n), 3):
-            j, k, l = (stride[d] for d in dirs)
-            offsets = (0, j, l, j + k, k + l, j + k + l, k, j + l)
+        direction triple and then base in lattice order, the corners read
+        from `cube_offsets`.  Each lattice point is one tuple shared by all
+        its cubes."""
+        points, out = self.points, []
+        for dirs, offsets in self.cube_offsets.items():
             for at, p in enumerate(points):
                 if all(p[d] < self.a[d] for d in dirs):
                     out.append((p, dirs, tuple(points[at + o] for o in offsets)))
@@ -412,7 +426,9 @@ def tiling_with_cube_faces(spec: ZonogonSpec, base: Point, dirs, side: str) -> T
     among them lay the requested faces.
     """
     j, k, l = dirs
-    if not (0 <= j < k < l < spec.n):
+    if not all(0 <= d < spec.n for d in dirs):
+        raise ValueError(f"directions must be in 0..{spec.n - 1}")
+    if not j < k < l:
         raise ValueError("directions must satisfy j < k < l")
     top_corner = tuple(base[w] + (w in dirs) for w in range(spec.n))
     if not (spec.contains(base) and spec.contains(top_corner)):

@@ -603,6 +603,49 @@ def test_apply_move_raises_off_the_box_and_when_made_twice():
                 apply_move(apply_move(t, move), move)
 
 
+def test_apply_move_raises_on_directions_not_increasing_in_range():
+    """Directions that are not j < k < l in range name no cube, whatever
+    the base and the tiling: the move does not apply."""
+    spec = ZonogonSpec((2, 2, 2))
+    for t in enumerate_tilings(spec):
+        for base in spec.points:
+            for dirs in [(0, 1, 3), (-1, 0, 1), (0, 0, 1), (0, 1, 1), (2, 1, 0), (1, 0, 2)]:
+                for direction in ("up", "down"):
+                    with pytest.raises(FlipError, match="not applicable"):
+                        apply_move(t, FlipMove(base, dirs, direction))
+
+
+def test_census_memory_is_not_a_mask_per_neighbour():
+    """A census holds each lattice neighbour as an index, so building one
+    for the 6561 points of (8,8,8,8), its spec's tables included, allocates
+    under 12 MB; a `1 << index` int per neighbour took about 30 MB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        FlipCensus(ZonogonSpec((8, 8, 8, 8)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000, peak
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2), (1, 1, 1, 1, 1)], ids=_spec_id)
+def test_census_memoizes_only_moves(a):
+    """After a census has found the moves of every tiling, its memo holds
+    one entry per distinct move and no entry for a pivot without one."""
+    spec = ZonogonSpec(a)
+    census, up_census = FlipCensus(spec), FlipCensus(spec, up_only=True)
+    moves, ups = set(), set()
+    for t in enumerate_tilings(spec):
+        moves.update(flip.move for flip in census.all(t.mask).values())
+        ups.update(flip.move for flip in up_census.all(t.mask).values())
+    for memo, want in [(census._memo, moves), (up_census._memo, ups)]:
+        assert len(memo) == len(want)
+        assert {flip.move for flip in memo.values()} == want
+    assert {m.direction for m in ups} == {"up"}
+
+
 @pytest.mark.parametrize("a", [(2, 2, 2), (3, 2, 2), (3, 3, 3), (4, 3, 2)], ids=_spec_id)
 def test_enumerated_ranks_count_plane_partitions(a):
     """An up flip adds one unit cube, so the tilings of rank r (phi above
@@ -713,7 +756,7 @@ def test_derived_rhombi_equal_laid_rhombi(a):
 def test_edges_at_matches_rhombus_census(a):
     """The census tables, the vertex probe and the rhombi give each vertex
     the same edges; the fundamental forest reads its up edges from the
-    census tables."""
+    census tables, which hold each neighbour's index into `points`."""
     from oracles import edges_by_census
 
     spec = ZonogonSpec(a)
@@ -721,7 +764,7 @@ def test_edges_at_matches_rhombus_census(a):
     for t, lib in _face_flip_tilings(a):
         want = edges_by_census(t)
         mask = lib.mask
-        tables = {v: tuple(tuple(d for d, b in steps if mask & b)
+        tables = {v: tuple(tuple(d for d, q in steps if mask >> q & 1)
                            for steps in census.steps[census.index[v]])
                   for v in lib.vertices}
         assert tables == want

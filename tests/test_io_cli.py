@@ -297,6 +297,16 @@ def test_cli_tile_bad_cube_exits_2(capsys, cube):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("cube, message", [
+    ("0,0,0,1,2,4,top", "directions must be in 1..3"),
+    ("0,0,0,0,2,3,top", "directions must be in 1..3"),
+    ("0,0,0,3,2,1,top", "directions must satisfy j < k < l")])
+def test_cli_tile_cube_names_what_is_wrong_with_its_directions(capsys, cube, message):
+    """A direction outside 1..n is named as such, not as an order error."""
+    assert main(["tile", "--A", "1,1,1", "--cube", cube]) == 2
+    assert capsys.readouterr().err == f"error: invalid --cube {cube!r}: {message}\n"
+
+
 @pytest.mark.parametrize("mode", [["--through", "1,2,0,1"], ["--cube", "1,0,1,0,1,2,4,top"],
                                   ["--enumerate"]])
 def test_cli_tile_does_not_depend_on_seed(tmp_path, mode):

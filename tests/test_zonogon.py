@@ -193,6 +193,11 @@ def test_rhombus_ranks_order_and_decode(a):
 def test_cube_faces_validates_cube():
     with pytest.raises(ValueError):
         tiling_with_cube_faces(HEX, (1, 0, 0), (0, 1, 2), "bottom")
+    for dirs in [(0, 1, 3), (-1, 1, 2)]:
+        with pytest.raises(ValueError, match=r"directions must be in 0\.\.2"):
+            tiling_with_cube_faces(HEX, (0, 0, 0), dirs, "bottom")
+    with pytest.raises(ValueError, match="directions must satisfy j < k < l"):
+        tiling_with_cube_faces(HEX, (0, 0, 0), (2, 1, 0), "bottom")
 
 
 def _planar(t):
