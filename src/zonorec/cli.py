@@ -26,6 +26,10 @@ EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
 EXIT_DOMAIN = 4
 
+# file outputs leave in writes of this size, not the 8 KiB default: a
+# (3,3,3) `tile --enumerate` document takes about 40 writes instead of 330
+OUT_BUFFER = 1 << 16
+
 
 class CliError(Exception):
     def __init__(self, message, code):
@@ -84,15 +88,16 @@ def _cube_tiling(spec, text: str):
 
 @contextlib.contextmanager
 def _write_out(path):
-    """The stream the output goes to: stdout for "-", else the file `path`.
-    A failed write, also to a pipe whose reader has gone, is bad input."""
+    """The stream the output goes to: stdout for "-", else the file `path`,
+    buffered in `OUT_BUFFER` bytes.  A failed write, also to a pipe whose
+    reader has gone, is bad input."""
     to_stdout = path in (None, "-")
     try:
         if to_stdout:
             yield sys.stdout
             sys.stdout.flush()
         else:
-            with open(path, "w") as fh:
+            with open(path, "w", buffering=OUT_BUFFER) as fh:
                 yield fh
     except OSError as exc:
         if to_stdout:  # drop what is left, which Python would flush at exit

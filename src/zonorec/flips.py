@@ -28,9 +28,8 @@ class FlipError(ValueError):
         self.reason = reason
         self.base = self.dirs = self.direction = None
         if move is not None:
-            j, k, l = move.dirs
             self.base, self.direction = move.base, move.direction
-            self.dirs = (j + 1, k + 1, l + 1)
+            self.dirs = tuple(d + 1 for d in move.dirs)
 
     def __str__(self):
         if self.base is None:
@@ -98,27 +97,36 @@ def fundamental_forest(t: Tiling) -> frozenset:
     return frozenset(edges)
 
 
-def _move_bits(offsets: tuple, origin: int, direction: str) -> tuple:
+def _move_bits(bits: tuple, origin: int, direction: str) -> tuple:
     """(hexagon, removed, created): the bits of a move's hexagon corners and
-    of the corners it removes and creates, for its cube's corner `offsets`
-    (`ZonogonSpec.cube_offsets`) and its base's index `origin`."""
-    hexagon = sum(1 << o for o in offsets[:6]) << origin
-    k, jl = 1 << origin + offsets[6], 1 << origin + offsets[7]
-    return (hexagon, k, jl) if direction == "up" else (hexagon, jl, k)
+    of the corners it removes and creates, from its cube's bits at index 0
+    (`ZonogonSpec.cube_bits`), its base's index `origin` and its direction,
+    up or down."""
+    hexagon, k, jl = bits
+    if direction == "up":
+        return hexagon << origin, k << origin, jl << origin
+    return hexagon << origin, jl << origin, k << origin
 
 
 def apply_move(t: Tiling, move: FlipMove) -> Tiling:
     """Swap the move's removed vertex for its created one.  It applies when
-    its cube lies in the box, with directions j < k < l, the hexagon corners
-    o, j, l, jk, kl, jkl are vertices and `created` is not."""
-    spec, base = t.spec, move.base
-    origin, offsets = spec.index.get(base), spec.cube_offsets.get(move.dirs)
-    if origin is None or offsets is None or any(base[d] == spec.a[d] for d in move.dirs):
+    it is up or down, its cube lies in the box, with directions j < k < l,
+    the hexagon corners o, j, l, jk, kl, jkl are vertices and `created` is
+    not."""
+    spec, base, dirs, direction = t.spec, move.base, move.dirs, move.direction
+    if direction != "up" and direction != "down":
+        raise FlipError("not applicable: its direction is neither up nor down", move)
+    origin, bits = spec.index.get(base), spec.cube_bits.get(dirs)
+    if origin is None or bits is None:
         raise FlipError("not applicable", move)  # no such cube in the box
-    hexagon, removed, created = _move_bits(offsets, origin, move.direction)
-    if t.mask & (hexagon | removed | created) != hexagon | removed:
+    (j, k, l), a = dirs, spec.a
+    if base[j] == a[j] or base[k] == a[k] or base[l] == a[l]:
         raise FlipError("not applicable", move)
-    return Tiling.from_mask(t.spec, t.mask ^ removed ^ created)
+    hexagon, removed, created = _move_bits(bits, origin, direction)
+    mask = t.mask
+    if mask & (hexagon | removed | created) != hexagon | removed:
+        raise FlipError("not applicable", move)
+    return Tiling.from_mask(spec, mask ^ removed ^ created)
 
 
 def _ranks_after(ranks: tuple, removed: tuple, created: tuple) -> tuple:
@@ -162,14 +170,15 @@ class FlipCensus:
     on which of its lattice neighbours are vertices: a census holds each
     point's neighbours as indices into `points`, and the mask of them all,
     decides whether a pivot moves by two popcounts and memoizes only the
-    moves, built from the spec's `cube_offsets`.  It is the one move finder:
-    random walks, enumeration, `normalize_to_min` and the fundamental forest
-    read their moves or edges from it."""
+    moves, built from the spec's `cube_offsets` and `cube_bits`.  It is the
+    one move finder: random walks, enumeration, `normalize_to_min` and the
+    fundamental forest read their moves or edges from it."""
 
     def __init__(self, spec: ZonogonSpec, up_only: bool = False):
         self.up_only = up_only
         self.points, self.index = spec.points, spec.index
         self.strides, self.cube_offsets = spec.strides, spec.cube_offsets
+        self.cube_bits = spec.cube_bits
         self.internal = [p not in spec.boundary_vertices for p in self.points]
         # per point: the (direction, index) of its lattice neighbours above
         # and below it, and the mask of them all
@@ -211,9 +220,8 @@ class FlipCensus:
         if not j < k < l:
             raise FlipError(f"edge directions {tuple(up)}+{tuple(down)} out of order "
                             f"at {self.points[i]}")
-        offsets = self.cube_offsets[j, k, l]
-        hexagon, removed, created = _move_bits(offsets, origin, direction)
-        corners = [origin + o for o in offsets[:6]]
+        hexagon, removed, created = _move_bits(self.cube_bits[j, k, l], origin, direction)
+        corners = [origin + o for o in self.cube_offsets[j, k, l][:6]]
         # right after an up flip the created point has one edge up and two
         # down, so an up-only census need not look at it again
         if not self.up_only:
@@ -272,17 +280,17 @@ def enumerate_tilings(spec: ZonogonSpec, cap: int = 10**6) -> list:
     while layer:
         nxt: dict = {}
         for mask, (t, moves) in layer.items():
+            ranks = t.ranks
             for up in moves.values():
                 mask2 = up.apply(mask)
                 if mask2 in nxt:
                     continue
-                try:
-                    removed, created = faces[id(up)]
-                except KeyError:
-                    removed, created = faces[id(up)] = tuple(
+                sides = faces.get(id(up))
+                if sides is None:
+                    sides = faces[id(up)] = tuple(
                         tuple(map(spec.rank, side)) for side in up.move.faces)
                 t2 = apply_move(t, up.move)
-                t2.ranks = _ranks_after(t.ranks, removed, created)
+                t2.ranks = _ranks_after(ranks, *sides)
                 nxt[mask2] = (t2, census.after(moves, up, mask2))
                 if len(found) + len(nxt) > cap:
                     raise CapExceeded(f"more than {cap} tilings")

@@ -187,6 +187,15 @@ class ZonogonSpec:
         return out
 
     @cached_property
+    def cube_bits(self) -> dict:
+        """Per direction triple j < k < l, the bits of a unit cube based at
+        `points[0]`, from `cube_offsets`: (hexagon, k, jl), the mask of the
+        six hexagon corners and the bits of corners k and jl.  Shifted left
+        by a base's index, they are the bits of the cube at that base."""
+        return {dirs: (sum(1 << o for o in offsets[:6]), 1 << offsets[6], 1 << offsets[7])
+                for dirs, offsets in self.cube_offsets.items()}
+
+    @cached_property
     def cubes(self) -> tuple:
         """Every unit 3-cube of the box as (base, (j, k, l), corners), by
         direction triple and then base in lattice order, the corners read

@@ -604,15 +604,80 @@ def test_apply_move_raises_off_the_box_and_when_made_twice():
 
 
 def test_apply_move_raises_on_directions_not_increasing_in_range():
-    """Directions that are not j < k < l in range name no cube, whatever
-    the base and the tiling: the move does not apply."""
+    """Directions that are not j < k < l in range, or not three of them,
+    name no cube, whatever the base and the tiling: the move does not apply."""
     spec = ZonogonSpec((2, 2, 2))
     for t in enumerate_tilings(spec):
         for base in spec.points:
-            for dirs in [(0, 1, 3), (-1, 0, 1), (0, 0, 1), (0, 1, 1), (2, 1, 0), (1, 0, 2)]:
+            for dirs in [(0, 1, 3), (-1, 0, 1), (0, 0, 1), (0, 1, 1), (2, 1, 0), (1, 0, 2),
+                         (0, 1), (0, 1, 2, 3)]:
                 for direction in ("up", "down"):
                     with pytest.raises(FlipError, match="not applicable"):
                         apply_move(t, FlipMove(base, dirs, direction))
+
+
+def test_apply_move_refuses_a_direction_other_than_up_or_down():
+    """A move is up or down.  Any other direction names no move, and
+    `apply_move` refuses it by name, also on the tiling where the down move
+    of its cube applies."""
+    up = FlipMove((0, 0, 0), (0, 1, 2), "up")
+    tm = t_min(HEX)
+    for t in (tm, apply_move(tm, up)):
+        for direction in ("sideways", "Up", "downward"):
+            with pytest.raises(FlipError, match="not applicable") as info:
+                apply_move(t, FlipMove(up.base, up.dirs, direction))
+            assert info.value.direction == direction
+            assert str(info.value).startswith(
+                f"{direction} move on the cube at (0, 0, 0) with directions (1, 2, 3)")
+
+
+@pytest.mark.parametrize("up_only", [False, True], ids=["full", "up_only"])
+@pytest.mark.parametrize("a", [(2, 2, 2), (2, 2, 1, 1), (1, 1, 1, 1, 1)], ids=_spec_id)
+def test_apply_move_and_census_flips_agree_on_every_tiling(a, up_only):
+    """The two move validators agree: every move of the census, on every
+    tiling, either gives the same tiling by `apply_move` and by its `_Flip`,
+    or is refused by both."""
+    census = FlipCensus(ZonogonSpec(a), up_only=up_only)
+    tilings = _enumerated(a)
+    for t in tilings:
+        census.all(t.mask)
+    flips = list(census._memo.values())  # every move of the census
+    applied = refused = 0
+    for t in tilings:
+        for flip in flips:
+            try:
+                mask = flip.apply(t.mask)
+            except FlipError:
+                with pytest.raises(FlipError, match="not applicable"):
+                    apply_move(t, flip.move)
+                refused += 1
+            else:
+                assert apply_move(t, flip.move).mask == mask
+                applied += 1
+    assert applied >= len(tilings) - 1 and refused > applied
+
+
+@pytest.mark.parametrize("a", [(1, 1, 1), (2, 3, 1), (2, 2, 1, 1), (3, 1, 2, 1),
+                               (1, 2, 1, 2, 1)], ids=_spec_id)
+def test_cube_bits_are_the_bits_of_the_cube_corners(a):
+    """Each direction triple's precomputed bits, shifted by a cube's base
+    index, are the bits of its six hexagon corners and of its corners k and
+    jl, for every unit cube of the box."""
+    spec = ZonogonSpec(a)
+    assert list(spec.cube_bits) == list(itertools.combinations(range(spec.n), 3))
+
+    def bits(points):
+        return sum(1 << spec.index[p] for p in points)
+
+    cubes = 0
+    for dirs, (hexagon, k, jl) in spec.cube_bits.items():
+        for origin, base in enumerate(spec.points):
+            if all(base[d] < spec.a[d] for d in dirs):
+                corners = FlipMove(base, dirs, "up").corners
+                assert hexagon << origin == bits(corners[:6])
+                assert (k << origin, jl << origin) == (bits(corners[6:7]), bits(corners[7:]))
+                cubes += 1
+    assert cubes == len(spec.cubes)
 
 
 def test_census_memory_is_not_a_mask_per_neighbour():

@@ -36,7 +36,7 @@ from zonorec import (
     tiling_through_vertex,
 )
 from zonorec import jsonio
-from zonorec.cli import build_parser, main
+from zonorec.cli import OUT_BUFFER, build_parser, main
 from zonorec.flips import fundamental_forest
 from zonorec.laurent import LaurentPoly
 
@@ -257,6 +257,30 @@ def test_cli_tile_enumerate_stdout_equals_file(tmp_path, capsys):
     out = tmp_path / "all.json"
     assert main(["tile", "--A", "2,2,2", "--enumerate", "--out", str(out)]) == 0
     assert main(["tile", "--A", "2,2,2", "--enumerate"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "tile_enumerate"])
+def test_cli_file_outputs_beyond_the_write_buffer_are_complete(tmp_path, capsys, command):
+    """A file output more than twice the size of the write buffer holds
+    the same bytes as the same command writing to stdout.  The run's initial
+    values have nine digits, so that its output outgrows two buffers."""
+    if command == "run":
+        rng = random.Random(1)
+        t = random_tiling(ZonogonSpec((3, 3, 3, 3)), rng)
+        lab = initial_labeling(t, RATIONAL, {
+            v: Fraction(rng.randrange(1, 10**9), rng.randrange(1, 10**9))
+            for v in sorted(t.vertices)})
+        (tmp_path / "t.json").write_text(json.dumps(jsonio.tiling_to_json(t)))
+        (tmp_path / "lab.json").write_text(json.dumps(jsonio.labeling_to_json(lab)))
+        argv = ["run", "--tiling", str(tmp_path / "t.json"), "--labeling",
+                str(tmp_path / "lab.json"), "--check"]
+    else:
+        argv = ["tile", "--A", "3,3,3", "--enumerate"]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert main(argv) == 0
+    assert out.stat().st_size > 2 * OUT_BUFFER
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
