@@ -222,8 +222,9 @@ def _verify_tropical(args) -> str:
     g = tropical.canonical_cutcurve(w)
     met = 0
     last_report = None
+    vertices = sorted(t0.vertices)
     for _ in range(args.samples):
-        values = {v: rng.randint(-5, 5) for v in sorted(t0.vertices)}
+        values = {v: rng.randint(-5, 5) for v in vertices}
         lab = engine.extend_to_lattice(
             engine.initial_labeling(t0, engine.TROPICAL, values), moves)
         report = tropical.check_propagation(lab, w, g)

@@ -46,12 +46,17 @@ class CapExceeded(RuntimeError):
 class FlipMove:
     """One flip on the unit 3-cube at `base` with directions j < k < l.
 
-    An up move removes base+e_k and inserts base+e_j+e_l; down is the inverse.
+    An up move removes base+e_k and inserts base+e_j+e_l; down is the
+    inverse.  Any other direction is a `FlipError`.
     """
 
     base: Point
     dirs: tuple[int, int, int]
     direction: str  # "up" | "down"
+
+    def __post_init__(self):
+        if self.direction != "up" and self.direction != "down":
+            raise FlipError("is neither up nor down", self)
 
     def inverse(self) -> "FlipMove":
         return FlipMove(self.base, self.dirs, "down" if self.direction == "up" else "up")
@@ -110,12 +115,9 @@ def _move_bits(bits: tuple, origin: int, direction: str) -> tuple:
 
 def apply_move(t: Tiling, move: FlipMove) -> Tiling:
     """Swap the move's removed vertex for its created one.  It applies when
-    it is up or down, its cube lies in the box, with directions j < k < l,
-    the hexagon corners o, j, l, jk, kl, jkl are vertices and `created` is
-    not."""
+    its cube lies in the box, with directions j < k < l, the hexagon corners
+    o, j, l, jk, kl, jkl are vertices and `created` is not."""
     spec, base, dirs, direction = t.spec, move.base, move.dirs, move.direction
-    if direction != "up" and direction != "down":
-        raise FlipError("not applicable: its direction is neither up nor down", move)
     origin, bits = spec.index.get(base), spec.cube_bits.get(dirs)
     if origin is None or bits is None:
         raise FlipError("not applicable", move)  # no such cube in the box

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .engine import DOMAINS, Labeling, initial_labeling
 from .flips import FlipMove
 from .laurent import LaurentPoly
-from .zonogon import Tiling, ZonogonSpec, validate_tiling
+from .zonogon import Tiling, ZonogonSpec, _check_rhombi
 
 
 class InvalidTiling(ValueError):
@@ -85,14 +85,12 @@ def tiling_from_json(data: dict) -> Tiling:
                 and all(1 <= d <= n for d in dirs)):
             raise InvalidTiling(f"rhombus {i}: base {base!r} must be {n} integers and "
                                 f"dirs {dirs!r} two distinct integers in 1..{n}")
-        rhombi.append((tuple(base), (dirs[0] - 1, dirs[1] - 1)))
-    t = Tiling(spec, rhombi)
-    if len(t.rhombi) < len(rhombi):
+        rhombi.append((tuple(base), (min(dirs) - 1, max(dirs) - 1)))
+    if len(set(rhombi)) < len(rhombi):
         raise InvalidTiling("a rhombus repeats")
-    report = validate_tiling(t)
-    if not report.ok:
+    if not (report := _check_rhombi(spec, frozenset(rhombi))).ok:
         raise InvalidTiling(f"not a tiling: {report.violations[0]}")
-    return t
+    return Tiling(spec, rhombi)
 
 
 def flip_path_from_json(data: dict, tiling: Tiling) -> list:
@@ -204,10 +202,10 @@ def labeling_from_json(data: dict, tiling: Tiling) -> Labeling:
             values[vertex] = laurent_from_json(item["value"])
         else:
             values[vertex] = _fraction_from_json(item["value"])
-    extra = sorted(v for v in values if v not in tiling.vertices)
+    extra = sorted(values.keys() - tiling.vertices)
     if extra:
         raise ValueError(f"labeling has values at {extra}, which are not tiling vertices")
-    missing = sorted(v for v in tiling.vertices if v not in values)
+    missing = sorted(tiling.vertices - values.keys())
     if missing:
         raise ValueError(f"labeling misses tiling vertices {missing}")
     return initial_labeling(tiling, domain, values)

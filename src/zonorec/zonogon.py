@@ -15,10 +15,12 @@ arithmetic.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import gcd
+from operator import mul
 
 Point = tuple[int, ...]
 Vec2 = tuple  # planar vector, integer or Fraction entries
@@ -102,20 +104,33 @@ class ZonogonSpec:
         """The direction pairs j < k of a rhombus, in sorted order."""
         return tuple(combinations(range(self.n), 2))
 
+    @property
+    def size(self) -> int:
+        """The number of lattice points in the box."""
+        return self.strides[0] * (self.a[0] + 1)
+
+    def position(self, p: Point) -> int:
+        """`index[p]`, by strides: no table of the box is built."""
+        return sum(map(mul, p, self.strides))
+
+    def point(self, i: int) -> Point:
+        """`points[i]`, by strides: no table of the box is built."""
+        return tuple([i // s % (m + 1) for s, m in zip(self.strides, self.a)])
+
     def rank(self, rh: Rhombus) -> int:
-        """The rhombus as an integer: its base's index times the number of
-        `pairs`, plus the position of its pair among them.  Ranks order as
-        the rhombi do, and `rhombus` decodes one."""
+        """The rhombus as an integer: its base's position in `points` times
+        the number of `pairs`, plus the position of its pair among them.
+        Ranks order as the rhombi do, and `rhombus` decodes one."""
         base, (j, k) = rh
         # the pairs before (j, k): those with a first direction below j, then
         # (j, j + 1), ..., (j, k - 1)
-        return (self.index[base] * len(self.pairs)
+        return (self.position(base) * len(self.pairs)
                 + j * (2 * self.n - j - 1) // 2 + k - j - 1)
 
     def rhombus(self, rank: int) -> Rhombus:
         """The rhombus of this `rank`."""
         i, pair = divmod(rank, len(self.pairs))
-        return (self.points[i], self.pairs[pair])
+        return (self.point(i), self.pairs[pair])
 
     @property
     def rhombus_count(self) -> int:
@@ -215,88 +230,69 @@ def rhombus_corners(rh: Rhombus) -> tuple[Point, Point, Point, Point]:
 
 
 class Tiling:
-    """A rhombus tiling, identified by its vertex set, held as `mask`: bit i
-    is set when `spec.points[i]` is a vertex.  Its rhombi are the unit
-    parallelograms with four vertex corners.  `Tiling(spec, rhombi)` keeps the
-    given rhombi, for `validate_tiling`, and derives its vertices and mask
-    on first use; `from_mask` derives the vertices and rhombi on use."""
+    """A rhombus tiling, held only as its vertex set `mask`: bit i is set when
+    `spec.points[i]` is a vertex.  Its vertices and rhombi (the unit
+    parallelograms with four vertex corners) are read from it by strides.
+    `Tiling(spec, rhombi)` is the tiling of the rhombi's corners (in the box)."""
 
     def __init__(self, spec: ZonogonSpec, rhombi):
-        self.spec = spec
-        self.rhombi = frozenset(
-            (tuple(base), (min(d), max(d))) for base, d in rhombi
-        )
+        corners = {p for rh in rhombi for p in rhombus_corners(rh)}
+        if outside := [p for p in corners if not spec.contains(p)]:
+            raise ValueError(f"vertex {min(outside)} outside the box of {spec!r}")
+        self.spec, self.mask = spec, _mask(spec, map(spec.position, corners))
 
     @classmethod
     def from_mask(cls, spec: ZonogonSpec, mask: int) -> "Tiling":
         """The tiling with this vertex bitmask."""
         t = cls.__new__(cls)
-        t.spec = spec
-        t.mask = mask
+        t.spec, t.mask = spec, mask
         return t
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Tiling)
-            and self.spec == other.spec
-            and self.mask == other.mask
-        )
+        return isinstance(other, Tiling) and (self.spec, self.mask) == (other.spec, other.mask)
 
     def __hash__(self):
         return hash((self.spec, self.mask))
 
     def __repr__(self):
-        return f"Tiling({self.spec!r}, {len(self.vertices)} vertices)"
+        return f"Tiling({self.spec!r}, {self.mask.bit_count()} vertices)"
 
     def canonical_rhombi(self) -> tuple[Rhombus, ...]:
-        """The rhombi in sorted order, computed once: decoded from `ranks`
-        when a caller has set them, else sorted from `rhombi`."""
-        return self._sorted_rhombi
-
-    @cached_property
-    def _sorted_rhombi(self) -> tuple[Rhombus, ...]:
-        if "ranks" in vars(self):
-            return tuple(map(self.spec.rhombus, self.ranks))
-        return tuple(sorted(self.rhombi))
+        """The rhombi in sorted order, decoded from `ranks`."""
+        return tuple(map(self.spec.rhombus, self.ranks))
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
-        """Each rhombus's `ZonogonSpec.rank`, in increasing order, which is
-        the order of `canonical_rhombi`.  A caller that knows them sets them
-        (the flip search carries them from tiling to tiling)."""
-        return tuple(map(self.spec.rank, self.canonical_rhombi()))
+        """The rhombi's `ZonogonSpec.rank`s in increasing order, which the flip
+        search sets; else vertex i is the base of pair (j, k) when digits j, k of
+        i are below a_j, a_k and i + stride_j, i + stride_k and their sum are too."""
+        spec, s = self.spec, self.spec.strides
+        bits = f"{self.mask:0{spec.size}b}"[::-1]  # bits[i] is bit i
+        out = []
+        for i in (one.start() for one in re.finditer("1", bits)):
+            up = [i // t % (m + 1) < m and bits[i + t] == "1" for t, m in zip(s, spec.a)]
+            out += [i * len(spec.pairs) + r for r, (j, k) in enumerate(spec.pairs)
+                    if up[j] and up[k] and bits[i + s[j] + s[k]] == "1"]
+        return tuple(out)
 
-    @cached_property
-    def mask(self) -> int:
-        """`ValueError` names the least vertex outside the box: rhombi given
-        to `Tiling(spec, rhombi)` are not checked until `validate_tiling`."""
-        index = self.spec.index
-        try:
-            return sum(1 << index[p] for p in self.vertices)
-        except KeyError:
-            p = min(p for p in self.vertices if p not in index)
-            raise ValueError(f"vertex {p} outside the box of {self.spec!r}") from None
-
-    @cached_property
+    @property
     def vertices(self) -> frozenset:
-        """The corners of the rhombi the tiling was built with, which needs
-        no index of the box, or else the points of its mask's bits."""
-        if "mask" not in vars(self):
-            return frozenset(p for rh in self.rhombi for p in rhombus_corners(rh))
-        bits = bin(self.mask)[:1:-1]  # bits[i] is bit i
-        return frozenset(p for p, b in zip(self.spec.points, bits) if b == "1")
+        ones = [one.start() for one in re.finditer("1", bin(self.mask)[:1:-1])]
+        radix = zip(self.spec.strides, self.spec.a)
+        return frozenset(zip(*([i // s % (m + 1) for i in ones] for s, m in radix)))
 
-    @cached_property
+    @property
     def rhombi(self) -> frozenset:
-        """The (v, (j, k)) with v + e_j, v + e_k and v + e_j + e_k vertices
-        (probed by slicing: this is a hot loop)."""
-        vs, out = self.vertices, []
-        for v in vs:
-            up = [d for d, c in enumerate(v) if v[:d] + (c + 1,) + v[d + 1:] in vs]
-            for j, k in combinations(up, 2):
-                if v[:j] + (v[j] + 1,) + v[j + 1:k] + (v[k] + 1,) + v[k + 1:] in vs:
-                    out.append((v, (j, k)))
-        return frozenset(out)
+        return frozenset(self.canonical_rhombi())
+
+
+def _mask(spec: ZonogonSpec, positions) -> int:
+    """The bitmask of these positions in `spec.points`, built in one step
+    from bytes: OR-ing single bits into a growing int is quadratic."""
+    buf = bytearray(spec.size // 8 + 1)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 def phi(t: Tiling) -> int:
@@ -317,33 +313,39 @@ class TilingReport:
 
 
 def validate_tiling(t: Tiling) -> TilingReport:
-    """Check that t's rhombi tile P by sweeping them with a wiring diagram
-    (Elnitsky, JCTA 77, 1997): from the lower boundary, swap an ascending
-    adjacent pair d < d' at gap i whenever the rhombus (counts of the lines
-    below i, (d, d')) is given.  Each swept rhombus sits just above the
-    current monotone path, so none overlap, and sum a_i a_j swaps reach the
-    upper boundary.  So the rhombi tile P exactly when they lie in the box,
-    there are sum a_i a_j of them, and the sweep uses them all up.
+    """Whether t's vertex set is a tiling's: whether its rhombi tile P."""
+    return _check_rhombi(t.spec, t.rhombi)
+
+
+def _check_rhombi(spec: ZonogonSpec, rhombi: frozenset) -> TilingReport:
+    """Check that a set of rhombi (base, (j, k)) with j < k tiles P by
+    sweeping them with a wiring diagram (Elnitsky, JCTA 77, 1997): from the
+    lower boundary, swap an ascending adjacent pair d < d' at gap i whenever
+    the rhombus (counts of the lines below i, (d, d')) is given.  Each swept
+    rhombus sits just above the current monotone path, so none overlap, and
+    sum a_i a_j swaps reach the upper boundary.  So the rhombi tile P exactly
+    when they lie in the box, there are sum a_i a_j of them, and the sweep
+    uses them all up.
     """
-    spec = t.spec
-    outside = [rh for rh in t.rhombi if not all(map(spec.contains, rhombus_corners(rh)))]
+    outside = [rh for rh in rhombi if not all(map(spec.contains, rhombus_corners(rh)))]
     if outside:
         return TilingReport([f"rhombus outside box: {min(outside)}"])
 
     violations = []
-    if len(t.rhombi) != spec.rhombus_count:
-        violations.append(f"rhombus count {len(t.rhombi)} != {spec.rhombus_count}")
+    if len(rhombi) != spec.rhombus_count:
+        violations.append(f"rhombus count {len(rhombi)} != {spec.rhombus_count}")
         # A tiling has at least a_d rhombi with a side in direction d; fewer
         # rhombi than that cannot be one, and the sweep line, of sum(a)
         # lines, would cost time and memory linear in a huge a_d.
-        if max(spec.a) > len(t.rhombi):
+        if max(spec.a) > len(rhombi):
             return TilingReport(violations)
 
     line = _SweepLine(spec)
-    laid = line.sweep(t.rhombi)
+    given = {(spec.position(base), j, k) for base, (j, k) in rhombi}
+    laid = line.sweep(given)
     if len(laid) < spec.rhombus_count:
-        edges = [(p, d) for p, (d, _) in zip(line.path, line.word)]
-        left = t.rhombi.difference(laid)
+        edges = [(spec.point(i), d) for i, (d, _) in zip(line.path, line.word)]
+        left = [(spec.point(i), (j, k)) for i, j, k in given.difference(laid)]
         leftover = f", leaving rhombus {min(left)}" if left else ""
         violations.append(f"sweep stops at edges {edges}{leftover}")
 
@@ -358,7 +360,7 @@ class _SweepLine:
     """One line of a wiring diagram (Elnitsky, JCTA 77, 1997): a word of lines
     bottom to top, copy c of direction d written (d, c), with a_d copies of
     each direction and starting in direction order, together with the
-    monotone lattice path of its prefixes.
+    monotone lattice path of its prefixes, each a position in `spec.points`.
 
     Swapping adjacent lines d < d' at gap i lays the rhombus
     (path[i], (d, d')) and moves path[i + 1] across it.  Only ascending pairs
@@ -366,26 +368,26 @@ class _SweepLine:
     """
 
     def __init__(self, spec: ZonogonSpec):
+        self.strides = spec.strides
         self.word = [(d, c) for d in range(spec.n) for c in range(spec.a[d])]
-        self.path = [(0,) * spec.n]
-        for d, _ in self.word:
-            self.path.append(shift(self.path[-1], d))
+        self.path = [0, *accumulate(self.strides[d] for d, _ in self.word)]
 
-    def swap(self, i: int) -> Rhombus:
+    def swap(self, i: int) -> tuple:
+        """Swap the lines at gap i; return the rhombus laid, as (path[i], d, d')."""
         word, path = self.word, self.path
-        rh = (path[i], (word[i][0], word[i + 1][0]))
+        rh = (path[i], word[i][0], word[i + 1][0])
         word[i], word[i + 1] = word[i + 1], word[i]
-        path[i + 1] = shift(path[i], word[i][0])
+        path[i + 1] = path[i] + self.strides[word[i][0]]
         return rh
 
-    def sweep(self, allowed=None) -> list[Rhombus]:
+    def sweep(self, allowed=None) -> list[tuple]:
         """Swap the lowest ascending pair (whose rhombus is in `allowed`, if
         given) until none is left; return the rhombi laid."""
         word, path, laid = self.word, self.path, []
         i = 0
         while i < len(word) - 1:
             d, d2 = word[i][0], word[i + 1][0]
-            if d < d2 and (allowed is None or (path[i], (d, d2)) in allowed):
+            if d < d2 and (allowed is None or (path[i], d, d2) in allowed):
                 laid.append(self.swap(i))
                 i = max(i - 1, 0)
             else:
@@ -394,8 +396,9 @@ class _SweepLine:
 
 
 def _wiring_tiling(spec: ZonogonSpec, front: Point, middle=(), swaps=()) -> Tiling:
-    """The tiling swept out by one wiring diagram; every prefix of every
-    intermediate word is a vertex of the tiling.
+    """The tiling swept out by one wiring diagram: every prefix of every
+    intermediate word is a vertex, so its vertices are the first path and,
+    per swap, the new path[i + 1], corner base + e_d' of the rhombus laid.
 
     First the front lines (copy c of d with c < front[d]) bubble, stably,
     below all others, so `front` becomes a vertex.  Then the next copies of
@@ -403,14 +406,16 @@ def _wiring_tiling(spec: ZonogonSpec, front: Point, middle=(), swaps=()) -> Tili
     these gap offsets past the front.  Last, the lowest ascending pair swaps
     until none is left.
     """
-    wiring, rhombi = _SweepLine(spec), []
+    wiring, laid = _SweepLine(spec), []
+    first = list(wiring.path)
     lines = [(d, c) for d, c in wiring.word if c < front[d]] + [(d, front[d]) for d in middle]
     for to, line in enumerate(lines):
         for i in range(wiring.word.index(line) - 1, to - 1, -1):
-            rhombi.append(wiring.swap(i))
+            laid.append(wiring.swap(i))
     for off in swaps:
-        rhombi.append(wiring.swap(sum(front) + off))
-    return Tiling(spec, rhombi + wiring.sweep())
+        laid.append(wiring.swap(sum(front) + off))
+    moved = [base + spec.strides[d2] for base, _, d2 in laid + wiring.sweep()]
+    return Tiling.from_mask(spec, _mask(spec, first + moved))
 
 
 def t_min(spec: ZonogonSpec) -> Tiling:

@@ -65,27 +65,26 @@ def zonogon_area2(spec: ZonogonSpec):
     )
 
 
-def is_tiling_by_overlap(t: Tiling) -> bool:
-    """Whether t's rhombi tile P, by the geometric checks: every rhombus in the
-    box, the rhombus count, each boundary edge on one rhombus and each
-    internal edge on two, the covered area, and no two interiors overlapping
-    (exact separating axes, O(R^2) in the rhombus count R)."""
-    spec = t.spec
-    if not all(spec.contains(c) for rh in t.rhombi for c in rhombus_corners(rh)):
+def is_tiling_by_overlap(spec: ZonogonSpec, rhombi: frozenset) -> bool:
+    """Whether a set of rhombi tiles P, by the geometric checks: every
+    rhombus in the box, the rhombus count, each boundary edge on one rhombus
+    and each internal edge on two, the covered area, and no two interiors
+    overlapping (exact separating axes, O(R^2) in the rhombus count R)."""
+    if not all(spec.contains(c) for rh in rhombi for c in rhombus_corners(rh)):
         return False
-    if len(t.rhombi) != spec.rhombus_count:
+    if len(rhombi) != spec.rhombus_count:
         return False
     on_edge: dict = {}
-    for rh in t.rhombi:
+    for rh in rhombi:
         for e in rhombus_edges(rh):
             on_edge[e] = on_edge.get(e, 0) + 1
     if any(k != (1 if spec.is_boundary_edge(e) else 2) for e, k in on_edge.items()):
         return False
-    area = sum(abs(cross(spec.vectors[j], spec.vectors[k])) for _, (j, k) in t.rhombi)
+    area = sum(abs(cross(spec.vectors[j], spec.vectors[k])) for _, (j, k) in rhombi)
     if area != zonogon_area2(spec):
         return False
     return not any(_interiors_overlap(spec, r1, r2)
-                   for r1, r2 in combinations(sorted(t.rhombi), 2))
+                   for r1, r2 in combinations(sorted(rhombi), 2))
 
 
 def all_candidate_rhombi(spec: ZonogonSpec):
@@ -121,7 +120,7 @@ def brute_force_tilings(spec: ZonogonSpec):
     def rec(start, chosen, blocked, area):
         if len(chosen) == need_count:
             if area == need_area:
-                results.append(Tiling(spec, [cands[i] for i in chosen]))
+                results.append(RhombusTiling(spec, [cands[i] for i in chosen]))
             return
         if m - start < need_count - len(chosen):
             return
@@ -205,11 +204,13 @@ def neighbors(t: Tiling, v) -> list:
 # by probing each vertex's lattice neighbours, with a new tiling per flip
 
 
-def edges_at(t: Tiling, v) -> tuple:
+def edges_at(t: Tiling, v, vertices=None) -> tuple:
     """(up, down) edge directions at vertex v: the 1-skeleton is a partial
-    cube, so v, v + e_d are joined exactly when both are vertices."""
-    up = tuple(d for d in range(t.spec.n) if shift(v, d) in t.vertices)
-    down = tuple(d for d in range(t.spec.n) if shift(v, d, -1) in t.vertices)
+    cube, so v, v + e_d are joined exactly when both are vertices.  A caller
+    that reads many vertices passes t's `vertices`, read once."""
+    vs = t.vertices if vertices is None else vertices
+    up = tuple(d for d in range(t.spec.n) if shift(v, d) in vs)
+    down = tuple(d for d in range(t.spec.n) if shift(v, d, -1) in vs)
     return up, down
 
 
@@ -218,8 +219,9 @@ def flippable_vertices(t: Tiling):
     one edge up and two down, and those with two up and one down."""
     down = set()
     up = set()
-    for v in t.vertices - t.spec.boundary_vertices:
-        u, d = edges_at(t, v)
+    vs = t.vertices
+    for v in vs - t.spec.boundary_vertices:
+        u, d = edges_at(t, v, vs)
         if len(u) == 1 and len(d) == 2:
             down.add(v)
         elif len(u) == 2 and len(d) == 1:
@@ -230,9 +232,10 @@ def flippable_vertices(t: Tiling):
 def move_at(t: Tiling, at) -> FlipMove:
     """The flip move pivoting at the given trivalent internal vertex: its
     two like edges are directions j < l and its odd edge k lies between."""
-    if at not in t.vertices or at in t.spec.boundary_vertices:
+    vs = t.vertices
+    if at not in vs or at in t.spec.boundary_vertices:
         raise FlipError(f"{at} is not an internal vertex")
-    up, down = edges_at(t, at)
+    up, down = edges_at(t, at, vs)
     if len(up) == 1 and len(down) == 2:
         (j, l), (k,), direction = down, up, "down"
         base = shift2(at, j, l, -1)
@@ -290,7 +293,22 @@ def cube_moves(spec: ZonogonSpec) -> tuple:
                  for direction in ("up", "down"))
 
 
-def flip_by_faces(t: Tiling, move: FlipMove) -> Tiling | None:
+class RhombusTiling(Tiling):
+    """A tiling held as a set of rhombi: `rhombi` are the ones it was built
+    from and `vertices` their corners, so the face-set rule never derives
+    rhombi from a vertex set.  It equals, and hashes as, the library tiling
+    of its vertex set."""
+
+    def __init__(self, spec: ZonogonSpec, rhombi):
+        super().__init__(spec, rhombi)
+        self._rhombi = frozenset(rhombi)
+        self._vertices = frozenset(p for rh in self._rhombi for p in rhombus_corners(rh))
+
+    rhombi = property(lambda self: self._rhombi)
+    vertices = property(lambda self: self._vertices)
+
+
+def flip_by_faces(t: RhombusTiling, move: FlipMove) -> RhombusTiling | None:
     """The face-set flip rule: trade the cube's three bottom rhombi for its
     three top ones (up) or back (down); the result keeps explicit rhombi.
     None when t does not hold the faces the move takes out."""
@@ -298,7 +316,7 @@ def flip_by_faces(t: Tiling, move: FlipMove) -> Tiling | None:
     old, new = (bottom, top) if move.direction == "up" else (top, bottom)
     if not old <= t.rhombi:
         return None
-    return Tiling(t.spec, (t.rhombi - old) | new)
+    return RhombusTiling(t.spec, (t.rhombi - old) | new)
 
 
 def moves_by_faces(t: Tiling):
@@ -312,7 +330,7 @@ def moves_by_faces(t: Tiling):
 def tilings_by_face_flips(spec: ZonogonSpec) -> list:
     """Every tiling, as rhombi: breadth-first face-set flips from the rhombi
     the wiring diagram lays for t_min, told apart by their rhombus sets."""
-    start = Tiling(spec, t_min(spec).rhombi)
+    start = RhombusTiling(spec, t_min(spec).rhombi)
     seen = {start.rhombi: start}
     frontier = [start]
     while frontier:

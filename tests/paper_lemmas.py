@@ -29,9 +29,9 @@ from zonorec.zonogon import (
     Rhombus,
     Tiling,
     ZonogonSpec,
+    _check_rhombi,
     shift,
     shift2,
-    validate_tiling,
 )
 
 from oracles import apply_flip, edges_at, flippable_vertices, move_at, rhombus_edges
@@ -356,9 +356,9 @@ def cells_2(t: Tiling) -> list:
                 continue
             cells.append(Cell("square", (m1, m2)))
 
-    atlas = _octagon_atlas()
+    atlas, vs = _octagon_atlas(), t.vertices
     for base, dirs, corners in _unit_4_cubes(spec):
-        pattern = frozenset(off for off, p in corners if p in t.vertices)
+        pattern = frozenset(off for off, p in corners if p in vs)
         if pattern not in atlas:
             continue
         full_moves = tuple(
@@ -461,11 +461,10 @@ def lift_decomposition(spec: ZonogonSpec, planar_rhombi) -> Tiling:
         if not spec.contains(base):
             raise LiftError(f"not covering P: lifted base {base} outside the box")
         rhombi.append((base, (j, k)))
-    t = Tiling(spec, rhombi)
-    report = validate_tiling(t)
+    report = _check_rhombi(spec, frozenset(rhombi))
     if not report.ok:
         raise LiftError(f"not covering P: {report.violations[0]}")
-    return t
+    return Tiling(spec, rhombi)
 
 
 # ---------------------------------------------------------------------------

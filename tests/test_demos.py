@@ -23,6 +23,7 @@ def test_demos_found():
     assert [d.stem for d in DEMOS] == sorted(STDOUT_SHA256)
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -370,6 +370,7 @@ def test_extension_moves_are_distinct_and_create_every_missing_point(a, seed):
     assert set(t0.spec.points) - t0.vertices <= {m.created for m in moves}
 
 
+@pytest.mark.pinned
 def test_tropical_extension_output_is_pinned():
     """The max-plus extension from a random tiling, byte for byte."""
     rng = random.Random(4)
@@ -562,6 +563,7 @@ def _symbolic_extension(a):
     return tm, extend_to_lattice(symbolic_labeling(tm))
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("a, digest, max_terms", [
     ((3, 2, 2), "dae9f4cd1dfe56e614fa0a4843ab9987a0615faea07cd961490cab6c2723970e", 221),
     ((2, 2, 1, 1), "e4a5f545b9249d8d5a80148a2c2af4cc1f0b86cfa208135290e12b38df08dd4e", 65),

@@ -11,7 +11,8 @@ from zonorec import (
     validate_tiling,
 )
 from zonorec.flips import FlipMove
-from zonorec.zonogon import rhombus_corners
+from zonorec.jsonio import InvalidTiling, tiling_from_json
+from zonorec.zonogon import _check_rhombi, rhombus_corners
 
 from oracles import (
     cross,
@@ -85,32 +86,36 @@ def test_t_min_matches_closed_form(n):
         assert not flippable_vertices(t)[0], a
 
 
+def _decode(spec, rhombi):
+    return tiling_from_json({"A": list(spec.a), "rhombi": [
+        {"base": list(base), "dirs": [j + 1, k + 1]} for base, (j, k) in rhombi]})
+
+
 def test_validate_empty():
-    report = validate_tiling(Tiling(HEX, []))
-    assert not report.ok
-    assert any("rhombus count 0 != 3" in v for v in report.violations)
+    with pytest.raises(InvalidTiling, match="^not a tiling: rhombus count 0 != 3$"):
+        _decode(HEX, [])
+    assert not validate_tiling(Tiling(HEX, [])).ok
 
 
 def test_validate_missing_rhombus_reports_edge():
-    t = t_min(HEX)
-    broken = Tiling(HEX, sorted(t.rhombi)[:-1])
-    report = validate_tiling(broken)
-    assert not report.ok
-    assert any("edge" in v for v in report.violations)
+    rhombi = t_min(HEX).canonical_rhombi()[:-1]
+    with pytest.raises(InvalidTiling, match="^not a tiling: rhombus count 2 != 3$"):
+        _decode(HEX, rhombi)
+    report = _check_rhombi(HEX, frozenset(rhombi))
+    assert len(report.violations) == 2
+    assert report.violations[1].startswith("sweep stops at edges")
 
 
 def test_a_vertex_outside_the_box_is_named():
-    """Rhombi given to `Tiling(spec, rhombi)` are checked only by
-    `validate_tiling`; a corner outside the box is a `ValueError` naming the
-    least such vertex and the box wherever the mask is read."""
-    from zonorec.flips import apply_move
-
-    t = Tiling(HEX, sorted(t_min(HEX).rhombi) + [((1, 1, 1), (0, 1))])
-    move = FlipMove((0, 0, 0), (0, 1, 2), "up")
+    """`Tiling(spec, rhombi)` is the tiling of the rhombi's corners, so a
+    corner outside the box is a `ValueError` naming the least such vertex
+    and the box when it is made; the decoder names the rhombus."""
+    rhombi = t_min(HEX).canonical_rhombi() + (((1, 1, 1), (0, 1)),)
     message = r"vertex \(1, 2, 1\) outside the box of ZonogonSpec\(\[1, 1, 1\]\)"
-    for call in (lambda: t == t_min(HEX), lambda: hash(t), lambda: apply_move(t, move)):
-        with pytest.raises(ValueError, match=message):
-            call()
+    with pytest.raises(ValueError, match=message):
+        Tiling(HEX, rhombi)
+    with pytest.raises(InvalidTiling, match=r"rhombus outside box: \(\(1, 1, 1\), \(0, 1\)\)"):
+        _decode(HEX, rhombi)
 
 
 @pytest.mark.parametrize(
@@ -175,6 +180,7 @@ def test_cube_table_lists_every_cube_with_its_shared_corners(a):
     assert spec.cubes is spec.cubes
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("a", [(3, 3, 3), (2, 2, 1, 1), (1,) * 11],
                          ids=lambda a: ",".join(map(str, a)))
 def test_rhombus_ranks_order_and_decode(a):
@@ -188,6 +194,18 @@ def test_rhombus_ranks_order_and_decode(a):
     assert ranks == sorted(set(ranks))
     assert 0 <= ranks[0] and ranks[-1] < len(spec.points) * len(spec.pairs)
     assert [spec.rhombus(r) for r in ranks] == every
+
+
+@pytest.mark.parametrize("a", [(1, 1, 1), (3, 1, 2), (2, 2, 1, 1), (1, 3, 1, 2),
+                               (2, 1, 1, 1, 2), (1,) * 6], ids=lambda a: ",".join(map(str, a)))
+def test_stride_decode_is_the_point_table(a):
+    """`point(i)` and `position(p)`, computed by strides, are `points[i]` and
+    `index[p]` for every point of the box, and `size` counts the points."""
+    spec, tables = ZonogonSpec(a), ZonogonSpec(a)
+    for i, p in enumerate(tables.points):
+        assert spec.point(i) == p and spec.position(p) == tables.index[p] == i
+    assert spec.size == len(tables.points)
+    assert "points" not in vars(spec) and "index" not in vars(spec)
 
 
 def test_cube_faces_validates_cube():
