@@ -86,11 +86,11 @@ def tiling_from_json(data: dict) -> Tiling:
             raise InvalidTiling(f"rhombus {i}: base {base!r} must be {n} integers and "
                                 f"dirs {dirs!r} two distinct integers in 1..{n}")
         rhombi.append((tuple(base), (min(dirs) - 1, max(dirs) - 1)))
-    if len(set(rhombi)) < len(rhombi):
+    if len(given := frozenset(rhombi)) < len(rhombi):
         raise InvalidTiling("a rhombus repeats")
-    if not (report := _check_rhombi(spec, frozenset(rhombi))).ok:
+    if not (report := _check_rhombi(spec, given)).ok:
         raise InvalidTiling(f"not a tiling: {report.violations[0]}")
-    return Tiling(spec, rhombi)
+    return Tiling(spec, given)
 
 
 def flip_path_from_json(data: dict, tiling: Tiling) -> list:
